@@ -84,11 +84,13 @@ func benchFixture(b *testing.B) *fixture {
 		}
 		var idgen cluster.IDGen
 		fr := forest.New(spec, &idgen, f.opts, 14)
-		for day, recs := range ds.Atypical.SplitByDay(spec) {
+		// Ascending days, so every process benchmarks the same micro-clusters
+		// (f.micros[:400], the pair BenchmarkMergeClusters merges).
+		cps.ForEachDay(ds.Atypical.SplitByDay(spec), func(day int, recs []cps.Record) {
 			micros := cluster.ExtractMicroClusters(&idgen, recs, f.neighbors, f.maxGap)
 			f.micros = append(f.micros, micros...)
 			fr.AddDay(day, micros)
-		}
+		})
 		sev := cube.NewSeverityIndex(net, spec)
 		sev.Add(ds.Atypical.Records())
 		f.engine = &query.Engine{Net: net, Forest: fr, Severity: sev, Gen: &idgen}
@@ -195,6 +197,7 @@ func benchQuery(b *testing.B, s query.Strategy) {
 	f := benchFixture(b)
 	q := query.CityQuery(f.net, f.spec, 0, 14, 0.02)
 	var inputs int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := f.engine.Run(q, s)
@@ -290,6 +293,7 @@ func benchIntegrateBalance(b *testing.B, g cluster.Balance) {
 	f := benchFixture(b)
 	opts := f.opts
 	opts.Balance = g
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var idgen cluster.IDGen
@@ -332,6 +336,7 @@ func BenchmarkIntegrateIndexed(b *testing.B) {
 	if len(micros) > 400 {
 		micros = micros[:400]
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var idgen cluster.IDGen
@@ -345,6 +350,7 @@ func BenchmarkIntegrateNaive(b *testing.B) {
 	if len(micros) > 400 {
 		micros = micros[:400]
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var idgen cluster.IDGen
@@ -363,6 +369,7 @@ func BenchmarkIntegrateParallel(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var idgen cluster.IDGen
 				cluster.IntegrateParallel(&idgen, micros, f.opts, workers)
@@ -437,6 +444,7 @@ func BenchmarkMergeClusters(b *testing.B) {
 		b.Skip("not enough micro-clusters")
 	}
 	a, c := f.micros[0], f.micros[1]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var idgen cluster.IDGen

@@ -214,12 +214,15 @@ func runPhase(label string, run runner, sys *atypical.System, ingest *atypical.R
 				if i >= total {
 					return
 				}
+				opStart := time.Now()
 				if qps > 0 {
-					target := start.Add(time.Duration(float64(i) * float64(time.Second) / qps))
-					time.Sleep(time.Until(target))
+					// Paced reads are timed from their intended send time, so
+					// a stalled server's queueing shows in the requests it
+					// held back, not only in the one it stalled on.
+					opStart = start.Add(time.Duration(float64(i) * float64(time.Second) / qps))
+					time.Sleep(time.Until(opStart))
 				}
 				if sys == nil || isRead(i, mix) {
-					opStart := time.Now()
 					err := run.do(reqs[i%len(reqs)])
 					lat[i] = time.Since(opStart)
 					isReadOp[i] = true

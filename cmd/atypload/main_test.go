@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	atypical "github.com/cpskit/atypical"
 )
 
 // A tiny local run must produce both phases, a positive p99 ratio, and the
@@ -125,6 +128,39 @@ func TestRunHTTPErrorsFailTheRun(t *testing.T) {
 	var out strings.Builder
 	if code := run([]string{"-target", srv.URL, "-requests", "4", "-workers", "1"}, &out); code != 1 {
 		t.Fatalf("run against failing server exited %d, want 1", code)
+	}
+}
+
+// stallOnceRunner answers instantly except for its first request, which
+// stalls for the given time.
+type stallOnceRunner struct {
+	calls *atomic.Int64
+	stall time.Duration
+}
+
+func (r stallOnceRunner) do(atypical.QueryRequest) error {
+	if r.calls.Add(1) == 1 {
+		time.Sleep(r.stall)
+	}
+	return nil
+}
+
+// Paced reads count from their intended send time (no coordinated
+// omission): one 200 ms stall at the head of a 100 req/s stream delays the
+// next requests' sends, and their latencies must include that wait even
+// though the runner answers them instantly.
+func TestRunPhasePacedLatencyIncludesStall(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	r := stallOnceRunner{calls: new(atomic.Int64), stall: stall}
+	reqs := []atypical.QueryRequest{{Days: 1}}
+	p := runPhase("paced", r, nil, nil, 10, 1, 1, 100, reqs)
+	if p.Reads != 10 || p.Errors != 0 {
+		t.Fatalf("reads=%d errors=%d, want 10 and 0", p.Reads, p.Errors)
+	}
+	// Request i was due at 10i ms and sent at ~200 ms; the median request
+	// (i = 5) waited ~150 ms.
+	if p.P50Ms < 100 {
+		t.Errorf("paced p50 = %.2f ms, want the stall's queueing (>= 100 ms)", p.P50Ms)
 	}
 }
 

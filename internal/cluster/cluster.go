@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/cpskit/atypical/internal/cps"
@@ -51,17 +53,21 @@ type Cluster struct {
 
 	sev cps.Severity // cached Severity(); set at construction, 0 means unknown
 
-	// folded caches the time-of-day projection of TF for periodic
-	// similarity. Clusters are immutable after construction; the cache is an
-	// atomic pointer so concurrent query goroutines may race on first use —
-	// the projection is deterministic, so whichever store wins is correct.
-	folded atomic.Pointer[foldedCache]
+	// summary caches what similarity reads at one period: the time-of-day
+	// projection of TF and both features' totals. Clusters are immutable
+	// after construction; the cache is an atomic pointer so concurrent query
+	// goroutines may race on first use — the summary is deterministic, so
+	// whichever store wins is correct.
+	summary atomic.Pointer[summary]
 }
 
-// foldedCache is one memoized FoldTemporal projection.
-type foldedCache struct {
-	period cps.Window
-	tf     TemporalFeature
+// summary is one memoized similarity input: FoldTemporal(TF, period) and the
+// totals of SF and of that fold, each summed by Feature.Total.
+type summary struct {
+	period  cps.Window
+	tf      TemporalFeature
+	sfTotal cps.Severity
+	tfTotal cps.Severity
 }
 
 // New builds a cluster from canonical features, validating the algebraic
@@ -199,8 +205,9 @@ func Similarity(a, b *Cluster, g Balance) float64 {
 // integrate across days while morning and evening events stay apart
 // (Example 5). Period 0 compares absolute windows.
 func SimilarityAt(a, b *Cluster, g Balance, period cps.Window) float64 {
-	s1, s2 := OverlapFractions(a.SF, b.SF)
-	t1, t2 := OverlapFractions(a.foldTF(period), b.foldTF(period))
+	sa, sb := a.summaryAt(period), b.summaryAt(period)
+	s1, s2 := overlapFractions(a.SF, b.SF, sa.sfTotal, sb.sfTotal)
+	t1, t2 := overlapFractions(sa.tf, sb.tf, sa.tfTotal, sb.tfTotal)
 	return (g.Apply(s1, s2) + g.Apply(t1, t2)) / 2
 }
 
@@ -218,46 +225,124 @@ func TemporalSimilarity(a, b *Cluster, g Balance) float64 {
 
 // TemporalSimilarityAt exposes Equation 4 with time-of-day folding.
 func TemporalSimilarityAt(a, b *Cluster, g Balance, period cps.Window) float64 {
-	p1, p2 := OverlapFractions(a.foldTF(period), b.foldTF(period))
+	sa, sb := a.summaryAt(period), b.summaryAt(period)
+	p1, p2 := overlapFractions(sa.tf, sb.tf, sa.tfTotal, sb.tfTotal)
 	return g.Apply(p1, p2)
 }
 
 // FoldTemporal projects a temporal feature onto period-of-day buckets,
 // summing severities of windows sharing the same offset within the period.
 // Period <= 0 returns the input unchanged.
+//
+// Each bucket sums its windows in input order — for a canonical TF,
+// ascending absolute window, the order a stable sort by offset leaves them
+// in — so the fold is a pure function of TF: a decoded cluster folds exactly
+// like the same cluster built by merging. No sort runs on realistic inputs:
+// a feature whose offsets ascend, possibly wrapping once past midnight, is
+// copied or rotated, and anything else accumulates into a table indexed by
+// offset. Only when the offsets span far more buckets than the feature has
+// entries (huge periods) does a stable sort replace the table, so the fold
+// never allocates in proportion to the period.
 func FoldTemporal(tf TemporalFeature, period cps.Window) TemporalFeature {
 	if period <= 0 {
 		return tf
 	}
-	entries := make([]Entry[cps.Window], len(tf))
+	// Classify the offsets in one pass: their range, and every place where
+	// they fail to ascend.
+	n := len(tf)
+	descents, wrap := 0, 0
+	lo, hi := period, cps.Window(-1)
+	prev := cps.Window(-1)
 	for i, e := range tf {
-		entries[i] = Entry[cps.Window]{Key: floorMod(e.Key, period), Sev: e.Sev}
+		k := floorMod(e.Key, period)
+		if k <= prev {
+			descents++
+			wrap = i
+		}
+		prev = k
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	return NewFeature(entries)
+	out := make(TemporalFeature, 0, n)
+	switch {
+	case descents == 0:
+		// Strictly ascending offsets: the feature lies within one period.
+		return appendFolded(out, tf, period)
+	case descents == 1 && prev < floorMod(tf[0].Key, period):
+		// Two ascending runs that do not overlap once folded — a feature
+		// spanning midnight — so the fold is a rotation.
+		return appendFolded(appendFolded(out, tf[wrap:], period), tf[:wrap], period)
+	}
+	span := int64(hi-lo) + 1
+	if span > max(4*int64(n), foldStackSlots) {
+		out = appendFolded(out, tf, period)
+		slices.SortStableFunc(out, func(a, b Entry[cps.Window]) int { return cmp.Compare(a.Key, b.Key) })
+		return coalesce(out)
+	}
+	// slot[k-lo] numbers the buckets in offset order: zero before the first
+	// window lands, +i when bucket i is allocated but empty, -i once it
+	// holds a sum.
+	var stack [foldStackSlots]int32
+	var slot []int32
+	if span <= foldStackSlots {
+		slot = stack[:span]
+	} else {
+		slot = make([]int32, span)
+	}
+	for _, e := range tf {
+		slot[floorMod(e.Key, period)-lo] = 1
+	}
+	buckets := int32(0)
+	for i, s := range slot {
+		if s != 0 {
+			buckets++
+			slot[i] = buckets
+			out = append(out, Entry[cps.Window]{Key: lo + cps.Window(i)})
+		}
+	}
+	for _, e := range tf {
+		k := floorMod(e.Key, period) - lo
+		if s := slot[k]; s > 0 {
+			out[s-1].Sev = e.Sev
+			slot[k] = -s
+		} else {
+			out[-s-1].Sev += e.Sev
+		}
+	}
+	return out
 }
 
-// foldTF returns the cached folded temporal feature for the period. Safe for
-// concurrent use: racing first calls each compute the same deterministic
-// projection and the losing store is equivalent to the winning one.
-func (c *Cluster) foldTF(period cps.Window) TemporalFeature {
-	if period <= 0 {
-		return c.TF
+// appendFolded appends tf's entries with their windows folded onto the
+// period, in input order.
+func appendFolded(out, tf TemporalFeature, period cps.Window) TemporalFeature {
+	for _, e := range tf {
+		out = append(out, Entry[cps.Window]{Key: floorMod(e.Key, period), Sev: e.Sev})
 	}
-	if fc := c.folded.Load(); fc != nil && fc.period == period {
-		return fc.tf
+	return out
+}
+
+// foldStackSlots bounds the offset table FoldTemporal keeps on the stack;
+// it covers a day of windows at the default five-minute granularity.
+const foldStackSlots = 512
+
+// summaryAt returns the cluster's cached similarity inputs for the period.
+// Safe for concurrent use: racing first calls each compute the same
+// deterministic summary and the losing store is equivalent to the winning
+// one.
+func (c *Cluster) summaryAt(period cps.Window) *summary {
+	period = max(period, 0)
+	if s := c.summary.Load(); s != nil && s.period == period {
+		return s
 	}
 	tf := FoldTemporal(c.TF, period)
-	c.folded.Store(&foldedCache{period: period, tf: tf})
-	return tf
+	s := &summary{period: period, tf: tf, sfTotal: c.SF.Total(), tfTotal: tf.Total()}
+	c.summary.Store(s)
+	return s
 }
 
 // FoldedKeys returns the distinct time-of-day window offsets of the cluster
-// for the period, ascending. Integration uses them for candidate postings.
+// for the period, ascending — the window keys candidate indexes post under.
 func (c *Cluster) FoldedKeys(period cps.Window) []cps.Window {
-	if period <= 0 {
-		return c.TF.Keys()
-	}
-	return c.foldTF(period).Keys()
+	return c.summaryAt(period).tf.Keys()
 }
 
 func floorMod(w, p cps.Window) cps.Window {

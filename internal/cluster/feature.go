@@ -6,6 +6,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/cpskit/atypical/internal/cps"
@@ -44,7 +46,15 @@ type TemporalFeature = Feature[cps.Window]
 func NewFeature[K Key](entries []Entry[K]) Feature[K] {
 	f := make(Feature[K], len(entries))
 	copy(f, entries)
-	sort.Slice(f, func(i, j int) bool { return f[i].Key < f[j].Key })
+	// slices.SortFunc and sort.Slice instantiate the same pdqsort, so equal
+	// keys coalesce in the same order either way (FuzzNewFeatureOrder).
+	slices.SortFunc(f, func(a, b Entry[K]) int { return cmp.Compare(a.Key, b.Key) })
+	return coalesce(f)
+}
+
+// coalesce sums runs of equal keys in place, in slice order, and returns the
+// shortened slice.
+func coalesce[K Key](f Feature[K]) Feature[K] {
 	out := f[:0]
 	for _, e := range f {
 		if n := len(out); n > 0 && out[n-1].Key == e.Key {
@@ -120,6 +130,12 @@ func MergeFeature[K Key](a, b Feature[K]) Feature[K] {
 // of the balance function g in Equations 3–4. Empty features yield zero
 // shares.
 func OverlapFractions[K Key](a, b Feature[K]) (p1, p2 float64) {
+	return overlapFractions(a, b, a.Total(), b.Total())
+}
+
+// overlapFractions is OverlapFractions with the features' totals supplied,
+// so similarity can reuse totals cached on the cluster.
+func overlapFractions[K Key](a, b Feature[K], totalA, totalB cps.Severity) (p1, p2 float64) {
 	var common1, common2 cps.Severity
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -135,11 +151,11 @@ func OverlapFractions[K Key](a, b Feature[K]) (p1, p2 float64) {
 			j++
 		}
 	}
-	if t := a.Total(); t > 0 {
-		p1 = float64(common1 / t)
+	if totalA > 0 {
+		p1 = float64(common1 / totalA)
 	}
-	if t := b.Total(); t > 0 {
-		p2 = float64(common2 / t)
+	if totalB > 0 {
+		p2 = float64(common2 / totalB)
 	}
 	return p1, p2
 }

@@ -63,49 +63,48 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 	for i := range alive {
 		alive[i] = true
 	}
+	folded := func(c *Cluster) TemporalFeature { return c.summaryAt(opts.Period).tf }
 
-	// Posting lists: key -> positions of clusters featuring the key.
-	// Entries go stale when clusters die; consumers skip dead positions.
-	bySensor := make(map[cps.SensorID][]int)
-	byWindow := make(map[cps.Window][]int)
-	post := func(pos int) {
-		c := active[pos]
-		for _, e := range c.SF {
-			bySensor[e.Key] = append(bySensor[e.Key], pos)
-		}
-		for _, k := range c.FoldedKeys(opts.Period) {
-			byWindow[k] = append(byWindow[k], pos)
-		}
-	}
-	for i := range micros {
-		post(i)
-	}
+	// Posting lists: key -> positions of clusters featuring the key, in
+	// ascending position order. A merged cluster's keys are a union of its
+	// inputs' keys, so the inputs fix both key sets up front.
+	bySensor := newPostings(micros, func(c *Cluster) SpatialFeature { return c.SF })
+	byWindow := newPostings(micros, folded)
 
-	// candidates gathers live positions sharing a key with active[pos].
-	seen := make(map[int]struct{})
-	candidates := func(pos int) []int {
+	// candidates gathers live positions sharing a key with active[pos], in
+	// first-posting order. stamp[p] == epoch marks p as already gathered;
+	// each scan also drops dead positions from the lists it reads.
+	stamp := make([]uint32, n, 2*n)
+	var epoch uint32
+	var cands []int32
+	candidates := func(pos int) []int32 {
 		c := active[pos]
-		clear(seen)
-		var out []int
-		add := func(positions []int) {
-			for _, p := range positions {
-				if p == pos || !alive[p] {
+		epoch++
+		stamp[pos] = epoch
+		cands = cands[:0]
+		gather := func(list []int32) []int32 {
+			live := list[:0]
+			for _, p := range list {
+				if !alive[p] {
 					continue
 				}
-				if _, dup := seen[p]; dup {
-					continue
+				live = append(live, p)
+				if stamp[p] != epoch {
+					stamp[p] = epoch
+					cands = append(cands, p)
 				}
-				seen[p] = struct{}{}
-				out = append(out, p)
 			}
+			return live
 		}
 		for _, e := range c.SF {
-			add(bySensor[e.Key])
+			i := bySensor.index(e.Key)
+			bySensor.lists[i] = gather(bySensor.lists[i])
 		}
-		for _, k := range c.FoldedKeys(opts.Period) {
-			add(byWindow[k])
+		for _, e := range folded(c) {
+			i := byWindow.index(e.Key)
+			byWindow.lists[i] = gather(byWindow.lists[i])
 		}
-		return out
+		return cands
 	}
 
 	// Work queue: clusters whose merge opportunities need (re)checking.
@@ -129,8 +128,10 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 				alive[cand] = false
 				active = append(active, merged)
 				alive = append(alive, true)
+				stamp = append(stamp, 0)
 				newPos := len(active) - 1
-				post(newPos)
+				bySensor.add(merged.SF, newPos)
+				byWindow.add(folded(merged), newPos)
 				pos = newPos
 				goto repeat
 			}
@@ -144,6 +145,80 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 		}
 	}
 	return out
+}
+
+// postings holds one position list per feature key. Keys index the lists by
+// offset from the smallest key; when the keys spread far wider than there
+// are postings (sparse or hostile IDs from storage or the shard wire), they
+// are first renumbered densely, so memory stays proportional to the input.
+type postings[K Key] struct {
+	lo    K
+	rank  map[K]int32 // nil when keys index by offset
+	lists [][]int32
+}
+
+// newPostings indexes the keys of feature(cs[i]) at positions i.
+func newPostings[K Key](cs []*Cluster, feature func(*Cluster) Feature[K]) *postings[K] {
+	p := &postings[K]{}
+	var hi K
+	total := 0
+	for _, c := range cs {
+		for _, e := range feature(c) {
+			if total == 0 {
+				p.lo, hi = e.Key, e.Key
+			}
+			p.lo, hi = min(p.lo, e.Key), max(hi, e.Key)
+			total++
+		}
+	}
+	// The unsigned difference is exact for every key pair of either type.
+	if span := uint64(hi) - uint64(p.lo); span < uint64(4*total+1024) {
+		p.lists = make([][]int32, span+1)
+	} else {
+		p.rank = make(map[K]int32)
+		for _, c := range cs {
+			for _, e := range feature(c) {
+				if _, ok := p.rank[e.Key]; !ok {
+					p.rank[e.Key] = int32(len(p.rank))
+				}
+			}
+		}
+		p.lists = make([][]int32, len(p.rank))
+	}
+	// Carve the lists from one array sized to the inputs' postings; a list
+	// that later outgrows its share reallocates on its own.
+	counts := make([]int, len(p.lists))
+	for _, c := range cs {
+		for _, e := range feature(c) {
+			counts[p.index(e.Key)]++
+		}
+	}
+	backing := make([]int32, total)
+	off := 0
+	for i, n := range counts {
+		p.lists[i] = backing[off : off : off+n]
+		off += n
+	}
+	for pos, c := range cs {
+		p.add(feature(c), pos)
+	}
+	return p
+}
+
+// index returns the list slot of key, which must be a key of the inputs the
+// postings were built from.
+func (p *postings[K]) index(key K) int {
+	if p.rank != nil {
+		return int(p.rank[key])
+	}
+	return int(key - p.lo)
+}
+
+func (p *postings[K]) add(f Feature[K], pos int) {
+	for _, e := range f {
+		i := p.index(e.Key)
+		p.lists[i] = append(p.lists[i], int32(pos))
+	}
 }
 
 // IntegrateNaive is the literal Algorithm 3: repeatedly scan every cluster

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,6 +222,61 @@ func TestIntegrateOrderInsensitiveOnSeparatedGroups(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Keys from storage or the shard wire are untrusted: sensor IDs at both
+// ends of uint32 and absolute windows ±2^40 apart (Period 0) must not size
+// the posting lists by key span. The result matches the naive oracle.
+func TestIntegrateHostileKeySpan(t *testing.T) {
+	const far = cps.Window(1) << 40
+	groups := []struct {
+		sensors []cps.SensorID
+		windows []cps.Window
+	}{
+		{[]cps.SensorID{0, 1}, []cps.Window{-far, -far + 1}},
+		{[]cps.SensorID{math.MaxUint32 - 1, math.MaxUint32}, []cps.Window{far - 1, far}},
+		{[]cps.SensorID{1 << 31}, []cps.Window{0}},
+		{[]cps.SensorID{0, math.MaxUint32}, []cps.Window{-far, far}},
+	}
+	var g IDGen
+	var micros []*Cluster
+	for rep := 0; rep < 3; rep++ {
+		for _, grp := range groups {
+			var recs []cps.Record
+			for i, s := range grp.sensors {
+				recs = append(recs, cps.Record{Sensor: s, Window: grp.windows[i], Severity: cps.Severity(rep + 1)})
+			}
+			micros = append(micros, FromRecords(g.Next(), recs))
+		}
+	}
+	opts := IntegrateOptions{SimThreshold: 0.5, Balance: Arithmetic}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fast := Integrate(&g, micros, opts)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("Integrate allocated %d bytes for %d micro-clusters", alloc, len(micros))
+	}
+
+	slow := IntegrateNaive(&g, micros, opts)
+	byFirstKey := func(a, b *Cluster) int {
+		if c := cmp.Compare(a.SF[0].Key, b.SF[0].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.TF[0].Key, b.TF[0].Key)
+	}
+	slices.SortFunc(fast, byFirstKey)
+	slices.SortFunc(slow, byFirstKey)
+	if len(fast) != len(slow) {
+		t.Fatalf("Integrate = %d clusters, IntegrateNaive = %d", len(fast), len(slow))
+	}
+	for i := range fast {
+		// Integer severities sum exactly in any order.
+		if fast[i].Micros != slow[i].Micros || !featuresExactEq(fast[i].SF, slow[i].SF) || !featuresExactEq(fast[i].TF, slow[i].TF) {
+			t.Errorf("cluster %d: Integrate %v, IntegrateNaive %v", i, fast[i], slow[i])
+		}
 	}
 }
 
