@@ -35,8 +35,7 @@
 // Run is the single query entry point: QueryRequest selects the spatial
 // scope (whole city, a bounding box, or explicit regions), the time window,
 // the strategy, and per-run flags (EXPLAIN collection, partial-result
-// tolerance under sharding). The legacy Query{City,Box,At} method matrix
-// survives as thin deprecated wrappers over Run.
+// tolerance under sharding).
 //
 // See the examples directory for complete programs.
 package atypical
@@ -83,14 +82,6 @@ type Config struct {
 	DeltaS float64
 	// SimThreshold is the integration similarity threshold δsim.
 	SimThreshold float64
-	// Balance names the g function: avg, max, min, geo or har.
-	//
-	// Deprecated: the stringly knob survives for flag parsing and old
-	// callers; new code should pass the typed constants via WithBalance
-	// (e.g. WithBalance(BalanceArithmetic)). An empty string means
-	// BalanceArithmetic. Use ParseBalance to turn command-line values into
-	// typed constants.
-	Balance string
 	// Workers bounds the goroutines used for parallel offline construction:
 	// 0 keeps every path serial (byte-compatible with historical output),
 	// n > 0 uses up to n goroutines, n < 0 one per CPU. Results do not
@@ -186,8 +177,8 @@ func WithSubscriptionBuffer(n int) Option {
 }
 
 // WithBalance selects the similarity balance function g by typed constant
-// (BalanceArithmetic, BalanceMin, ...), taking precedence over the
-// deprecated Config.Balance string.
+// (BalanceArithmetic, BalanceMin, ...); the default is BalanceArithmetic.
+// ParseBalance turns command-line names into the constants.
 func WithBalance(b Balance) Option {
 	return func(o *systemOptions) { o.balance = b; o.balanceSet = true }
 }
@@ -207,10 +198,6 @@ func DefaultConfig() Config {
 		DeltaT:       15 * time.Minute,
 		DeltaS:       0.02,
 		SimThreshold: 0.5,
-		// Balance is intentionally left empty — empty selects
-		// BalanceArithmetic, the same g the old "avg" default named. The
-		// deprecated string field is now only populated by flag parsing in
-		// cmd/; typed selection goes through WithBalance.
 	}
 }
 
@@ -218,9 +205,8 @@ func DefaultConfig() Config {
 // construction (atypical forest + bottom-up severity index) and the online
 // query engine.
 //
-// A System is safe for concurrent use: queries (QueryCity, QueryBox,
-// QueryAt and their Ctx variants) may run alongside each other and alongside
-// ingestion. Construction parallelism is off by default; opt in with
+// A System is safe for concurrent use: queries (Run) may run alongside
+// each other and alongside ingestion. Construction parallelism is off by default; opt in with
 // WithWorkers or Config.Workers.
 type System struct {
 	cfg          Config
@@ -294,14 +280,8 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 		opt(&o)
 	}
 	bal := cluster.Arithmetic
-	switch {
-	case o.balanceSet:
+	if o.balanceSet {
 		bal = o.balance
-	case cfg.Balance != "":
-		var err error
-		if bal, err = cluster.ParseBalance(cfg.Balance); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-		}
 	}
 	workers := cfg.Workers
 	if o.workersSet {
@@ -532,119 +512,6 @@ const (
 
 // Report is the outcome of an analytical query.
 type Report = query.Result
-
-// The legacy query method matrix. Every method below is a thin wrapper over
-// Run — same engine, same bytes (the wrapper byte-identity tests enforce
-// it) — kept so existing callers keep compiling. Wrappers tolerate partial
-// sharded answers the way Run does with AllowPartial set: the Report's
-// Partial flag carries the degradation, there is no error path for it here.
-
-// QueryCity runs Q(whole city, [firstDay, firstDay+days)) at the configured
-// δs under the given strategy.
-//
-// Deprecated: use Run with a QueryRequest ({FirstDay, Days, Strategy}).
-func (s *System) QueryCity(firstDay, days int, strat Strategy) *Report {
-	return legacyReport(s.QueryCityCtx(context.Background(), firstDay, days, strat))
-}
-
-// QueryCityCtx is QueryCity with cooperative cancellation.
-//
-// Deprecated: use Run with a QueryRequest ({FirstDay, Days, Strategy}).
-func (s *System) QueryCityCtx(ctx context.Context, firstDay, days int, strat Strategy) (*Report, error) {
-	return s.runReport(ctx, QueryRequest{FirstDay: firstDay, Days: days, Strategy: strat})
-}
-
-// QueryBox restricts the spatial range to the regions intersecting box.
-//
-// Deprecated: use Run with a QueryRequest ({Box, FirstDay, Days, Strategy}).
-func (s *System) QueryBox(box geo.BBox, firstDay, days int, strat Strategy) *Report {
-	return legacyReport(s.QueryBoxCtx(context.Background(), box, firstDay, days, strat))
-}
-
-// QueryBoxCtx is QueryBox with cooperative cancellation.
-//
-// Deprecated: use Run with a QueryRequest ({Box, FirstDay, Days, Strategy}).
-func (s *System) QueryBoxCtx(ctx context.Context, box geo.BBox, firstDay, days int, strat Strategy) (*Report, error) {
-	return s.runReport(ctx, QueryRequest{Box: &box, FirstDay: firstDay, Days: days, Strategy: strat})
-}
-
-// QueryAt runs an explicit query (custom δs or region set).
-//
-// Deprecated: use Run with a QueryRequest ({Regions, Window, DeltaS,
-// Strategy}).
-func (s *System) QueryAt(q query.Query, strat Strategy) *Report {
-	return legacyReport(s.QueryAtCtx(context.Background(), q, strat))
-}
-
-// QueryAtCtx runs an explicit query with cooperative cancellation.
-//
-// Deprecated: use Run with a QueryRequest ({Regions, Window, DeltaS,
-// Strategy}).
-func (s *System) QueryAtCtx(ctx context.Context, q query.Query, strat Strategy) (*Report, error) {
-	return s.runReport(ctx, requestFromQuery(q, strat))
-}
-
-// QueryCityExplainCtx is QueryCityCtx with EXPLAIN: alongside the report it
-// returns the structured Explain record of the run.
-//
-// Deprecated: use Run with QueryRequest.Explain set; RunResult carries the
-// record.
-func (s *System) QueryCityExplainCtx(ctx context.Context, firstDay, days int, strat Strategy) (*Report, *Explain, error) {
-	return s.runExplain(ctx, QueryRequest{FirstDay: firstDay, Days: days, Strategy: strat})
-}
-
-// QueryBoxExplainCtx is QueryBoxCtx with EXPLAIN.
-//
-// Deprecated: use Run with QueryRequest.Explain set; RunResult carries the
-// record.
-func (s *System) QueryBoxExplainCtx(ctx context.Context, box geo.BBox, firstDay, days int, strat Strategy) (*Report, *Explain, error) {
-	return s.runExplain(ctx, QueryRequest{Box: &box, FirstDay: firstDay, Days: days, Strategy: strat})
-}
-
-// QueryAtExplainCtx runs an explicit query collecting an Explain record.
-// The report is exactly what QueryAtCtx would have returned — EXPLAIN
-// observes the run, it never changes it (the determinism tests enforce
-// this). The record is only valid after a nil error.
-//
-// Deprecated: use Run with QueryRequest.Explain set; RunResult carries the
-// record.
-func (s *System) QueryAtExplainCtx(ctx context.Context, q query.Query, strat Strategy) (*Report, *Explain, error) {
-	return s.runExplain(ctx, requestFromQuery(q, strat))
-}
-
-// runReport adapts Run to the legacy (*Report, error) wrapper shape.
-func (s *System) runReport(ctx context.Context, req QueryRequest) (*Report, error) {
-	req.AllowPartial = true // legacy surface: degradation rides the Partial flag
-	res, err := s.Run(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
-// runExplain adapts Run to the legacy (*Report, *Explain, error) shape.
-func (s *System) runExplain(ctx context.Context, req QueryRequest) (*Report, *Explain, error) {
-	req.AllowPartial = true
-	req.Explain = true
-	res, err := s.Run(ctx, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Report, res.Explain, nil
-}
-
-// legacyReport adapts a Ctx-variant result for the entry points that predate
-// error returns: on error — already recorded in the API error metrics by
-// QueryAtCtx — it returns an empty report, keeping the legacy contract of
-// "always a usable *Report". Callers who need to distinguish an empty answer
-// from a refused query (e.g. ErrSeverityStale after LoadForest) should use
-// the Ctx variants.
-func legacyReport(r *Report, err error) *Report {
-	if err != nil {
-		return &Report{}
-	}
-	return r
-}
 
 // Describe renders a cluster as the answer to Example 1's questions: where
 // the event is, when it starts, and which road segment / time window is most

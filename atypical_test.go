@@ -20,7 +20,6 @@ func TestNewSystemValidation(t *testing.T) {
 		func(c *Config) { c.SimThreshold = 0 },
 		func(c *Config) { c.SimThreshold = 1.5 },
 		func(c *Config) { c.DaysPerMonth = 0 },
-		func(c *Config) { c.Balance = "bogus" },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()

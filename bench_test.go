@@ -217,8 +217,8 @@ func BenchmarkFig17QueryGui(b *testing.B) { benchQuery(b, query.Gui) }
 // "explain" additionally arms a per-query Explain collector on the context
 // (the EXPLAIN side-channel, priced per query rather than per system);
 // "recorder" arms the flight recorder the way the facade does — a wide
-// event plus the EXPLAIN collector it rides on, recorded into a sampling
-// ring per query. The DESIGN.md zero-overhead claim is that off stays
+// event per query, filled by the engine's stage recorder and recorded into
+// a sampling ring. The DESIGN.md zero-overhead claim is that off stays
 // within noise of the pre-instrumentation engine and on stays within a few
 // percent; explain and recorder are allowed to cost more — both are opt-in
 // per request/deployment — but must stay within the same order of
@@ -231,6 +231,7 @@ func BenchmarkObsOverheadQuery(b *testing.B) {
 			Net: f.engine.Net, Forest: f.engine.Forest, Severity: f.engine.Severity,
 			Gen: f.engine.Gen, Obs: m,
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ctx := context.Background()
@@ -238,7 +239,7 @@ func BenchmarkObsOverheadQuery(b *testing.B) {
 			if rec != nil {
 				ctx, ev = flight.WithEvent(ctx)
 			}
-			if explain || rec != nil {
+			if explain {
 				ctx, _ = query.WithExplain(ctx)
 			}
 			if _, err := engine.RunCtx(ctx, q, query.Pru); err != nil {

@@ -18,7 +18,11 @@
 // run: a delta section reports the serial/parallel construction time and
 // speedup movement, and the run exits non-zero when either measured total
 // regressed by more than -maxregress (fraction; 0 disables the gate) — the
-// CI perf gate. -benchshards additionally times the same Guided query
+// CI perf gate. The gate applies only when the previous artifact was
+// measured on the same host facts (GOMAXPROCS, CPU count, Go version);
+// against a baseline from a different host the deltas are printed under a
+// "baseline from a different host, not gated" line and the run exits 0.
+// -benchshards additionally times the same Guided query
 // unsharded versus scatter-gathered across that many in-process shards
 // (equivalence-checked; a mismatch fails the run) and holds the sharded
 // time to the same -maxregress budget; artifacts from before the field
@@ -39,21 +43,21 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig14, fig15, fig17, fig18, fig19, fig20, fig21); empty = all")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		sensors  = flag.Int("sensors", 400, "approximate deployment size")
-		months   = flag.Int("months", 12, "datasets for the construction sweep (figs 15-16)")
-		qmonths  = flag.Int("querymonths", 3, "datasets ingested for query experiments (figs 17-19)")
-		days     = flag.Int("days", 28, "days per dataset")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		deltaS   = flag.Float64("deltas", 0.02, "severity threshold δs")
-		deltaD   = flag.Float64("deltad", 1.5, "distance threshold δd (miles)")
-		deltaT   = flag.Duration("deltat", 15*time.Minute, "time interval threshold δt")
-		deltaSim = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
-		balance  = flag.String("balance", "avg", "balance function g (avg, max, min, geo, har)")
-		parJSON    = flag.String("parjson", "", "quick mode: run the serial-vs-parallel construction benchmark, write JSON to this path, and exit")
-		workers    = flag.Int("workers", 0, "worker count for -parjson (0 = GOMAXPROCS)")
-		maxRegress = flag.Float64("maxregress", 0.25, "fail -parjson runs whose serial or parallel total regressed by more than this fraction vs the previous JSON (0 disables)")
+		exp         = flag.String("exp", "", "experiment id (fig14, fig15, fig17, fig18, fig19, fig20, fig21); empty = all")
+		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		sensors     = flag.Int("sensors", 400, "approximate deployment size")
+		months      = flag.Int("months", 12, "datasets for the construction sweep (figs 15-16)")
+		qmonths     = flag.Int("querymonths", 3, "datasets ingested for query experiments (figs 17-19)")
+		days        = flag.Int("days", 28, "days per dataset")
+		seed        = flag.Int64("seed", 42, "workload seed")
+		deltaS      = flag.Float64("deltas", 0.02, "severity threshold δs")
+		deltaD      = flag.Float64("deltad", 1.5, "distance threshold δd (miles)")
+		deltaT      = flag.Duration("deltat", 15*time.Minute, "time interval threshold δt")
+		deltaSim    = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
+		balance     = flag.String("balance", "avg", "balance function g (avg, max, min, geo, har)")
+		parJSON     = flag.String("parjson", "", "quick mode: run the serial-vs-parallel construction benchmark, write JSON to this path, and exit")
+		workers     = flag.Int("workers", 0, "worker count for -parjson (0 = GOMAXPROCS)")
+		maxRegress  = flag.Float64("maxregress", 0.25, "fail -parjson runs whose serial or parallel total regressed by more than this fraction vs the previous JSON (0 disables)")
 		benchShards = flag.Int("benchshards", 2, "shard fan-out for the -parjson sharded-query benchmark (0 disables)")
 	)
 	flag.Parse()
@@ -111,15 +115,17 @@ func main() {
 				fatal(err)
 			}
 			fmt.Fprintf(out, "\n# delta vs previous run (%s):\n", prevPath)
+			if !sameHost(prev, &res) {
+				fmt.Fprintf(out, "# baseline from a different host, not gated (gomaxprocs %d -> %d, num_cpu %d -> %d, go %q -> %q)\n",
+					prev.GOMAXPROCS, res.GOMAXPROCS, prev.NumCPU, res.NumCPU, prev.GoVersion, res.GoVersion)
+			}
 			fmt.Fprintf(out, "#   serial    %.3fs -> %.3fs  (%+.1f%%)\n",
 				prev.Serial.Total, res.Serial.Total, deltaPct(prev.Serial.Total, res.Serial.Total))
 			fmt.Fprintf(out, "#   parallel  %.3fs -> %.3fs  (%+.1f%%)\n",
 				prev.Parallel.Total, res.Parallel.Total, deltaPct(prev.Parallel.Total, res.Parallel.Total))
 			fmt.Fprintf(out, "#   speedup   %.2fx -> %.2fx\n", prev.Speedup, res.Speedup)
-			if *maxRegress > 0 {
-				if msg := regression(prev, &res, *maxRegress); msg != "" {
-					fatal(fmt.Errorf("performance regression beyond %.0f%%: %s", *maxRegress*100, msg))
-				}
+			if msg := gate(prev, &res, *maxRegress); msg != "" {
+				fatal(fmt.Errorf("performance regression beyond %.0f%%: %s", *maxRegress*100, msg))
 			}
 		}
 		return
@@ -176,6 +182,22 @@ func prevPath(path string) string {
 // deltaPct is the percentage change from prev to cur.
 func deltaPct(prev, cur float64) float64 {
 	return (cur - prev) / prev * 100
+}
+
+// sameHost reports whether two artifacts were measured under the same host
+// facts; only then are their wall-clock totals comparable.
+func sameHost(a, b *experiments.ParResult) bool {
+	return a.GOMAXPROCS == b.GOMAXPROCS && a.NumCPU == b.NumCPU && a.GoVersion == b.GoVersion
+}
+
+// gate is the -maxregress verdict: the regression message when the gate is
+// on (allowed > 0), both artifacts come from the same host, and cur slowed
+// down beyond budget; "" otherwise.
+func gate(prev, cur *experiments.ParResult, allowed float64) string {
+	if allowed <= 0 || !sameHost(prev, cur) {
+		return ""
+	}
+	return regression(prev, cur, allowed)
 }
 
 // regression names the first measured total that slowed down by more than

@@ -72,3 +72,34 @@ func TestRegressionGate(t *testing.T) {
 		t.Errorf("improvement flagged: %s", msg)
 	}
 }
+
+func TestGateOnlyComparesLikeHosts(t *testing.T) {
+	host := func(total float64) *experiments.ParResult {
+		r := &experiments.ParResult{GOMAXPROCS: 4, NumCPU: 4, GoVersion: "go1.24.0"}
+		r.Serial.Total, r.Parallel.Total = total, total/2
+		return r
+	}
+	prev, cur := host(2.0), host(2.6) // 30 % slower
+
+	// Matched host facts: a 30 % regression fails the 25 % gate.
+	if msg := gate(prev, cur, 0.25); msg == "" {
+		t.Error("same-host 30% regression not gated")
+	}
+	// A disabled gate never fails.
+	if msg := gate(prev, cur, 0); msg != "" {
+		t.Errorf("disabled gate failed: %s", msg)
+	}
+	// Any mismatched host fact reports only.
+	for name, mutate := range map[string]func(*experiments.ParResult){
+		"gomaxprocs": func(r *experiments.ParResult) { r.GOMAXPROCS = 1 },
+		"num_cpu":    func(r *experiments.ParResult) { r.NumCPU = 2 },
+		"go_version": func(r *experiments.ParResult) { r.GoVersion = "go1.23.0" },
+		"pre-facts":  func(r *experiments.ParResult) { r.NumCPU, r.GoVersion = 0, "" },
+	} {
+		other := host(2.0)
+		mutate(other)
+		if msg := gate(other, cur, 0.25); msg != "" {
+			t.Errorf("%s mismatch gated a cross-host baseline: %s", name, msg)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 //   - ErrInvalidConfig: a Config field or method argument fails validation
 //     (NewSystem, NewStreamProcessor, TrainPredictor).
 //   - ErrSeverityStale: the severity index lags the forest; Guided queries
-//     are refused until RebuildSeverity runs (LoadForest, QueryAtCtx).
+//     are refused until RebuildSeverity runs (LoadForest, Run).
 //   - ErrUnknownStrategy: a Strategy value outside IntegrateAll/Pruned/
 //     Guided reached the engine.
 //   - ErrInvalidRequest: a QueryRequest fails Validate — conflicting

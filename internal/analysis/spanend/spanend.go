@@ -1,8 +1,9 @@
 // Package spanend defines an analyzer enforcing the span lifecycle around
-// internal/obs: a span opened with obs.Start must be closed. A span that is
-// never ended is worse than no span — it is silently absent from the trace
-// ring (only End exports), so the trace looks like the work never happened,
-// and any child parentage hangs off a span that will never publish.
+// internal/obs: a span opened with obs.Start (or StartAt) must be closed
+// (End or EndAt). A span that is never ended is worse than no span — it is
+// silently absent from the trace ring (only End exports), so the trace looks
+// like the work never happened, and any child parentage hangs off a span
+// that will never publish.
 //
 // The rule, per function: every obs.Start call at the function's own level
 // must either
@@ -141,23 +142,24 @@ func checkBody(pass *framework.Pass, body *ast.BlockStmt) {
 	}
 }
 
-// isObsStart reports whether call invokes internal/obs.Start (matched by
-// package-path suffix so fixtures with a vendored stub qualify).
+// isObsStart reports whether call invokes internal/obs.Start or StartAt
+// (matched by package-path suffix so fixtures with a vendored stub qualify).
 func isObsStart(pass *framework.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Name() != "Start" {
+	if !ok || fn.Pkg() == nil || (fn.Name() != "Start" && fn.Name() != "StartAt") {
 		return false
 	}
 	return isObsPath(fn.Pkg().Path())
 }
 
-// isSpanEnd reports whether sel selects the End method of the obs span type.
+// isSpanEnd reports whether sel selects the End or EndAt method of the obs
+// span type.
 func isSpanEnd(pass *framework.Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "End" {
+	if sel.Sel.Name != "End" && sel.Sel.Name != "EndAt" {
 		return false
 	}
 	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)

@@ -4,6 +4,7 @@ package spanend
 
 import (
 	"context"
+	"time"
 
 	"obs"
 )
@@ -42,6 +43,17 @@ func goodEarlyReturn(ctx context.Context, fail bool) error {
 	}
 	sp.End()
 	return nil
+}
+
+// goodStartAt: the explicit-instant pair carries the same obligation.
+func goodStartAt(ctx context.Context, at time.Time) {
+	_, sp := obs.StartAt(ctx, "at", at)
+	sp.EndAt(at)
+}
+
+func badStartAtLeak(ctx context.Context, at time.Time) {
+	_, sp := obs.StartAt(ctx, "at-leak", at) // want `span sp is neither ended nor returned`
+	sp.SetAttr("k", "v")
 }
 
 func badLeak(ctx context.Context) {

@@ -25,9 +25,13 @@ type ParStage struct {
 
 // ParResult is the quick parallel-construction benchmark emitted by
 // `atypbench -parjson` (and `make bench-quick`): the serial pipeline versus
-// the worker-pool pipeline over the same month of records.
+// the worker-pool pipeline over the same month of records. GOMAXPROCS,
+// NumCPU and GoVersion are the host facts a regression gate must match
+// before comparing two artifacts' timings.
 type ParResult struct {
 	GOMAXPROCS int      `json:"gomaxprocs"`
+	NumCPU     int      `json:"num_cpu"`
+	GoVersion  string   `json:"go_version"`
 	Workers    int      `json:"workers"`
 	Sensors    int      `json:"sensors"`
 	Records    int      `json:"records"`
@@ -126,6 +130,8 @@ func MeasureParallelConstruction(e *Env, workers int) ParResult {
 	}
 	res := ParResult{
 		GOMAXPROCS: procs,
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
 		Workers:    workers,
 		Sensors:    e.Net.NumSensors(),
 		Records:    e.Dataset(0).Atypical.Len(),

@@ -2,7 +2,7 @@
 // event per Run (and per subscription stream), carrying everything needed
 // to answer "why was this query slow?" after the fact — trace ID, canonical
 // query key, strategy, cache verdict and severity generation, per-shard
-// fan-out latencies/retries, EXPLAIN stage timings, and the SLO verdict —
+// fan-out latencies/retries, pipeline stage timings, and the SLO verdict —
 // without grepping logs or re-running the query.
 //
 // Events land in a bounded lock-free ring with head sampling for normal
@@ -11,10 +11,10 @@
 // p999 outlier is exactly the event the recorder exists for.
 //
 // The package is context-armed like EXPLAIN: the facade calls WithEvent to
-// attach an Event to the request context, inner layers (query engine, shard
-// coordinator) stamp fields via EventFromContext as they run, and the
-// facade records the finished event. All stamping is nil-safe — an unarmed
-// context costs one context lookup per layer and nothing else.
+// attach an Event to the request context, the query engine's stage recorder
+// stamps the run's fields when the run finishes, and the facade adds the
+// request-level fields and records the event. An unarmed context costs the
+// engine one context lookup per run and nothing else.
 package flight
 
 import (
@@ -39,7 +39,9 @@ type ShardCall struct {
 	Failed bool `json:"failed,omitempty"`
 }
 
-// Stage is one pipeline stage timing, mirrored from the EXPLAIN record.
+// Stage is one timed pipeline stage with its input/output cardinalities.
+// The query EXPLAIN record lists the same values (query.ExplainStage is this
+// type), read from the same clock.
 type Stage struct {
 	Name       string `json:"name"`
 	In         int    `json:"in"`
@@ -94,7 +96,7 @@ type Event struct {
 	FailedShards []string `json:"failed_shards,omitempty"`
 	// Shards holds the per-shard fan-out timings, in shard order.
 	Shards []ShardCall `json:"shards,omitempty"`
-	// Stages holds the EXPLAIN stage timings, in execution order.
+	// Stages holds the pipeline stage timings, in execution order.
 	Stages []Stage `json:"stages,omitempty"`
 	// SLO is the latency-SLO verdict, nil when no SLO is armed.
 	SLO *SLOVerdict `json:"slo,omitempty"`
@@ -129,8 +131,8 @@ type Recorder struct {
 	slots  []atomic.Pointer[Event]
 	cursor atomic.Uint64
 
-	sampleEvery uint64       // keep 1 of every N normal events; <=1 keeps all
-	slowNS      int64        // events at/above always kept; <=0 disables
+	sampleEvery uint64        // keep 1 of every N normal events; <=1 keeps all
+	slowNS      int64         // events at/above always kept; <=0 disables
 	seen        atomic.Uint64 // normal-event counter driving head sampling
 
 	recorded atomic.Uint64 // events kept

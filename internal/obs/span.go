@@ -143,7 +143,25 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if exp == nil {
 		return ctx, nil
 	}
-	s := &Span{Name: name, SpanID: nextID(), Start: time.Now(), exporter: exp}
+	return start(ctx, exp, name, time.Now())
+}
+
+// StartAt is Start with a caller-supplied opening instant, for callers that
+// already read the clock at the region's boundary and want the span to
+// share that reading. Paired with EndAt, the span's Duration equals the
+// caller's own measurement to the nanosecond. The disabled path reads no
+// clock at all.
+func StartAt(ctx context.Context, name string, at time.Time) (context.Context, *Span) {
+	exp, _ := ctx.Value(exporterKey{}).(SpanExporter)
+	if exp == nil {
+		return ctx, nil
+	}
+	return start(ctx, exp, name, at)
+}
+
+// start opens an armed span at the given instant.
+func start(ctx context.Context, exp SpanExporter, name string, at time.Time) (context.Context, *Span) {
+	s := &Span{Name: name, SpanID: nextID(), Start: at, exporter: exp}
 	if parent, _ := ctx.Value(spanKey{}).(*Span); parent != nil {
 		s.Parent = parent.Name
 		s.TraceID = parent.TraceID
@@ -170,9 +188,17 @@ func (s *Span) SetAttr(key, value string) {
 // End stamps the duration and exports the span; no-op on nil. End must be
 // called at most once, on the goroutine that ran the region.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(time.Now())
+	}
+}
+
+// EndAt is End with a caller-supplied closing instant (see StartAt); no-op
+// on nil.
+func (s *Span) EndAt(at time.Time) {
 	if s == nil {
 		return
 	}
-	s.Duration = time.Since(s.Start)
+	s.Duration = at.Sub(s.Start)
 	s.exporter(*s)
 }

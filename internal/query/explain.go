@@ -8,10 +8,10 @@
 // severity. An Explain record captures exactly that.
 //
 // Collection is per-request and context-armed, matching the span/metrics
-// contract: WithExplain returns a context carrying an empty record, the
-// engine fills it during the run, and with no record armed every hook is a
-// single context lookup — the result is never affected either way (the
-// byte-identity tests run with explain armed).
+// contract: WithExplain returns a context carrying an empty record, and the
+// run's recorder (recorder.go) fills it once, when the run finishes, from
+// the stages it recorded and the Result — the answer is never affected
+// either way (the byte-identity tests run with explain armed).
 
 package query
 
@@ -24,6 +24,7 @@ import (
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/obs"
+	"github.com/cpskit/atypical/internal/obs/flight"
 )
 
 // explainRedZoneCap bounds the region IDs embedded per record; the count
@@ -87,13 +88,9 @@ type ExplainThreshold struct {
 	DayBound *float64 `json:"day_bound,omitempty"`
 }
 
-// ExplainStage is one timed pipeline stage.
-type ExplainStage struct {
-	Name       string `json:"name"`
-	In         int    `json:"in"`
-	Out        int    `json:"out"`
-	DurationNS int64  `json:"duration_ns"`
-}
+// ExplainStage is one timed pipeline stage — the same record the flight
+// recorder's wide event carries.
+type ExplainStage = flight.Stage
 
 // ExplainCandidates summarizes strategy pruning: Scanned candidates in
 // range, Pruned = Scanned - Kept, Kept fed to integration.
@@ -179,7 +176,8 @@ type ExplainSignificance struct {
 type explainKey struct{}
 
 // WithExplain arms ctx to collect an Explain for the next engine run on
-// this context and returns the record, which is filled in place by the run.
+// this context and returns the record, which the run fills in place when it
+// finishes.
 // The context also carries a memo sink so forest lookups report their
 // hit/miss path. One record collects one run: arm a fresh context per
 // query. Collection is not synchronized — use the returned record only
@@ -201,156 +199,69 @@ func ExplainFromContext(ctx context.Context) *Explain {
 	return exp
 }
 
-// reset clears a record for (re)collection, keeping allocated slices out of
-// the way of stale reads. Nil-safe.
-func (e *Explain) reset() {
-	if e == nil {
+// fill writes the record of the run r observed. res is nil when the run
+// failed, leaving the question, the stages that completed and the elapsed
+// time. A cache hit reports the question, the candidate accounting and its
+// single cache stage; the strategy's intermediate state was never computed.
+// Memo events the forest reported during the run are kept.
+func (e *Explain) fill(r *recorder, res *Result, elapsed time.Duration) {
+	q, n := r.q, r.sensors
+	bound := float64(cluster.SignificanceBound(q.DeltaS, q.Time.Len(), n))
+	*e = Explain{
+		Strategy: r.s.String(),
+		Query: ExplainQuery{
+			Regions: len(q.Regions), Sensors: n, FromWindow: int64(q.Time.From), ToWindow: int64(q.Time.To),
+			Windows: q.Time.Len(), DeltaS: q.DeltaS,
+		},
+		Threshold:    ExplainThreshold{DeltaS: q.DeltaS, LengthT: q.Time.Len(), Sensors: n, Bound: bound},
+		Stages:       r.stages,
+		Forest:       ExplainForest{Version: r.ver, Memos: e.Forest.Memos},
+		Significance: ExplainSignificance{Bound: bound},
+		ElapsedNS:    int64(elapsed),
+	}
+	if res == nil {
 		return
 	}
-	*e = Explain{}
-}
-
-// begin records the question. Nil-safe.
-func (e *Explain) begin(q Query, s Strategy, sensors int) {
-	if e == nil {
+	e.Candidates = ExplainCandidates{Scanned: res.CandidateMicros, Pruned: res.CandidateMicros - res.InputMicros, Kept: res.InputMicros}
+	if r.cache == "hit" {
 		return
 	}
-	e.Strategy = s.String()
-	e.Query = ExplainQuery{
-		Regions:    len(q.Regions),
-		Sensors:    sensors,
-		FromWindow: int64(q.Time.From),
-		ToWindow:   int64(q.Time.To),
-		Windows:    q.Time.Len(),
-		DeltaS:     q.DeltaS,
+	switch r.s {
+	case Pru:
+		dayBound := float64(cluster.SignificanceBound(q.DeltaS, r.e.Forest.Spec().PerDay(), n))
+		e.Threshold.DayBound = &dayBound
+	case Gui:
+		// Zones arrive in GuidedRedZones' deterministic ascending order.
+		rz := &ExplainRedZones{Count: len(r.zones), Regions: make([]int, 0, min(len(r.zones), explainRedZoneCap))}
+		for _, z := range r.zones[:min(len(r.zones), explainRedZoneCap)] {
+			rz.Regions = append(rz.Regions, int(z))
+		}
+		rz.Truncated = len(r.zones) > explainRedZoneCap
+		e.RedZones = rz
 	}
-}
-
-// setBound records the significance arithmetic. Nil-safe.
-func (e *Explain) setBound(deltaS float64, lengthT, sensors int, bound float64) {
-	if e == nil {
-		return
+	if r.scattered {
+		// Shard results arrive in scatter order, which is stable across runs.
+		sc := &ExplainScatter{Shards: r.info.Shards, Failed: r.info.Failed, Partial: len(r.info.Failed) > 0}
+		sc.PerShard = make([]ExplainShard, len(r.shards))
+		for i, s := range r.shards {
+			sc.PerShard[i] = ExplainShard{Name: s.Shard, Micros: len(s.Candidates)}
+		}
+		e.Scatter = sc
 	}
-	e.Threshold = ExplainThreshold{DeltaS: deltaS, LengthT: lengthT, Sensors: sensors, Bound: bound}
-	e.Significance.Bound = bound
-}
-
-// setDayBound records Pru's day-scale pruning bound. Nil-safe.
-func (e *Explain) setDayBound(bound float64) {
-	if e == nil {
-		return
+	e.MergeTree = ExplainMergeTree{Inputs: res.InputMicros, Macros: len(res.Macros)}
+	if w := r.e.Workers; w != 0 {
+		e.MergeTree.Parallel, e.MergeTree.Workers = true, w
+		e.MergeTree.ChunkSize = cluster.IntegrateChunkSize
+		e.MergeTree.Levels = cluster.MergeTreeWidths(res.InputMicros)
 	}
-	e.Threshold.DayBound = &bound
-}
-
-// stageStart returns the stage clock origin — the zero time when explain is
-// off, keeping the disabled path clock-free.
-func (e *Explain) stageStart() time.Time {
-	if e == nil {
-		return time.Time{}
+	sig := &e.Significance
+	sig.Macros, sig.Significant = len(res.Macros), len(res.Significant)
+	sig.Truncated = len(res.Macros) > explainVerdictCap
+	for _, c := range res.Macros[:min(len(res.Macros), explainVerdictCap)] {
+		sig.Verdicts = append(sig.Verdicts, ExplainVerdict{
+			Cluster: uint64(c.ID), Severity: float64(c.Severity()), Significant: c.Significant(res.Bound),
+		})
 	}
-	return time.Now()
-}
-
-// stageEnd appends one finished stage. Nil-safe.
-func (e *Explain) stageEnd(start time.Time, name string, in, out int) {
-	if e == nil {
-		return
-	}
-	e.Stages = append(e.Stages, ExplainStage{
-		Name: name, In: in, Out: out, DurationNS: int64(time.Since(start)),
-	})
-}
-
-// setCandidates records the pruning summary. Nil-safe.
-func (e *Explain) setCandidates(scanned, kept int) {
-	if e == nil {
-		return
-	}
-	e.Candidates = ExplainCandidates{Scanned: scanned, Pruned: scanned - kept, Kept: kept}
-}
-
-// setRedZones records Gui's consulted red zones. Nil-safe. zones must be in
-// the deterministic ascending order GuidedRedZones returns.
-func (e *Explain) setRedZones(zones []int) {
-	if e == nil {
-		return
-	}
-	rz := &ExplainRedZones{Count: len(zones)}
-	if len(zones) > explainRedZoneCap {
-		rz.Regions = zones[:explainRedZoneCap]
-		rz.Truncated = true
-	} else {
-		rz.Regions = zones
-	}
-	e.RedZones = rz
-}
-
-// setScatter records a sharded run's fan-out. Nil-safe. Shard results arrive
-// in scatter order, which is stable across runs.
-func (e *Explain) setScatter(info ScatterInfo, shards []ShardResult) {
-	if e == nil {
-		return
-	}
-	sc := &ExplainScatter{
-		Shards:  info.Shards,
-		Failed:  info.Failed,
-		Partial: len(info.Failed) > 0,
-	}
-	sc.PerShard = make([]ExplainShard, len(shards))
-	for i, s := range shards {
-		sc.PerShard[i] = ExplainShard{Name: s.Shard, Micros: len(s.Candidates)}
-	}
-	e.Scatter = sc
-}
-
-// setForestVersion ties the record to a forest state. Nil-safe.
-func (e *Explain) setForestVersion(v uint64) {
-	if e == nil {
-		return
-	}
-	e.Forest.Version = v
-}
-
-// setMergeTree records the integration shape. Nil-safe.
-func (e *Explain) setMergeTree(workers, inputs, macros int) {
-	if e == nil {
-		return
-	}
-	mt := ExplainMergeTree{Inputs: inputs, Macros: macros}
-	if workers != 0 {
-		mt.Parallel = true
-		mt.Workers = workers
-		mt.ChunkSize = cluster.IntegrateChunkSize
-		mt.Levels = cluster.MergeTreeWidths(inputs)
-	}
-	e.MergeTree = mt
-}
-
-// addVerdict records one macro-cluster's significance check. Nil-safe.
-func (e *Explain) addVerdict(id uint64, severity float64, significant bool) {
-	if e == nil {
-		return
-	}
-	e.Significance.Macros++
-	if significant {
-		e.Significance.Significant++
-	}
-	if len(e.Significance.Verdicts) >= explainVerdictCap {
-		e.Significance.Truncated = true
-		return
-	}
-	e.Significance.Verdicts = append(e.Significance.Verdicts, ExplainVerdict{
-		Cluster: id, Severity: severity, Significant: significant,
-	})
-}
-
-// finish stamps the total elapsed time. Nil-safe.
-func (e *Explain) finish(elapsed time.Duration) {
-	if e == nil {
-		return
-	}
-	e.ElapsedNS = int64(elapsed)
 }
 
 // Canonical returns a deep copy with every run-unique field normalized: all

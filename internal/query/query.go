@@ -17,8 +17,6 @@ import (
 	"github.com/cpskit/atypical/internal/cube"
 	"github.com/cpskit/atypical/internal/forest"
 	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/obs"
-	"github.com/cpskit/atypical/internal/obs/flight"
 	"github.com/cpskit/atypical/internal/par"
 	"github.com/cpskit/atypical/internal/traffic"
 )
@@ -174,114 +172,36 @@ func (e *Engine) Run(q Query, s Strategy) *Result {
 // RunCtx executes q under the given strategy with cooperative cancellation:
 // the context is honored between pipeline stages and inside the parallel
 // filter and integration loops. Every run — success or error — is recorded
-// on Obs when configured, and wrapped in a "query.run" span when ctx
-// carries a span exporter.
+// on Obs when configured, wrapped in a "query.run" span when ctx carries a
+// span exporter, and reported into the Explain and flight event ctx carries
+// (recorder.go).
 func (e *Engine) RunCtx(ctx context.Context, q Query, s Strategy) (*Result, error) {
-	ctx, sp := obs.Start(ctx, "query.run")
-	sp.SetAttr("strategy", s.String())
-	if fe := flight.EventFromContext(ctx); fe != nil && sp != nil {
-		fe.TraceID = sp.TraceHex()
-	}
-	res, err := e.runCtx(ctx, q, s)
-	sp.End()
-	e.Obs.observe(res, err)
-	return res, err
+	var rec recorder
+	ctx = rec.arm(ctx, e, "query.run", q, s)
+	return rec.finish(e.runCtx(ctx, &rec, q, s))
 }
 
-// runCtx is the uninstrumented body of RunCtx.
-func (e *Engine) runCtx(ctx context.Context, q Query, s Strategy) (*Result, error) {
-	start := time.Now()
-	res := &Result{Strategy: s}
-	exp := ExplainFromContext(ctx)
-	exp.reset()
-	fe := flight.EventFromContext(ctx)
-
-	ver := e.Forest.Version()
-	sevGen := e.Severity.Gen()
-	if fe != nil {
-		fe.ForestVersion = ver
-		fe.SeverityGen = sevGen
-		fe.Cache = "off"
-	}
+// runCtx is Algorithm 4: answer from the cache, or gather the candidates,
+// apply the strategy's pruning, then integrate and check significance.
+func (e *Engine) runCtx(ctx context.Context, rec *recorder, q Query, s Strategy) (*Result, error) {
+	rec.ver, rec.gen = e.Forest.Version(), e.Severity.Gen()
+	rec.cache = "off"
 	var key string
 	if e.Cache != nil {
-		if fe != nil {
-			fe.Cache = "miss"
-		}
 		key = CanonicalKey(q, s)
-		if hit, sensors, ok := e.Cache.get(key, ver, sevGen); ok {
-			if fe != nil {
-				fe.Cache = "hit"
-				fe.Candidates = hit.CandidateMicros
-				fe.Inputs = hit.InputMicros
-				fe.Significant = len(hit.Significant)
-			}
-			st := exp.stageStart()
-			exp.begin(q, s, sensors)
-			exp.setBound(q.DeltaS, q.Time.Len(), sensors, float64(hit.Bound))
-			exp.setForestVersion(ver)
-			exp.setCandidates(hit.CandidateMicros, hit.InputMicros)
-			exp.stageEnd(st, "cache", hit.CandidateMicros, len(hit.Significant))
-			hit.Elapsed = time.Since(start)
-			exp.finish(hit.Elapsed)
+		if hit, sensors, ok := e.Cache.get(key, rec.ver, rec.gen); ok {
+			rec.cache, rec.sensors = "hit", sensors
+			rec.stage("cache", hit.CandidateMicros, len(hit.Significant))
 			return hit, nil
 		}
+		rec.cache = "miss"
 	}
 
-	numSensors := e.sensorsInRegions(q.Regions)
-	res.Bound = cluster.SignificanceBound(q.DeltaS, q.Time.Len(), numSensors)
-	exp.begin(q, s, numSensors)
-	exp.setBound(q.DeltaS, q.Time.Len(), numSensors, float64(res.Bound))
-	exp.setForestVersion(ver)
-
-	inRegion := make(map[geo.RegionID]bool, len(q.Regions))
-	for _, r := range q.Regions {
-		inRegion[r] = true
-	}
-
-	// Candidates: micro-clusters in the time range touching W — served
-	// locally, or gathered from shards when a Scatterer is configured.
-	st := exp.stageStart()
-	var candidates []*cluster.Cluster
-	var err error
-	if e.Scatterer != nil {
-		shards, info, serr := e.Scatterer.Scatter(ctx, q.Time, q.Regions)
-		if serr != nil {
-			return nil, serr
-		}
-		gathered := 0
-		for _, sr := range shards {
-			gathered += len(sr.Candidates)
-		}
-		res.Partial = len(info.Failed) > 0
-		res.FailedShards = info.Failed
-		if fe != nil {
-			fe.Partial = res.Partial
-			fe.FailedShards = info.Failed
-			if len(info.PerShard) > 0 {
-				fe.Shards = make([]flight.ShardCall, len(info.PerShard))
-				for i, ps := range info.PerShard {
-					fe.Shards[i] = flight.ShardCall{
-						Name:       ps.Shard,
-						DurationNS: ps.Duration.Nanoseconds(),
-						Retried:    ps.Retried,
-						Failed:     ps.Failed,
-					}
-				}
-			}
-		}
-		exp.stageEnd(st, "scatter", info.Shards, gathered)
-		exp.setScatter(info, shards)
-		st = exp.stageStart()
-		candidates = mergeShardCandidates(cps.Window(e.Forest.Spec().PerDay()), shards)
-		exp.stageEnd(st, "gather", gathered, len(candidates))
-	} else {
-		raw := e.Forest.MicrosInRange(q.Time)
-		candidates, err = e.filterTouching(ctx, raw, inRegion)
-		if err != nil {
-			return nil, err
-		}
-		exp.stageEnd(st, "candidates", len(raw), len(candidates))
+	rec.sensors = e.sensorsInRegions(q.Regions)
+	res := &Result{Strategy: s, Bound: cluster.SignificanceBound(q.DeltaS, q.Time.Len(), rec.sensors)}
+	candidates, err := e.candidates(ctx, rec, q, res)
+	if err != nil {
+		return nil, err
 	}
 	res.CandidateMicros = len(candidates)
 
@@ -292,85 +212,89 @@ func (e *Engine) runCtx(ctx context.Context, q Query, s Strategy) (*Result, erro
 	case Pru:
 		// Beforehand pruning: keep micro-clusters significant at the scale
 		// of one day (Example 6's "significant in the scale of one day").
-		st = exp.stageStart()
-		dayBound := cluster.SignificanceBound(q.DeltaS, e.Forest.Spec().PerDay(), numSensors)
-		exp.setDayBound(float64(dayBound))
+		dayBound := cluster.SignificanceBound(q.DeltaS, e.Forest.Spec().PerDay(), rec.sensors)
 		for _, c := range candidates {
 			if c.Significant(dayBound) {
 				inputs = append(inputs, c)
 			}
 		}
-		exp.stageEnd(st, "prune", len(candidates), len(inputs))
+		rec.stage("prune", len(candidates), len(inputs))
 	case Gui:
 		// Algorithm 4, lines 1–3: compute red zones from the distributive
 		// bottom-up severity, drop micro-clusters entirely outside them.
-		st = exp.stageStart()
-		_, zsp := obs.Start(ctx, "query.redzones")
-		zones := e.Severity.GuidedRedZones(q.Regions, q.Time, q.DeltaS, numSensors)
-		zsp.End()
-		res.RedZones = len(zones)
-		if exp != nil {
-			ids := make([]int, len(zones))
-			for i, z := range zones {
-				ids[i] = int(z)
-			}
-			exp.setRedZones(ids)
-		}
-		exp.stageEnd(st, "redzones", len(q.Regions), len(zones))
-		st = exp.stageStart()
-		zoneSet := make(map[geo.RegionID]bool, len(zones))
-		for _, z := range zones {
-			zoneSet[z] = true
-		}
-		inputs, err = e.filterTouching(ctx, candidates, zoneSet)
-		if err != nil {
+		rec.zones = e.Severity.GuidedRedZones(q.Regions, q.Time, q.DeltaS, rec.sensors)
+		res.RedZones = len(rec.zones)
+		rec.stage("redzones", len(q.Regions), len(rec.zones))
+		if inputs, err = e.filterTouching(ctx, candidates, regionSet(rec.zones)); err != nil {
 			return nil, err
 		}
-		exp.stageEnd(st, "guided_filter", len(candidates), len(inputs))
+		rec.stage("guided_filter", len(candidates), len(inputs))
 	default:
 		return nil, fmt.Errorf("%w %v", ErrUnknownStrategy, s)
 	}
-	res.InputMicros = len(inputs)
-	exp.setCandidates(res.CandidateMicros, res.InputMicros)
-
-	// Algorithm 4 line 4: integrate the qualified micro-clusters.
-	st = exp.stageStart()
-	ictx, isp := obs.Start(ctx, "query.integrate")
-	res.Macros, err = e.integrate(ictx, inputs)
-	isp.End()
-	if err != nil {
+	if err := e.integrateSignificant(ctx, rec, res, inputs); err != nil {
 		return nil, err
 	}
-	exp.stageEnd(st, "integrate", len(inputs), len(res.Macros))
-	exp.setMergeTree(e.Workers, len(inputs), len(res.Macros))
-
-	// Lines 5–7: the significance check removing false positives.
-	st = exp.stageStart()
-	for _, c := range res.Macros {
-		sig := c.Significant(res.Bound)
-		if sig {
-			res.Significant = append(res.Significant, c)
-		}
-		if exp != nil {
-			exp.addVerdict(uint64(c.ID), float64(c.Severity()), sig)
-		}
-	}
-	exp.stageEnd(st, "significance", len(res.Macros), len(res.Significant))
-	if fe != nil {
-		fe.Candidates = res.CandidateMicros
-		fe.Inputs = res.InputMicros
-		fe.Significant = len(res.Significant)
-	}
-	res.Elapsed = time.Since(start)
-	exp.finish(res.Elapsed)
 	if e.Cache != nil {
 		// Partial answers are refused inside put; everything else is stamped
 		// with the version and severity generation read before the first
 		// data access, so an entry computed over state that changed mid-run
 		// is stored already-stale and never served.
-		e.Cache.put(key, ver, sevGen, numSensors, res)
+		e.Cache.put(key, rec.ver, rec.gen, rec.sensors, res)
 	}
 	return res, nil
+}
+
+// candidates returns the micro-clusters in the time range touching W —
+// served locally, or gathered from shards when a Scatterer is configured.
+func (e *Engine) candidates(ctx context.Context, rec *recorder, q Query, res *Result) ([]*cluster.Cluster, error) {
+	if e.Scatterer == nil {
+		raw := e.Forest.MicrosInRange(q.Time)
+		out, err := e.filterTouching(ctx, raw, regionSet(q.Regions))
+		if err != nil {
+			return nil, err
+		}
+		rec.stage("candidates", len(raw), len(out))
+		return out, nil
+	}
+	shards, info, err := e.Scatterer.Scatter(ctx, q.Time, q.Regions)
+	if err != nil {
+		return nil, err
+	}
+	gathered := 0
+	for _, sr := range shards {
+		gathered += len(sr.Candidates)
+	}
+	res.Partial, res.FailedShards = len(info.Failed) > 0, info.Failed
+	rec.scattered, rec.info, rec.shards = true, info, shards
+	rec.stage("scatter", info.Shards, gathered)
+	out := mergeShardCandidates(cps.Window(e.Forest.Spec().PerDay()), shards)
+	rec.stage("gather", gathered, len(out))
+	return out, nil
+}
+
+// integrateSignificant is Algorithm 4 lines 4–7, shared by both run bodies:
+// integrate the qualified micro-clusters, then keep the macro-clusters
+// passing the significance bound, removing false positives.
+func (e *Engine) integrateSignificant(ctx context.Context, rec *recorder, res *Result, inputs []*cluster.Cluster) error {
+	res.InputMicros = len(inputs)
+	var err error
+	if e.Workers != 0 {
+		res.Macros, err = cluster.IntegrateParallelCtx(ctx, e.Gen, inputs, e.Forest.Options(), e.Workers)
+	} else if err = ctx.Err(); err == nil {
+		res.Macros = cluster.Integrate(e.Gen, inputs, e.Forest.Options())
+	}
+	if err != nil {
+		return err
+	}
+	rec.stage("integrate", len(inputs), len(res.Macros))
+	for _, c := range res.Macros {
+		if c.Significant(res.Bound) {
+			res.Significant = append(res.Significant, c)
+		}
+	}
+	rec.stage("significance", len(res.Macros), len(res.Significant))
+	return nil
 }
 
 // filterTouching keeps the clusters touching the region set, preserving
@@ -383,7 +307,7 @@ func (e *Engine) filterTouching(ctx context.Context, cs []*cluster.Cluster, regi
 		}
 		var out []*cluster.Cluster
 		for _, c := range cs {
-			if e.clusterTouches(c, regions) {
+			if Touches(e.Net, c, regions) {
 				out = append(out, c)
 			}
 		}
@@ -391,7 +315,7 @@ func (e *Engine) filterTouching(ctx context.Context, cs []*cluster.Cluster, regi
 	}
 	keep := make([]bool, len(cs))
 	if err := par.Do(ctx, len(cs), e.Workers, func(i int) error {
-		keep[i] = e.clusterTouches(cs[i], regions)
+		keep[i] = Touches(e.Net, cs[i], regions)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -403,17 +327,6 @@ func (e *Engine) filterTouching(ctx context.Context, cs []*cluster.Cluster, regi
 		}
 	}
 	return out, nil
-}
-
-// integrate runs the configured integration path over the query inputs.
-func (e *Engine) integrate(ctx context.Context, inputs []*cluster.Cluster) ([]*cluster.Cluster, error) {
-	if e.Workers != 0 {
-		return cluster.IntegrateParallelCtx(ctx, e.Gen, inputs, e.Forest.Options(), e.Workers)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cluster.Integrate(e.Gen, inputs, e.Forest.Options()), nil
 }
 
 // RunMaterialized answers q with All semantics but starts from the forest's
@@ -432,40 +345,28 @@ func (e *Engine) RunMaterialized(q Query) *Result {
 }
 
 // RunMaterializedCtx is RunMaterialized with cooperative cancellation. Runs
-// record into Obs under the All strategy (the semantics they implement).
+// are recorded like RunCtx's, under a "query.run_materialized" root span and
+// the All strategy (the semantics they implement).
 func (e *Engine) RunMaterializedCtx(ctx context.Context, q Query) (*Result, error) {
-	ctx, sp := obs.Start(ctx, "query.run_materialized")
-	res, err := e.runMaterializedCtx(ctx, q)
-	sp.End()
-	e.Obs.observe(res, err)
-	return res, err
+	var rec recorder
+	ctx = rec.arm(ctx, e, "query.run_materialized", q, All)
+	return rec.finish(e.runMaterializedCtx(ctx, &rec, q))
 }
 
-// runMaterializedCtx is the uninstrumented body of RunMaterializedCtx.
-func (e *Engine) runMaterializedCtx(ctx context.Context, q Query) (*Result, error) {
-	start := time.Now()
-	res := &Result{Strategy: All}
-	exp := ExplainFromContext(ctx)
-	exp.reset()
-	numSensors := e.sensorsInRegions(q.Regions)
-	res.Bound = cluster.SignificanceBound(q.DeltaS, q.Time.Len(), numSensors)
-	exp.begin(q, All, numSensors)
-	exp.setBound(q.DeltaS, q.Time.Len(), numSensors, float64(res.Bound))
-	exp.setForestVersion(e.Forest.Version())
-
-	inRegion := make(map[geo.RegionID]bool, len(q.Regions))
-	for _, r := range q.Regions {
-		inRegion[r] = true
-	}
+// runMaterializedCtx gathers the materialized leaves, keeps those touching
+// W, then integrates and checks significance.
+func (e *Engine) runMaterializedCtx(ctx context.Context, rec *recorder, q Query) (*Result, error) {
+	rec.ver = e.Forest.Version()
+	rec.sensors = e.sensorsInRegions(q.Regions)
+	res := &Result{Strategy: All, Bound: cluster.SignificanceBound(q.DeltaS, q.Time.Len(), rec.sensors)}
 
 	perDay := cps.Window(e.Forest.Spec().PerDay())
 	firstDay := int(q.Time.From / perDay)
 	lastDay := int(q.Time.To / perDay) // exclusive
 
 	// Materialize: covered weeks contribute memoized week macros (each
-	// lookup reports a memo event into the Explain), ragged days their
+	// lookup reports a memo event into an armed Explain), ragged days their
 	// micro-clusters.
-	st := exp.stageStart()
 	var leaves []*cluster.Cluster
 	day := firstDay
 	for day < lastDay {
@@ -477,39 +378,26 @@ func (e *Engine) runMaterializedCtx(ctx context.Context, q Query) (*Result, erro
 		leaves = append(leaves, e.Forest.Day(day)...)
 		day++
 	}
-	exp.stageEnd(st, "materialize", lastDay-firstDay, len(leaves))
+	rec.stage("materialize", lastDay-firstDay, len(leaves))
 	res.CandidateMicros = len(leaves)
-	st = exp.stageStart()
-	inputs, err := e.filterTouching(ctx, leaves, inRegion)
+	inputs, err := e.filterTouching(ctx, leaves, regionSet(q.Regions))
 	if err != nil {
 		return nil, err
 	}
-	exp.stageEnd(st, "candidates", len(leaves), len(inputs))
-	res.InputMicros = len(inputs)
-	exp.setCandidates(res.CandidateMicros, res.InputMicros)
-	st = exp.stageStart()
-	ictx, isp := obs.Start(ctx, "query.integrate")
-	res.Macros, err = e.integrate(ictx, inputs)
-	isp.End()
-	if err != nil {
+	rec.stage("candidates", len(leaves), len(inputs))
+	if err := e.integrateSignificant(ctx, rec, res, inputs); err != nil {
 		return nil, err
 	}
-	exp.stageEnd(st, "integrate", len(inputs), len(res.Macros))
-	exp.setMergeTree(e.Workers, len(inputs), len(res.Macros))
-	st = exp.stageStart()
-	for _, c := range res.Macros {
-		sig := c.Significant(res.Bound)
-		if sig {
-			res.Significant = append(res.Significant, c)
-		}
-		if exp != nil {
-			exp.addVerdict(uint64(c.ID), float64(c.Severity()), sig)
-		}
-	}
-	exp.stageEnd(st, "significance", len(res.Macros), len(res.Significant))
-	res.Elapsed = time.Since(start)
-	exp.finish(res.Elapsed)
 	return res, nil
+}
+
+// regionSet indexes a region list for the touch test.
+func regionSet(regions []geo.RegionID) map[geo.RegionID]bool {
+	set := make(map[geo.RegionID]bool, len(regions))
+	for _, r := range regions {
+		set[r] = true
+	}
+	return set
 }
 
 // sensorsInRegions returns N, the number of sensors inside the query region.
@@ -519,10 +407,4 @@ func (e *Engine) sensorsInRegions(regions []geo.RegionID) int {
 		n += len(e.Net.SensorsInRegion(r))
 	}
 	return n
-}
-
-// clusterTouches reports whether any of the cluster's sensors lies in the
-// region set — the "intersect with the red zones" test of Example 7.
-func (e *Engine) clusterTouches(c *cluster.Cluster, regions map[geo.RegionID]bool) bool {
-	return Touches(e.Net, c, regions)
 }

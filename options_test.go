@@ -20,17 +20,12 @@ func TestNewSystemOptions(t *testing.T) {
 		return sys
 	}
 
-	// An empty Balance string defaults to arithmetic instead of erroring —
-	// the zero Config must be usable without the deprecated field.
+	// The balance function defaults to arithmetic; the typed option
+	// selects another.
 	if sys := mk(nil); sys.balance != cluster.Arithmetic {
-		t.Errorf("empty Config.Balance gave %v, want arithmetic", sys.balance)
+		t.Errorf("default balance = %v, want arithmetic", sys.balance)
 	}
-	// The deprecated stringly field still works for flag-driven callers…
-	if sys := mk(func(c *Config) { c.Balance = "min" }); sys.balance != cluster.Min {
-		t.Errorf("Config.Balance string gave %v, want min", sys.balance)
-	}
-	// …and the typed option wins over it.
-	sys := mk(func(c *Config) { c.Balance = "min" }, WithBalance(BalanceMax))
+	sys := mk(nil, WithBalance(BalanceMax))
 	if sys.balance != cluster.Max {
 		t.Errorf("WithBalance gave %v, want max", sys.balance)
 	}

@@ -11,9 +11,8 @@ import (
 	"github.com/cpskit/atypical/internal/query"
 )
 
-// QueryRequest describes one analytical query Q(W, T) for System.Run — the
-// single entry point the legacy Query{City,Box,At}{,Explain}{,Ctx} matrix
-// collapsed into. Set only what differs from the defaults (whole city, the
+// QueryRequest describes one analytical query Q(W, T) for System.Run, the
+// single query entry point. Set only what differs from the defaults (whole city, the
 // configured δs, IntegrateAll); a time period is mandatory, so the zero
 // value is rejected by Validate — set Days or Window.
 type QueryRequest struct {
@@ -37,8 +36,7 @@ type QueryRequest struct {
 	// DeltaS is the relative severity threshold δs of Definition 5; zero
 	// selects the Config default, negative values are rejected by Validate.
 	// (A literal δs = 0 run — bound 0, everything significant — is not
-	// expressible here; it was a degenerate accident of the old QueryAt
-	// surface.)
+	// expressible.)
 	DeltaS float64
 
 	// Strategy selects IntegrateAll, Pruned or Guided (zero value:
@@ -110,13 +108,8 @@ func (s *System) Run(ctx context.Context, req QueryRequest) (*RunResult, error) 
 		s.obs.queryError()
 		return nil, err
 	}
-	// The flight recorder rides the EXPLAIN machinery for stage timings, so
-	// an armed recorder forces collection internally; the record is returned
-	// to the caller only when they asked (RunResult.Explain stays non-nil
-	// iff req.Explain). Both are answer-neutral.
-	wantExplain := req.Explain
 	var exp *Explain
-	if wantExplain || s.qlog != nil {
+	if req.Explain {
 		ctx, exp = query.WithExplain(ctx)
 	}
 	var fe *flight.Event
@@ -132,58 +125,32 @@ func (s *System) Run(ctx context.Context, req QueryRequest) (*RunResult, error) 
 		err = fmt.Errorf("atypical: shards %v failed after retry: %w", rep.FailedShards, ErrPartialResult)
 	}
 	if fe != nil {
-		s.finishQueryEvent(fe, q, req, rep, exp, err, started)
+		s.finishQueryEvent(fe, q, req, err, started)
 		s.qlog.Record(fe)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if !wantExplain {
-		exp = nil
-	}
 	return &RunResult{Report: rep, Explain: exp}, nil
 }
 
-// finishQueryEvent fills the facade-level fields of a flight event after the
-// engine ran: the inner layers already stamped trace ID, cache verdict,
-// generations, and per-shard timings through the context.
-func (s *System) finishQueryEvent(fe *flight.Event, q query.Query, req QueryRequest, rep *Report, exp *Explain, err error, started time.Time) {
+// finishQueryEvent fills the request-level fields of a flight event after the
+// engine ran: the engine's stage recorder already stamped trace ID, cache
+// verdict, generations, cardinalities, stages, per-shard timings and the SLO
+// verdict.
+func (s *System) finishQueryEvent(fe *flight.Event, q query.Query, req QueryRequest, err error, started time.Time) {
 	fe.Time = started
 	fe.Kind = "query"
 	fe.Key = query.CanonicalKey(q, req.Strategy)
 	fe.Strategy = req.Strategy.String()
-	elapsed := time.Since(started)
-	fe.DurationNS = elapsed.Nanoseconds()
+	fe.DurationNS = time.Since(started).Nanoseconds()
 	if err != nil {
 		fe.Err = err.Error()
-	}
-	if rep != nil && rep.Partial {
-		// Stamped by the engine on sharded runs; kept here for the refusal
-		// path, where the partial answer surfaces as an error.
-		fe.Partial = true
-		fe.FailedShards = rep.FailedShards
-	}
-	if exp != nil && len(exp.Stages) > 0 {
-		fe.Stages = make([]flight.Stage, len(exp.Stages))
-		for i, st := range exp.Stages {
-			fe.Stages[i] = flight.Stage{Name: st.Name, In: st.In, Out: st.Out, DurationNS: st.DurationNS}
-		}
-	}
-	s.mu.RLock()
-	m := s.engine.Obs
-	s.mu.RUnlock()
-	sloElapsed := elapsed
-	if rep != nil && rep.Elapsed > 0 {
-		sloElapsed = rep.Elapsed // the engine-measured time the SLO counters saw
-	}
-	if target, met, armed := m.SLOVerdict(req.Strategy, sloElapsed); armed {
-		fe.SLO = &flight.SLOVerdict{TargetNS: target.Nanoseconds(), Met: met}
 	}
 }
 
 // buildQuery resolves a QueryRequest to the engine's query shape, matching
-// the legacy constructors (CityQuery, BoxQuery) exactly so the deprecated
-// wrappers stay byte-identical to their pre-Run selves.
+// the engine's constructors (CityQuery, BoxQuery) exactly.
 func (s *System) buildQuery(req QueryRequest) query.Query {
 	deltaS := req.DeltaS
 	if deltaS <= 0 {
@@ -208,18 +175,6 @@ func (s *System) buildQuery(req QueryRequest) query.Query {
 		}
 	}
 	return query.Query{Regions: regions, Time: tr, DeltaS: deltaS}
-}
-
-// requestFromQuery lifts a legacy explicit query.Query into the request
-// shape, preserving its semantics exactly (a nil region set stays an
-// explicit empty scope, not "whole city").
-func requestFromQuery(q query.Query, strat Strategy) QueryRequest {
-	regions := q.Regions
-	if regions == nil {
-		regions = []RegionID{}
-	}
-	tr := q.Time
-	return QueryRequest{Regions: regions, Window: &tr, DeltaS: q.DeltaS, Strategy: strat}
 }
 
 // runQuery snapshots the engine and executes the resolved query.
