@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-CLUSTER_FUZZ = FuzzMergeCommutativity FuzzMergeAssociativity FuzzMicroVsRawAgreement FuzzParallelIntegrateEquivalence FuzzFoldTemporalStable FuzzNewFeatureOrder
+CLUSTER_FUZZ = FuzzMergeCommutativity FuzzMergeAssociativity FuzzMicroVsRawAgreement FuzzParallelIntegrateEquivalence FuzzFoldTemporalStable FuzzNewFeatureOrder FuzzIntegrateKernelEquivalence
 CUBE_FUZZ    = FuzzCubeDeterminism FuzzColumnarSeverityEquivalence
 OBS_FUZZ     = FuzzParseSeries FuzzHistogramMerge
 QUERY_FUZZ   = FuzzCanonicalKeyCollisionFree
@@ -22,11 +22,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-## lint: curated go vet passes plus the project analyzers (see
-## `go run ./cmd/atyplint -list` or the DESIGN.md invariant table —
-## kept in sync by TestAnalyzerTableInSync). -time prints per-analyzer
-## wall time on stderr. Must exit 0 on every PR.
+## lint: gofmt over every package directory of the module (analyzer
+## testdata/ fixtures and the separate perfbench/ module are not packages
+## of ./... and are skipped), curated go vet passes, and the project
+## analyzers (see `go run ./cmd/atyplint -list` or the DESIGN.md invariant
+## table — kept in sync by TestAnalyzerTableInSync). -time prints
+## per-analyzer wall time on stderr. Must exit 0 on every PR.
 lint:
+	@unformatted=$$(for d in $$($(GO) list -f '{{.Dir}}' ./...); do gofmt -l "$$d"/*.go; done); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/atyplint -time ./...
 

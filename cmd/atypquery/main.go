@@ -49,19 +49,19 @@ import (
 
 func main() {
 	var (
-		forestDir = flag.String("forest", "forest", "directory of a saved forest")
-		data      = flag.String("data", "data", "directory of .rec files (for the red-zone severity index)")
-		from      = flag.Int("from", 0, "first day of the query range")
-		days      = flag.Int("days", 7, "number of days in the query range")
-		strat     = flag.String("strategy", "gui", "query strategy: all, pru or gui")
-		deltaS    = flag.Float64("deltas", 0.02, "severity threshold δs")
-		deltaSim  = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
-		sensors   = flag.Int("sensors", 400, "approximate deployment size (must match atypgen)")
-		seed      = flag.Int64("seed", 42, "deployment seed (must match atypgen)")
-		minLat    = flag.Float64("minlat", 0, "spatial range: south edge (0 = whole city)")
-		minLon    = flag.Float64("minlon", 0, "spatial range: west edge")
-		maxLat    = flag.Float64("maxlat", 0, "spatial range: north edge")
-		maxLon    = flag.Float64("maxlon", 0, "spatial range: east edge")
+		forestDir   = flag.String("forest", "forest", "directory of a saved forest")
+		data        = flag.String("data", "data", "directory of .rec files (for the red-zone severity index)")
+		from        = flag.Int("from", 0, "first day of the query range")
+		days        = flag.Int("days", 7, "number of days in the query range")
+		strat       = flag.String("strategy", "gui", "query strategy: all, pru or gui")
+		deltaS      = flag.Float64("deltas", 0.02, "severity threshold δs")
+		deltaSim    = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
+		sensors     = flag.Int("sensors", 400, "approximate deployment size (must match atypgen)")
+		seed        = flag.Int64("seed", 42, "deployment seed (must match atypgen)")
+		minLat      = flag.Float64("minlat", 0, "spatial range: south edge (0 = whole city)")
+		minLon      = flag.Float64("minlon", 0, "spatial range: west edge")
+		maxLat      = flag.Float64("maxlat", 0, "spatial range: north edge")
+		maxLon      = flag.Float64("maxlon", 0, "spatial range: east edge")
 		shards      = flag.Int("shards", 0, "scatter-gather the query across n in-process shards (0 unsharded)")
 		shardPeers  = flag.String("shardpeers", "", "comma-separated shard server base URLs: scatter the candidates stage to remote atypserve -shardserve processes")
 		showMap     = flag.Bool("map", false, "print the region severity map with red zones")

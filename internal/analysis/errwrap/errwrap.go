@@ -94,8 +94,8 @@ type checker struct {
 
 func run(pass *framework.Pass) (any, error) {
 	c := &checker{
-		pass:     pass,
-		graph:    callgraph.Build(pass),
+		pass:      pass,
+		graph:     callgraph.Build(pass),
 		verdicts:  map[*types.Func]verdict{},
 		blames:    map[*types.Func]blame{},
 		varState:  map[*types.Var]verdict{},

@@ -253,8 +253,9 @@ func FoldTemporal(tf TemporalFeature, period cps.Window) TemporalFeature {
 	descents, wrap := 0, 0
 	lo, hi := period, cps.Window(-1)
 	prev := cps.Window(-1)
+	offs := offsets{period: period}
 	for i, e := range tf {
-		k := floorMod(e.Key, period)
+		k := offs.of(e.Key)
 		if k <= prev {
 			descents++
 			wrap = i
@@ -262,19 +263,19 @@ func FoldTemporal(tf TemporalFeature, period cps.Window) TemporalFeature {
 		prev = k
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	out := make(TemporalFeature, 0, n)
 	switch {
 	case descents == 0:
 		// Strictly ascending offsets: the feature lies within one period.
-		return appendFolded(out, tf, period)
+		return appendFolded(make(TemporalFeature, 0, n), tf, period)
 	case descents == 1 && prev < floorMod(tf[0].Key, period):
 		// Two ascending runs that do not overlap once folded — a feature
 		// spanning midnight — so the fold is a rotation.
-		return appendFolded(appendFolded(out, tf[wrap:], period), tf[:wrap], period)
+		out := appendFolded(make(TemporalFeature, 0, n), tf[wrap:], period)
+		return appendFolded(out, tf[:wrap], period)
 	}
 	span := int64(hi-lo) + 1
 	if span > max(4*int64(n), foldStackSlots) {
-		out = appendFolded(out, tf, period)
+		out := appendFolded(make(TemporalFeature, 0, n), tf, period)
 		slices.SortStableFunc(out, func(a, b Entry[cps.Window]) int { return cmp.Compare(a.Key, b.Key) })
 		return coalesce(out)
 	}
@@ -288,10 +289,16 @@ func FoldTemporal(tf TemporalFeature, period cps.Window) TemporalFeature {
 	} else {
 		slot = make([]int32, span)
 	}
-	for _, e := range tf {
-		slot[floorMod(e.Key, period)-lo] = 1
-	}
 	buckets := int32(0)
+	for _, e := range tf {
+		if k := offs.of(e.Key) - lo; slot[k] == 0 {
+			slot[k] = 1
+			buckets++
+		}
+	}
+	// A multi-day feature folds onto far fewer buckets than it has windows.
+	out := make(TemporalFeature, 0, buckets)
+	buckets = 0
 	for i, s := range slot {
 		if s != 0 {
 			buckets++
@@ -300,7 +307,7 @@ func FoldTemporal(tf TemporalFeature, period cps.Window) TemporalFeature {
 		}
 	}
 	for _, e := range tf {
-		k := floorMod(e.Key, period) - lo
+		k := offs.of(e.Key) - lo
 		if s := slot[k]; s > 0 {
 			out[s-1].Sev = e.Sev
 			slot[k] = -s
@@ -314,10 +321,37 @@ func FoldTemporal(tf TemporalFeature, period cps.Window) TemporalFeature {
 // appendFolded appends tf's entries with their windows folded onto the
 // period, in input order.
 func appendFolded(out, tf TemporalFeature, period cps.Window) TemporalFeature {
+	offs := offsets{period: period}
 	for _, e := range tf {
-		out = append(out, Entry[cps.Window]{Key: floorMod(e.Key, period), Sev: e.Sev})
+		out = append(out, Entry[cps.Window]{Key: offs.of(e.Key), Sev: e.Sev})
 	}
 	return out
+}
+
+// offsets computes floorMod(w, period) for a run of windows with one
+// division per period the run enters: base is the start of the period the
+// last divided window fell in (zero, a period start, before any), and a
+// window at most a period past it takes its offset by subtraction. Windows
+// in ascending order — a canonical TF — divide once per period crossed;
+// anything else divides where it leaves the current period, so every input
+// gets exactly floorMod's answer.
+type offsets struct {
+	period cps.Window
+	base   cps.Window
+}
+
+func (o *offsets) of(w cps.Window) cps.Window {
+	// w >= base makes the unsigned difference the exact distance.
+	if d := uint64(w) - uint64(o.base); w >= o.base && d < uint64(o.period) {
+		return cps.Window(d)
+	}
+	k := floorMod(w, o.period)
+	// The period start below the most negative windows is not
+	// representable; keep the old base there.
+	if b := w - k; b <= w {
+		o.base = b
+	}
+	return k
 }
 
 // foldStackSlots bounds the offset table FoldTemporal keeps on the stack;

@@ -134,21 +134,32 @@ func OverlapFractions[K Key](a, b Feature[K]) (p1, p2 float64) {
 }
 
 // overlapFractions is OverlapFractions with the features' totals supplied,
-// so similarity can reuse totals cached on the cluster.
+// so similarity can reuse totals cached on the cluster. When one feature is
+// more than overlapRatio times longer than the other, each key of the short
+// one is binary-searched in the rest of the long one instead of walking the
+// long one entry by entry. Either way the common keys are visited in
+// ascending order, so the sums are bit-identical.
 func overlapFractions[K Key](a, b Feature[K], totalA, totalB cps.Severity) (p1, p2 float64) {
 	var common1, common2 cps.Severity
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Key < b[j].Key:
-			i++
-		case b[j].Key < a[i].Key:
-			j++
-		default:
-			common1 += a[i].Sev
-			common2 += b[j].Sev
-			i++
-			j++
+	switch {
+	case len(a) > overlapRatio*len(b):
+		common2, common1 = commonBySearch(b, a)
+	case len(b) > overlapRatio*len(a):
+		common1, common2 = commonBySearch(a, b)
+	default:
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			switch {
+			case a[i].Key < b[j].Key:
+				i++
+			case b[j].Key < a[i].Key:
+				j++
+			default:
+				common1 += a[i].Sev
+				common2 += b[j].Sev
+				i++
+				j++
+			}
 		}
 	}
 	if totalA > 0 {
@@ -158,6 +169,38 @@ func overlapFractions[K Key](a, b Feature[K], totalA, totalB cps.Severity) (p1, 
 		p2 = float64(common2 / totalB)
 	}
 	return p1, p2
+}
+
+// overlapRatio is the length ratio past which overlapFractions searches the
+// longer feature instead of merge-joining it.
+const overlapRatio = 8
+
+// commonBySearch sums the severities of the keys common to short and long,
+// in ascending key order, binary-searching each key of short in the part of
+// long past the previous match.
+func commonBySearch[K Key](short, long Feature[K]) (inShort, inLong cps.Severity) {
+	j := 0
+	for _, e := range short {
+		lo, hi := j, len(long)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if long[m].Key < e.Key {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == len(long) {
+			break
+		}
+		j = lo
+		if long[j].Key == e.Key {
+			inShort += e.Sev
+			inLong += long[j].Sev
+			j++
+		}
+	}
+	return inShort, inLong
 }
 
 // CommonKeyCount returns the number of keys shared by both features.

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -115,6 +116,43 @@ func TestFoldTemporalAllocationBound(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 1<<16 {
 		t.Errorf("FoldTemporal allocated %d bytes per run for %d entries", perRun, len(tf))
+	}
+}
+
+// The fold's running offsets equal floorMod on every window of any
+// sequence: ascending runs crossing periods, steps backwards, and windows
+// at both ends of int64, where the period start below a window is not
+// representable.
+func TestOffsetsMatchFloorMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, period := range []cps.Window{1, 7, 288, 1 << 40, math.MaxInt64/3 + 1, math.MaxInt64} {
+		var seqs [][]cps.Window
+		for _, start := range []cps.Window{math.MinInt64, math.MinInt64 + period/2, -period - 3, -1, 0, period - 1, math.MaxInt64 - 3*period/2, math.MaxInt64 - 5} {
+			var up, down []cps.Window
+			for i := cps.Window(0); i < 12; i++ {
+				step := i * (1 + period/5)
+				if w := start + step; w >= start {
+					up = append(up, w)
+				}
+				if w := start - step; w <= start {
+					down = append(down, w)
+				}
+			}
+			seqs = append(seqs, up, down)
+		}
+		jumps := make([]cps.Window, 200)
+		for i := range jumps {
+			jumps[i] = cps.Window(rng.Uint64())
+		}
+		seqs = append(seqs, jumps, []cps.Window{math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1})
+		for _, seq := range seqs {
+			offs := offsets{period: period}
+			for _, w := range seq {
+				if got, want := offs.of(w), floorMod(w, period); got != want {
+					t.Fatalf("period %d, window %d: offset %d, floorMod %d", period, w, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -71,40 +71,37 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 	bySensor := newPostings(micros, func(c *Cluster) SpatialFeature { return c.SF })
 	byWindow := newPostings(micros, folded)
 
-	// candidates gathers live positions sharing a key with active[pos], in
-	// first-posting order. stamp[p] == epoch marks p as already gathered;
-	// each scan also drops dead positions from the lists it reads.
+	// Examining a cluster walks its posting lists — sensor lists, then
+	// window lists, each in ascending position order — and evaluates every
+	// live position the first time the walk meets it (stamp[p] == epoch
+	// marks it met). The first candidate above δsim merges and the walk
+	// restarts on the merged cluster, so a snowballing cluster stops paying
+	// for the lists past its match. Each list read drops dead positions;
+	// a list cut short by a merge keeps the rest of them for a later walk.
 	stamp := make([]uint32, n, 2*n)
 	var epoch uint32
-	var cands []int32
-	candidates := func(pos int) []int32 {
-		c := active[pos]
-		epoch++
-		stamp[pos] = epoch
-		cands = cands[:0]
-		gather := func(list []int32) []int32 {
-			live := list[:0]
-			for _, p := range list {
-				if !alive[p] {
-					continue
-				}
-				live = append(live, p)
-				if stamp[p] != epoch {
-					stamp[p] = epoch
-					cands = append(cands, p)
-				}
+	// match walks one posting list for c, returning the first candidate
+	// above δsim or -1.
+	match := func(c *Cluster, list *[]int32) int32 {
+		l := *list
+		w := 0
+		for r, p := range l {
+			if !alive[p] {
+				continue
 			}
-			return live
+			l[w] = p
+			w++
+			if stamp[p] == epoch {
+				continue
+			}
+			stamp[p] = epoch
+			if opts.similarity(c, active[p]) > opts.SimThreshold {
+				*list = l[:w+copy(l[w:], l[r+1:])]
+				return p
+			}
 		}
-		for _, e := range c.SF {
-			i := bySensor.index(e.Key)
-			bySensor.lists[i] = gather(bySensor.lists[i])
-		}
-		for _, e := range folded(c) {
-			i := byWindow.index(e.Key)
-			byWindow.lists[i] = gather(byWindow.lists[i])
-		}
-		return cands
+		*list = l[:w]
+		return -1
 	}
 
 	// Work queue: clusters whose merge opportunities need (re)checking.
@@ -121,20 +118,34 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 			continue
 		}
 	repeat:
-		for _, cand := range candidates(pos) {
-			if opts.similarity(active[pos], active[cand]) > opts.SimThreshold {
-				merged := mergeAs(mkID(), active[pos], active[cand])
-				alive[pos] = false
-				alive[cand] = false
-				active = append(active, merged)
-				alive = append(alive, true)
-				stamp = append(stamp, 0)
-				newPos := len(active) - 1
-				bySensor.add(merged.SF, newPos)
-				byWindow.add(folded(merged), newPos)
-				pos = newPos
-				goto repeat
+		c := active[pos]
+		epoch++
+		stamp[pos] = epoch
+		cand := int32(-1)
+		for _, e := range c.SF {
+			if cand = match(c, &bySensor.lists[bySensor.index(e.Key)]); cand >= 0 {
+				break
 			}
+		}
+		if cand < 0 {
+			for _, e := range folded(c) {
+				if cand = match(c, &byWindow.lists[byWindow.index(e.Key)]); cand >= 0 {
+					break
+				}
+			}
+		}
+		if cand >= 0 {
+			merged := mergeAs(mkID(), c, active[cand])
+			alive[pos] = false
+			alive[cand] = false
+			active = append(active, merged)
+			alive = append(alive, true)
+			stamp = append(stamp, 0)
+			newPos := len(active) - 1
+			bySensor.add(merged.SF, newPos)
+			byWindow.add(folded(merged), newPos)
+			pos = newPos
+			goto repeat
 		}
 	}
 

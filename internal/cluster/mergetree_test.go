@@ -14,8 +14,8 @@ func TestMergeTreeWidths(t *testing.T) {
 	}{
 		{0, nil},
 		{1, nil},
-		{2, []int{1}},                       // one chunk, no reduction levels
-		{integrateChunkSize, []int{1}},      // exactly one chunk
+		{2, []int{1}},                  // one chunk, no reduction levels
+		{integrateChunkSize, []int{1}}, // exactly one chunk
 		{integrateChunkSize + 1, []int{2, 1}},
 		{5 * integrateChunkSize, []int{5, 3, 2, 1}},
 		{8 * integrateChunkSize, []int{8, 4, 2, 1}},

@@ -152,4 +152,3 @@ func severityApproxEq(a, b cps.Severity) bool {
 	}
 	return d <= 1e-6*s
 }
-

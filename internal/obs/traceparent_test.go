@@ -38,7 +38,7 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"00-short-bad-01",
-		"00-00000000000000000000000000000001-0000000000000002", // missing flags
+		"00-00000000000000000000000000000001-0000000000000002",    // missing flags
 		"ff-00000000000000000000000000000001-0000000000000002-01", // reserved version
 		"zz-00000000000000000000000000000001-0000000000000002-01",
 		"00-0000000000000000000000000000000g-0000000000000002-01",

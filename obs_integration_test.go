@@ -12,8 +12,9 @@ import (
 
 // Attaching an observer, a span exporter, or the flight recorder must be
 // invisible in every answer: the instrumented system renders byte-identical
-// reports. The recorder internally arms EXPLAIN on every run, so this also
-// pins that the EXPLAIN side-channel never leaks into the answer.
+// reports. The recorder stamps a wide event for every run from the query
+// path's stage recorder, so this also pins that the per-run signal
+// collection never leaks into the answer.
 func TestObserverResultNeutral(t *testing.T) {
 	want := renderRuns(t, buildSystem(t), nil)
 	if want == "" {
