@@ -5,11 +5,18 @@ CLUSTER_FUZZ = FuzzMergeCommutativity FuzzMergeAssociativity FuzzMicroVsRawAgree
 CUBE_FUZZ    = FuzzCubeDeterminism FuzzColumnarSeverityEquivalence
 OBS_FUZZ     = FuzzParseSeries FuzzHistogramMerge
 QUERY_FUZZ   = FuzzCanonicalKeyCollisionFree
-STORAGE_FUZZ = FuzzRecordReaderCorrupt
+STORAGE_FUZZ = FuzzRecordReaderCorrupt FuzzReadClusters
 ROOT_FUZZ    = FuzzShardedQueryEquivalence
 SUB_FUZZ     = FuzzStandingQueryEquivalence
 
-.PHONY: all build test race lint lint-json fuzz-smoke crash-matrix bench-quick shard-matrix load-smoke trace-stitch ci
+# Each fuzz list with the package directory it runs in (dir=LIST), in run
+# order; fuzz-smoke and fuzz-lists both read the pairing from here.
+FUZZ_SETS = internal/cluster=CLUSTER_FUZZ internal/cube=CUBE_FUZZ internal/obs=OBS_FUZZ \
+	internal/query=QUERY_FUZZ internal/storage=STORAGE_FUZZ internal/subscribe=SUB_FUZZ .=ROOT_FUZZ
+fuzz_dir  = $(firstword $(subst =, ,$(1)))
+fuzz_list = $($(lastword $(subst =, ,$(1))))
+
+.PHONY: all build test race lint lint-json fuzz-lists fuzz-smoke crash-matrix bench-quick shard-matrix load-smoke trace-stitch ci
 
 all: build test lint
 
@@ -39,38 +46,33 @@ lint:
 lint-json:
 	$(GO) run ./cmd/atyplint -json ./... > atyplint.json
 
+## fuzz-lists: `go test -fuzz` exits 0 on a name it does not find ("no fuzz
+## tests to fuzz"), so a misspelled or misplaced list entry would pass
+## fuzz-smoke silently. Fails unless the lists name exactly the
+## `func Fuzz…` targets in each package's test files, each under the
+## package its list runs in.
+fuzz-lists:
+	@mod=$$($(GO) list -m); \
+	defined=$$($(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read ip dir; do \
+		rel=$${ip#$$mod}; rel=$${rel#/}; \
+		sed -n "s|^func \(Fuzz[A-Za-z0-9_]*\)(.*|$${rel:-.}:\1|p" "$$dir"/*_test.go 2>/dev/null; \
+	done | sort); \
+	listed=$$(printf '%s\n' $(foreach s,$(FUZZ_SETS),$(foreach t,$(call fuzz_list,$(s)),$(call fuzz_dir,$(s)):$(t))) | sort); \
+	if [ "$$defined" != "$$listed" ]; then \
+		echo "fuzz-smoke lists out of sync with the fuzz targets in the tree:"; \
+		echo "$$defined" | grep -vxF -e "$$listed" | sed 's/^/  defined, not listed: /'; \
+		echo "$$listed" | grep -vxF -e "$$defined" | sed 's/^/  listed, not defined: /'; \
+		exit 1; \
+	fi
+
 ## fuzz-smoke: bounded-budget run of every fuzz target; catches regressions
 ## in the cluster algebra (Properties 2 and 3) and cube/report determinism
 ## without open-ended CI time.
-fuzz-smoke:
-	@for t in $(CLUSTER_FUZZ); do \
+fuzz-smoke: fuzz-lists
+	@$(foreach s,$(FUZZ_SETS),for t in $(call fuzz_list,$(s)); do \
 		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/cluster/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(CUBE_FUZZ); do \
-		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/cube/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(OBS_FUZZ); do \
-		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/obs/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(QUERY_FUZZ); do \
-		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/query/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(STORAGE_FUZZ); do \
-		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/storage/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(SUB_FUZZ); do \
-		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test ./internal/subscribe/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
-	@for t in $(ROOT_FUZZ); do \
-		echo "-- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test . -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
-	done
+		$(GO) test ./$(call fuzz_dir,$(s)) -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done;)
 
 ## crash-matrix: the fault-injection suite — every mutating filesystem
 ## operation of a catalog/manifest/forest save is crashed in turn (torn

@@ -570,9 +570,6 @@ func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.
 		if err != nil {
 			return nil, fmt.Errorf("forest: reading %s: %w", name, err)
 		}
-		for _, c := range cs {
-			c.Hydrate() // storage builds clusters field-wise; prime derived caches before sharing
-		}
 		return cs, nil
 	}
 	for _, e := range entries {

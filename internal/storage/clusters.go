@@ -2,11 +2,8 @@ package storage
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
@@ -14,9 +11,11 @@ import (
 
 // Cluster file layout, version 2 (little endian):
 //
-//	magic "ATYPCLU2" | uvarint payloadLen | uint32 crc | payload
-//	payload: uvarint clusterCount, then per cluster the delta-encoded
-//	         fields WriteClusters documents below.
+//	magic "ATYPCLU2" | frame (uvarint payloadLen | uint32 crc | payload)
+//	payload: uvarint clusterCount, then per cluster:
+//	         uvarint id, uvarint micros, uvarint len(children) + child ids,
+//	         uvarint len(SF), per entry uvarint keyDelta + uvarint
+//	         round(severity / SeverityQuantum), uvarint len(TF) likewise.
 //
 // Version 1 ("ATYPCLU1") is the same payload with no length/CRC framing;
 // ReadClusters still decodes it, so forests saved before the framing
@@ -29,9 +28,10 @@ var (
 	clusterMagic   = [8]byte{'A', 'T', 'Y', 'P', 'C', 'L', 'U', '2'}
 )
 
-// maxClusterPayload clamps the declared payload length of a cluster file:
-// the length is untrusted bytes read before the CRC check, and real
-// per-level cluster files are orders of magnitude smaller.
+// maxClusterPayload clamps the declared payload length of a cluster file
+// (and the unframed remainder of a version-1 file): the length is
+// untrusted bytes read before the CRC check, and real per-level cluster
+// files are orders of magnitude smaller.
 const maxClusterPayload = 256 << 20
 
 // WriteClusters encodes clusters — features only, with child cluster IDs to
@@ -39,56 +39,19 @@ const maxClusterPayload = 256 << 20
 // of a micro-cluster set is the AC curve of Fig. 16. The payload is framed
 // with its length and CRC32 so readers verify integrity end to end.
 func WriteClusters(w io.Writer, cs []*cluster.Cluster) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if _, err := bw.Write(clusterMagic[:]); err != nil {
-		return cw.n, err
-	}
-	var buf []byte
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf = append(buf, scratch[:n]...)
-	}
-	put(uint64(len(cs)))
+	var e encoder
+	e.uvarint(uint64(len(cs)))
 	for _, c := range cs {
-		put(uint64(c.ID))
-		put(uint64(c.Micros))
-		put(uint64(len(c.Children)))
+		e.uvarint(uint64(c.ID))
+		e.uvarint(uint64(c.Micros))
+		e.uvarint(uint64(len(c.Children)))
 		for _, ch := range c.Children {
-			put(uint64(ch.ID))
+			e.uvarint(uint64(ch.ID))
 		}
-		put(uint64(len(c.SF)))
-		prevS := cps.SensorID(0)
-		for _, e := range c.SF {
-			put(uint64(e.Key - prevS))
-			put(uint64(math.Round(float64(e.Sev) / SeverityQuantum)))
-			prevS = e.Key
-		}
-		put(uint64(len(c.TF)))
-		prevW := cps.Window(0)
-		for _, e := range c.TF {
-			put(uint64(e.Key - prevW))
-			put(uint64(math.Round(float64(e.Sev) / SeverityQuantum)))
-			prevW = e.Key
-		}
+		putFeature(&e, c.SF, (*encoder).quantized)
+		putFeature(&e, c.TF, (*encoder).quantized)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	if _, err := bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(buf)))]); err != nil {
-		return cw.n, err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(buf))
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return cw.n, err
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return writeFrame(w, clusterMagic[:], e.b)
 }
 
 // ReadClusters decodes clusters written by WriteClusters, verifying the
@@ -96,111 +59,54 @@ func WriteClusters(w io.Writer, cs []*cluster.Cluster) (int64, error) {
 // resolved among the decoded set when present; references to clusters
 // outside the set are dropped (partial materialization stores levels
 // separately). Any integrity failure returns an error wrapping ErrCorrupt
-// (or ErrBadMagic) — never partial data.
+// (or ErrBadMagic) — never partial data. The returned clusters are
+// hydrated.
 func ReadClusters(r io.Reader) ([]*cluster.Cluster, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
-	}
-	switch magic {
-	case clusterMagic:
-		return readClustersV2(br)
-	case clusterMagicV1:
-		return decodeClusters(func() (uint64, error) { return binary.ReadUvarint(br) })
-	default:
-		return nil, ErrBadMagic
-	}
-}
-
-// readClustersV2 verifies the length/CRC frame, then decodes the payload.
-func readClustersV2(br *bufio.Reader) ([]*cluster.Cluster, error) {
-	payloadLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: payload length: %v", ErrCorrupt, err)
-	}
-	if payloadLen > maxClusterPayload {
-		return nil, fmt.Errorf("%w: absurd payload length %d", ErrCorrupt, payloadLen)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: crc: %v", ErrCorrupt, err)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("%w: data past payload", ErrCorrupt)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	pos := 0
-	cs, err := decodeClusters(func() (uint64, error) {
-		v, k := binary.Uvarint(payload[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
-		}
-		pos += k
-		return v, nil
-	})
+	magic, err := readMagic(br)
 	if err != nil {
 		return nil, err
 	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload)-pos)
+	var payload []byte
+	switch magic {
+	case clusterMagic:
+		payload, err = readFrame(br, maxClusterPayload)
+	case clusterMagicV1:
+		// Version 1 has no frame: the payload is the rest of the stream.
+		if payload, err = io.ReadAll(io.LimitReader(br, maxClusterPayload)); err != nil {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	default:
+		return nil, ErrBadMagic
 	}
-	return cs, nil
-}
-
-// decodeClusters is the payload decoder shared by both format versions.
-func decodeClusters(get func() (uint64, error)) ([]*cluster.Cluster, error) {
-	n, err := get()
+	if err == nil {
+		err = expectEOF(br, "payload")
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: cluster count: %v", ErrCorrupt, err)
+		return nil, err
 	}
-	out := make([]*cluster.Cluster, 0, capHint(n))
-	childIDs := make([][]cluster.ID, 0, capHint(n))
-	byID := make(map[cluster.ID]*cluster.Cluster, capHint(n))
-	for i := uint64(0); i < n; i++ {
-		id, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: cluster id: %v", ErrCorrupt, err)
-		}
-		micros, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: micros: %v", ErrCorrupt, err)
-		}
-		nc, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: child count: %v", ErrCorrupt, err)
-		}
-		if nc > 1<<20 {
-			return nil, fmt.Errorf("%w: absurd child count %d", ErrCorrupt, nc)
-		}
-		kids := make([]cluster.ID, nc)
+	d := decoder{b: payload}
+	out := make([]*cluster.Cluster, d.count())
+	childIDs := make([][]cluster.ID, len(out))
+	byID := make(map[cluster.ID]*cluster.Cluster, len(out))
+	for i := range out {
+		id, micros := d.uvarint(), d.uvarint()
+		kids := make([]cluster.ID, d.count())
 		for k := range kids {
-			v, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("%w: child id: %v", ErrCorrupt, err)
-			}
-			kids[k] = cluster.ID(v)
+			kids[k] = cluster.ID(d.uvarint())
 		}
-		sf, err := readFeature[cps.SensorID](get)
-		if err != nil {
-			return nil, err
+		// SF decodes before TF: the literal's lexical order is the wire order.
+		c := &cluster.Cluster{
+			ID:     cluster.ID(id),
+			Micros: int(micros),
+			SF:     getFeature[cps.SensorID](&d, (*decoder).quantized),
+			TF:     getFeature[cps.Window](&d, (*decoder).quantized),
 		}
-		tf, err := readFeature[cps.Window](get)
-		if err != nil {
-			return nil, err
-		}
-		c := &cluster.Cluster{ID: cluster.ID(id), SF: sf, TF: tf, Micros: int(micros)}
-		out = append(out, c)
-		childIDs = append(childIDs, kids)
-		byID[c.ID] = c
+		c.Hydrate()
+		out[i], childIDs[i], byID[c.ID] = c, kids, c
+	}
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	for i, c := range out {
 		for _, kid := range childIDs[i] {
@@ -212,27 +118,28 @@ func decodeClusters(get func() (uint64, error)) ([]*cluster.Cluster, error) {
 	return out, nil
 }
 
-func readFeature[K cluster.Key](get func() (uint64, error)) (cluster.Feature[K], error) {
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("%w: feature length: %v", ErrCorrupt, err)
-	}
-	f := make(cluster.Feature[K], 0, capHint(n))
+// putFeature encodes f as its length, then per entry the key delta and the
+// severity in the codec's encoding.
+func putFeature[K cluster.Key](e *encoder, f cluster.Feature[K], sev func(*encoder, cps.Severity)) {
+	e.uvarint(uint64(len(f)))
 	var prev K
-	for i := uint64(0); i < n; i++ {
-		kd, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: feature key: %v", ErrCorrupt, err)
-		}
-		sq, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: feature severity: %v", ErrCorrupt, err)
-		}
-		key := prev + K(kd)
-		f = append(f, cluster.Entry[K]{Key: key, Sev: cps.Severity(float64(sq) * SeverityQuantum)})
-		prev = key
+	for _, en := range f {
+		e.uvarint(uint64(en.Key - prev))
+		sev(e, en.Sev)
+		prev = en.Key
 	}
-	return f, nil
+}
+
+// getFeature decodes a feature written by putFeature with the same
+// severity encoding.
+func getFeature[K cluster.Key](d *decoder, sev func(*decoder) cps.Severity) cluster.Feature[K] {
+	f := make(cluster.Feature[K], d.count())
+	var prev K
+	for i := range f {
+		prev += K(d.uvarint())
+		f[i] = cluster.Entry[K]{Key: prev, Sev: sev(d)}
+	}
+	return f
 }
 
 // ClustersSize returns the encoded size of cs without keeping the bytes.

@@ -2,11 +2,7 @@ package storage
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
@@ -14,7 +10,7 @@ import (
 
 // Exact cluster wire format, version 1 (little endian):
 //
-//	magic "ATYPCLX1" | uvarint payloadLen | uint32 crc | payload
+//	magic "ATYPCLX1" | frame (uvarint payloadLen | uint32 crc | payload)
 //	payload: uvarint clusterCount, then per cluster:
 //	         uvarint id, uvarint micros,
 //	         uvarint len(SF), per entry uvarint keyDelta + 8-byte raw
@@ -33,57 +29,15 @@ var clusterExactMagic = [8]byte{'A', 'T', 'Y', 'P', 'C', 'L', 'X', '1'}
 // WriteClustersExact encodes micro-clusters bit-exactly for shard transport
 // and returns the bytes written.
 func WriteClustersExact(w io.Writer, cs []*cluster.Cluster) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if _, err := bw.Write(clusterExactMagic[:]); err != nil {
-		return cw.n, err
-	}
-	var buf []byte
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf = append(buf, scratch[:n]...)
-	}
-	putSev := func(s cps.Severity) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(s)))
-		buf = append(buf, b[:]...)
-	}
-	put(uint64(len(cs)))
+	var e encoder
+	e.uvarint(uint64(len(cs)))
 	for _, c := range cs {
-		put(uint64(c.ID))
-		put(uint64(c.Micros))
-		put(uint64(len(c.SF)))
-		prevS := cps.SensorID(0)
-		for _, e := range c.SF {
-			put(uint64(e.Key - prevS))
-			putSev(e.Sev)
-			prevS = e.Key
-		}
-		put(uint64(len(c.TF)))
-		prevW := cps.Window(0)
-		for _, e := range c.TF {
-			put(uint64(e.Key - prevW))
-			putSev(e.Sev)
-			prevW = e.Key
-		}
+		e.uvarint(uint64(c.ID))
+		e.uvarint(uint64(c.Micros))
+		putFeature(&e, c.SF, (*encoder).float64bits)
+		putFeature(&e, c.TF, (*encoder).float64bits)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	if _, err := bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(buf)))]); err != nil {
-		return cw.n, err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(buf))
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		return cw.n, err
-	}
-	if _, err := bw.Write(buf); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return writeFrame(w, clusterExactMagic[:], e.b)
 }
 
 // ReadClustersExact decodes clusters written by WriteClustersExact, verifying
@@ -92,104 +46,35 @@ func WriteClustersExact(w io.Writer, cs []*cluster.Cluster) (int64, error) {
 // are hydrated.
 func ReadClustersExact(r io.Reader) ([]*cluster.Cluster, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
+	magic, err := readMagic(br)
+	if err != nil {
+		return nil, err
 	}
 	if magic != clusterExactMagic {
 		return nil, ErrBadMagic
 	}
-	payloadLen, err := binary.ReadUvarint(br)
+	payload, err := readFrame(br, maxClusterPayload)
+	if err == nil {
+		err = expectEOF(br, "payload")
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: payload length: %v", ErrCorrupt, err)
+		return nil, err
 	}
-	if payloadLen > maxClusterPayload {
-		return nil, fmt.Errorf("%w: absurd payload length %d", ErrCorrupt, payloadLen)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: crc: %v", ErrCorrupt, err)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("%w: data past payload", ErrCorrupt)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	pos := 0
-	get := func() (uint64, error) {
-		v, k := binary.Uvarint(payload[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
+	d := decoder{b: payload}
+	out := make([]*cluster.Cluster, d.count())
+	for i := range out {
+		// Fields decode in the literal's lexical order, which is the wire order.
+		c := &cluster.Cluster{
+			ID:     cluster.ID(d.uvarint()),
+			Micros: int(d.uvarint()),
+			SF:     getFeature[cps.SensorID](&d, (*decoder).float64bits),
+			TF:     getFeature[cps.Window](&d, (*decoder).float64bits),
 		}
-		pos += k
-		return v, nil
-	}
-	getSev := func() (cps.Severity, error) {
-		if pos+8 > len(payload) {
-			return 0, fmt.Errorf("%w: truncated severity", ErrCorrupt)
-		}
-		bits := binary.LittleEndian.Uint64(payload[pos : pos+8])
-		pos += 8
-		return cps.Severity(math.Float64frombits(bits)), nil
-	}
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("%w: cluster count: %v", ErrCorrupt, err)
-	}
-	out := make([]*cluster.Cluster, 0, capHint(n))
-	for i := uint64(0); i < n; i++ {
-		id, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: cluster id: %v", ErrCorrupt, err)
-		}
-		micros, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: micros: %v", ErrCorrupt, err)
-		}
-		sf, err := readFeatureExact[cps.SensorID](get, getSev)
-		if err != nil {
-			return nil, err
-		}
-		tf, err := readFeatureExact[cps.Window](get, getSev)
-		if err != nil {
-			return nil, err
-		}
-		c := &cluster.Cluster{ID: cluster.ID(id), SF: sf, TF: tf, Micros: int(micros)}
 		c.Hydrate()
-		out = append(out, c)
+		out[i] = c
 	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload)-pos)
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-func readFeatureExact[K cluster.Key](get func() (uint64, error), getSev func() (cps.Severity, error)) (cluster.Feature[K], error) {
-	n, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("%w: feature length: %v", ErrCorrupt, err)
-	}
-	f := make(cluster.Feature[K], 0, capHint(n))
-	var prev K
-	for i := uint64(0); i < n; i++ {
-		kd, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("%w: feature key: %v", ErrCorrupt, err)
-		}
-		sev, err := getSev()
-		if err != nil {
-			return nil, err
-		}
-		key := prev + K(kd)
-		f = append(f, cluster.Entry[K]{Key: key, Sev: sev})
-		prev = key
-	}
-	return f, nil
 }

@@ -2,10 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
 )
 
@@ -158,4 +164,115 @@ func TestReaderBatchAgreementUnderCorruption(t *testing.T) {
 	if batchErr == nil && streamed != len(batch) {
 		t.Fatalf("stream decoded %d, batch %d", streamed, len(batch))
 	}
+}
+
+// hugeFrameHeader is a file that opens with magic and head, then a frame
+// header declaring payloadLen bytes, and ends there: no payload follows.
+func hugeFrameHeader(magic [8]byte, head []byte, payloadLen uint64) []byte {
+	b := append(append([]byte(nil), magic[:]...), head...)
+	return append(binary.AppendUvarint(b, payloadLen), 0, 0, 0, 0)
+}
+
+// A short input declaring a huge payload must cost memory in proportion to
+// the bytes that arrive, not to the declaration — it may come off the
+// network from a shard or from a corrupted file.
+func TestDecodersBoundAllocation(t *testing.T) {
+	clusterFile := hugeFrameHeader(clusterMagic, nil, maxClusterPayload)
+	exactFile := hugeFrameHeader(clusterExactMagic, nil, maxClusterPayload)
+	// One declared record, in a block declaring the block payload cap.
+	recordFile := hugeFrameHeader(recordMagic, []byte{1, 1}, maxBlockPayload)
+	for _, tc := range []struct {
+		name   string
+		input  []byte
+		decode func(io.Reader) error
+	}{
+		{"ReadClusters", clusterFile, func(r io.Reader) error { _, err := ReadClusters(r); return err }},
+		{"ReadClustersExact", exactFile, func(r io.Reader) error { _, err := ReadClustersExact(r); return err }},
+		{"ReadRecords", recordFile, func(r io.Reader) error { _, err := ReadRecords(r); return err }},
+		{"RecordReader.Next", recordFile, func(r io.Reader) error {
+			rr, err := NewRecordReader(r)
+			if err != nil {
+				return err
+			}
+			for _, ok := rr.Next(); ok; _, ok = rr.Next() {
+			}
+			return rr.Err()
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(bytes.NewReader(tc.input))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s allocated %d B decoding a %d-byte input", tc.name, alloc, len(tc.input))
+		}
+	}
+}
+
+// FuzzReadClusters drives both cluster decoders — the forest file reader
+// and the shard wire reader — over arbitrary bytes. They must never panic,
+// must classify every rejection as ErrCorrupt or ErrBadMagic, and any set
+// one accepts must re-encode and decode again to the same IDs, children
+// and severity bits.
+func FuzzReadClusters(f *testing.F) {
+	// Two micros and their merge: small seeds keep minimization quick, and
+	// the macro's child links resolve within the set.
+	cs := goldenClusters()
+	small := []*cluster.Cluster{cs[0], cs[1], cs[40]}
+	var v2, x1 bytes.Buffer
+	if _, err := WriteClusters(&v2, small); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := WriteClustersExact(&x1, small); err != nil {
+		f.Fatal(err)
+	}
+	// Version 1 is the version-2 payload with no length/CRC frame.
+	_, k := binary.Uvarint(v2.Bytes()[len(clusterMagic):])
+	v1 := append(append([]byte(nil), clusterMagicV1[:]...), v2.Bytes()[len(clusterMagic)+k+4:]...)
+	for _, valid := range [][]byte{v1, v2.Bytes(), x1.Bytes()} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)*2/3])
+		flipped := append([]byte(nil), valid...)
+		flipped[len(flipped)/2] ^= 0x08
+		f.Add(flipped)
+	}
+	f.Add(hugeFrameHeader(clusterMagic, nil, maxClusterPayload))
+	f.Add(hugeFrameHeader(clusterExactMagic, nil, maxClusterPayload))
+	// A version-1 cluster whose one severity is a quantum count too large
+	// to survive a round trip through float64.
+	var e encoder
+	for _, v := range []uint64{1, 7, 1, 0, 1, 0, math.MaxUint64, 0} {
+		e.uvarint(v)
+	}
+	f.Add(append(append([]byte(nil), clusterMagicV1[:]...), e.b...))
+
+	codecs := []struct {
+		read  func(io.Reader) ([]*cluster.Cluster, error)
+		write func(io.Writer, []*cluster.Cluster) (int64, error)
+	}{{ReadClusters, WriteClusters}, {ReadClustersExact, WriteClustersExact}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, codec := range codecs {
+			got, err := codec.read(bytes.NewReader(data))
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) {
+					t.Fatalf("unclassified rejection: %v", err)
+				}
+				continue
+			}
+			var buf bytes.Buffer
+			if _, err := codec.write(&buf, got); err != nil {
+				t.Fatal(err)
+			}
+			again, err := codec.read(&buf)
+			if err != nil {
+				t.Fatalf("re-encoded set rejected: %v", err)
+			}
+			if d := clusterSetDiff(again, got); d != "" {
+				t.Fatalf("re-encoded set decodes differently: %s", d)
+			}
+		}
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"github.com/cpskit/atypical/internal/cps"
@@ -30,9 +29,9 @@ type RecordReader struct {
 // decoding.
 func NewRecordReader(r io.Reader) (*RecordReader, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
+	magic, err := readMagic(br)
+	if err != nil {
+		return nil, err
 	}
 	if magic != recordMagic {
 		return nil, ErrBadMagic
@@ -62,11 +61,7 @@ func (rr *RecordReader) Next() (rec cps.Record, ok bool) {
 			// surface that instead of silently dropping records.
 			if !rr.eofChecked {
 				rr.eofChecked = true
-				if _, err := rr.br.ReadByte(); err == nil {
-					rr.err = fmt.Errorf("%w: data past declared record count", ErrCorrupt)
-				} else if err != io.EOF {
-					rr.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
+				rr.err = expectEOF(rr.br, "declared record count")
 			}
 			return cps.Record{}, false
 		}
@@ -90,32 +85,17 @@ func (rr *RecordReader) loadBlock() error {
 	if err != nil {
 		return fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
 	}
-	// Both counts come from untrusted bytes read before any CRC check:
-	// clamp them against what the writer can produce before allocating or
-	// decoding anything.
+	// The record count sits outside the block's CRC: clamp it against what
+	// the writer can produce before allocating or decoding anything.
 	if n > blockSize {
 		return fmt.Errorf("%w: absurd block record count %d", ErrCorrupt, n)
 	}
 	if rr.read+n > rr.total {
 		return fmt.Errorf("%w: block overruns declared record count", ErrCorrupt)
 	}
-	payloadLen, err := binary.ReadUvarint(rr.br)
+	payload, err := readFrame(rr.br, maxBlockPayload)
 	if err != nil {
-		return fmt.Errorf("%w: block length: %v", ErrCorrupt, err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(rr.br, crcBuf[:]); err != nil {
-		return fmt.Errorf("%w: block crc: %v", ErrCorrupt, err)
-	}
-	if payloadLen > 64<<20 {
-		return fmt.Errorf("%w: absurd block length %d", ErrCorrupt, payloadLen)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(rr.br, payload); err != nil {
-		return fmt.Errorf("%w: block payload: %v", ErrCorrupt, err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		return fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+		return err
 	}
 	if cap(rr.block) < int(n) {
 		rr.block = make([]cps.Record, 0, n) // n is clamped to blockSize above
@@ -123,44 +103,16 @@ func (rr *RecordReader) loadBlock() error {
 		rr.block = rr.block[:0]
 	}
 	rr.blockPos = 0
-	pos := 0
-	next := func() (uint64, error) {
-		v, k := binary.Uvarint(payload[pos:])
-		if k <= 0 {
-			return 0, ErrCorrupt
-		}
-		pos += k
-		return v, nil
-	}
+	d := decoder{b: payload}
 	for i := uint64(0); i < n; i++ {
-		wd, err := next()
-		if err != nil {
-			return err
-		}
-		sraw, err := next()
-		if err != nil {
-			return err
-		}
-		sq, err := next()
-		if err != nil {
-			return err
-		}
+		wd, sraw := d.uvarint(), d.uvarint()
 		window := rr.prevWindow + cps.Window(wd)
-		var sensor cps.SensorID
+		sensor := cps.SensorID(sraw)
 		if wd == 0 {
-			sensor = rr.prevSensor + cps.SensorID(sraw)
-		} else {
-			sensor = cps.SensorID(sraw)
+			sensor += rr.prevSensor
 		}
-		rr.block = append(rr.block, cps.Record{
-			Sensor:   sensor,
-			Window:   window,
-			Severity: cps.Severity(float64(sq) * SeverityQuantum),
-		})
+		rr.block = append(rr.block, cps.Record{Sensor: sensor, Window: window, Severity: d.quantized()})
 		rr.prevWindow, rr.prevSensor = window, sensor
 	}
-	if pos != len(payload) {
-		return fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(payload)-pos)
-	}
-	return nil
+	return d.done()
 }

@@ -2,12 +2,21 @@
 // record file for CPS datasets and a feature codec for atypical clusters.
 // Both formats feed the model-size comparison of Fig. 16 (AE = serialized
 // events, AC = serialized clusters, OC/MC = cube cells) and let cmd tools
-// persist datasets and forests between runs.
+// persist datasets and forests between runs. A third codec, ATYPCLX1
+// (clusters_exact.go), carries micro-clusters with exact severities over the
+// shard wire.
+//
+// Every CRC-protected unit — a record block, a cluster file body, a shard
+// answer — is one frame (frame.go): uvarint payloadLen | uint32 crc32 |
+// payload. Decoders treat all input as hostile: counts and lengths are
+// clamped before use, and memory grows with the bytes actually received,
+// never with a length a header declares. Every rejection wraps ErrCorrupt
+// or ErrBadMagic.
 //
 // Record file layout (little endian):
 //
 //	magic "ATYPREC1" | uvarint recordCount | blocks...
-//	block: uvarint n | uvarint payloadLen | uint32 crc | payload
+//	block: uvarint n | frame (uvarint payloadLen | uint32 crc | payload)
 //	payload: n records, delta-encoded in canonical (window, sensor) order:
 //	  uvarint windowDelta (vs previous record)
 //	  uvarint sensorValue (delta vs previous sensor when windowDelta == 0,
@@ -23,8 +32,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -45,6 +52,10 @@ var recordMagic = [8]byte{'A', 'T', 'Y', 'P', 'R', 'E', 'C', '1'}
 // blockSize is the number of records per CRC-protected block.
 const blockSize = 8192
 
+// maxBlockPayload clamps a block's declared payload length; real blocks
+// stay far below it.
+const maxBlockPayload = 64 << 20
+
 // Sentinel errors of the storage package; everything an exported function
 // returns wraps one of these or passes the underlying cause through with
 // %w (the errwrap analyzer proves it).
@@ -62,159 +73,52 @@ var (
 func WriteRecords(w io.Writer, recs []cps.Record) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	if _, err := bw.Write(recordMagic[:]); err != nil {
-		return cw.n, err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(dst *[]byte, v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		*dst = append(*dst, scratch[:n]...)
-	}
-	var hdr []byte
-	writeUvarint(&hdr, uint64(len(recs)))
+	hdr := binary.AppendUvarint(append([]byte(nil), recordMagic[:]...), uint64(len(recs)))
 	if _, err := bw.Write(hdr); err != nil {
 		return cw.n, err
 	}
-
-	var payload []byte
+	var e encoder
 	for start := 0; start < len(recs); start += blockSize {
-		end := start + blockSize
-		if end > len(recs) {
-			end = len(recs)
-		}
-		payload = payload[:0]
-		prevWindow := cps.Window(0)
-		prevSensor := cps.SensorID(0)
+		end := min(start+blockSize, len(recs))
+		e.b = e.b[:0]
+		var prev cps.Record
 		if start > 0 {
-			prevWindow = recs[start-1].Window
-			prevSensor = recs[start-1].Sensor
+			prev = recs[start-1]
 		}
 		for _, r := range recs[start:end] {
-			wd := uint64(r.Window - prevWindow)
-			writeUvarint(&payload, wd)
+			wd := uint64(r.Window - prev.Window)
+			e.uvarint(wd)
 			if wd == 0 {
 				// Sensors strictly increase within a window; the initial
-				// prevSensor of 0 makes the first delta the absolute value.
-				writeUvarint(&payload, uint64(r.Sensor-prevSensor))
+				// prev.Sensor of 0 makes the first delta the absolute value.
+				e.uvarint(uint64(r.Sensor - prev.Sensor))
 			} else {
-				writeUvarint(&payload, uint64(r.Sensor))
+				e.uvarint(uint64(r.Sensor))
 			}
-			writeUvarint(&payload, uint64(math.Round(float64(r.Severity)/SeverityQuantum)))
-			prevWindow, prevSensor = r.Window, r.Sensor
+			e.quantized(r.Severity)
+			prev = r
 		}
-		var blockHdr []byte
-		writeUvarint(&blockHdr, uint64(end-start))
-		writeUvarint(&blockHdr, uint64(len(payload)))
-		if _, err := bw.Write(blockHdr); err != nil {
-			return cw.n, err
-		}
-		var crcBuf [4]byte
-		binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(crcBuf[:]); err != nil {
-			return cw.n, err
-		}
-		if _, err := bw.Write(payload); err != nil {
+		if _, err := writeFrame(bw, binary.AppendUvarint(nil, uint64(end-start)), e.b); err != nil {
 			return cw.n, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	err := bw.Flush()
+	return cw.n, err
 }
 
 // ReadRecords decodes a record file written by WriteRecords, returning the
 // records in canonical order with severities quantized.
 func ReadRecords(r io.Reader) ([]cps.Record, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
-	}
-	if magic != recordMagic {
-		return nil, ErrBadMagic
-	}
-	total, err := binary.ReadUvarint(br)
+	rr, err := NewRecordReader(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
+		return nil, err
 	}
-	recs := make([]cps.Record, 0, capHint(total))
-	prevWindow := cps.Window(0)
-	prevSensor := cps.SensorID(0)
-	for uint64(len(recs)) < total {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
-		}
-		// Clamp untrusted pre-CRC counts against what the writer produces.
-		if n > blockSize {
-			return nil, fmt.Errorf("%w: absurd block record count %d", ErrCorrupt, n)
-		}
-		if uint64(len(recs))+n > total {
-			return nil, fmt.Errorf("%w: block overruns declared record count", ErrCorrupt)
-		}
-		payloadLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block length: %v", ErrCorrupt, err)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: block crc: %v", ErrCorrupt, err)
-		}
-		if payloadLen > 64<<20 {
-			return nil, fmt.Errorf("%w: absurd block length %d", ErrCorrupt, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("%w: block payload: %v", ErrCorrupt, err)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-		}
-		pos := 0
-		readUvarint := func() (uint64, error) {
-			v, k := binary.Uvarint(payload[pos:])
-			if k <= 0 {
-				return 0, ErrCorrupt
-			}
-			pos += k
-			return v, nil
-		}
-		for i := uint64(0); i < n; i++ {
-			wd, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			sraw, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			sq, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			window := prevWindow + cps.Window(wd)
-			var sensor cps.SensorID
-			if wd == 0 {
-				sensor = prevSensor + cps.SensorID(sraw)
-			} else {
-				sensor = cps.SensorID(sraw)
-			}
-			recs = append(recs, cps.Record{
-				Sensor:   sensor,
-				Window:   window,
-				Severity: cps.Severity(float64(sq) * SeverityQuantum),
-			})
-			prevWindow, prevSensor = window, sensor
-		}
-		if pos != len(payload) {
-			return nil, fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(payload)-pos)
-		}
+	recs := make([]cps.Record, 0, capHint(uint64(rr.Total())))
+	for rec, ok := rr.Next(); ok; rec, ok = rr.Next() {
+		recs = append(recs, rec)
 	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("%w: data past declared record count", ErrCorrupt)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if err := rr.Err(); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
