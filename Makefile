@@ -74,13 +74,16 @@ fuzz-smoke: fuzz-lists
 		$(GO) test ./$(call fuzz_dir,$(s)) -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done;)
 
-## crash-matrix: the fault-injection suite — every mutating filesystem
-## operation of a catalog/manifest/forest save is crashed in turn (torn
-## writes included) and the recovering reopen must land on the old state,
-## the new state, or an explicit quarantine; never a parse error.
+## crash-matrix: the persistence gate. The fault-injection suite crashes
+## every mutating filesystem operation of a catalog/manifest/forest save in
+## turn (torn writes included), and the recovering reopen must land on the
+## old state, the new state, or an explicit quarantine; never a parse error.
+## TestReloadReproducesIntegrationGolden saves three-month systems and
+## reloads them into fresh ones, which must answer every integration golden
+## request byte-identically. -count=1 defeats the test cache.
 crash-matrix:
-	$(GO) test ./internal/faultfs/ ./internal/storage/ ./internal/forest/ \
-		-run 'Crash|Quarantin|Recovery|Injector|FailRead' -count=1
+	$(GO) test . ./internal/faultfs/ ./internal/storage/ ./internal/forest/ \
+		-run 'Crash|Quarantin|Recovery|Injector|FailRead|TestReloadReproducesIntegrationGolden' -count=1
 
 ## bench-quick: one serial-vs-parallel construction measurement, written to
 ## BENCH_parallel.json alongside a flattened metrics snapshot from an

@@ -73,11 +73,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for day, dayRecs := range rs.SplitByDay(spec) {
+		// Days in ascending order: micro IDs are drawn in extraction order
+		// and saved, so two builds from one catalog write the same files.
+		cps.ForEachDay(rs.SplitByDay(spec), func(day int, dayRecs []cps.Record) {
 			micros := cluster.ExtractMicroClusters(&idgen, dayRecs, neighbors, maxGap)
 			f.AddDay(day, micros)
 			totalMicros += len(micros)
-		}
+		})
 		totalRecords += rs.Len()
 		fmt.Fprintf(os.Stdout, "%s: %d records\n", info.Name, rs.Len())
 	}

@@ -85,14 +85,10 @@ func main() {
 		Balance:      cluster.Arithmetic,
 		Period:       cps.Window(spec.PerDay()),
 	}
-	f, err := forest.Load(*forestDir, spec, &idgen, opts, 28)
+	// The load advances idgen past every loaded cluster ID.
+	f, _, err := forest.Load(*forestDir, spec, &idgen, opts, 28, forest.LoadOptions{})
 	if err != nil {
 		fatal(err)
-	}
-	// Cluster IDs in the loaded forest may collide with fresh ones; skip
-	// the generator past a safe point.
-	for i := 0; i < 1_000_000; i++ {
-		idgen.Next()
 	}
 
 	sev := cube.NewSeverityIndex(net, spec)

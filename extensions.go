@@ -128,16 +128,19 @@ func (s *System) SaveForest(dir string) error {
 }
 
 // LoadForest replaces the system's forest with one previously saved by
-// SaveForest. The severity index is not persisted, so it is reset and marked
-// stale: LoadForest returns ErrSeverityStale (wrapped) to make the
-// degradation explicit even though the forest itself loaded fine. Callers
-// that only run All/Pruned queries may treat that error as informational;
-// callers needing Guided queries must RebuildSeverity with the original
-// records, or use LoadForestAndRebuild.
+// SaveForest. Clusters load with their exact severities and IDs, and the
+// system's ID generator moves past them, so queries answer exactly as on
+// the system that saved. The severity index is not persisted, so it is
+// reset and marked stale: LoadForest returns ErrSeverityStale (wrapped) to
+// make the degradation explicit even though the forest itself loaded fine.
+// Callers that only run All/Pruned queries may treat that error as
+// informational; callers needing Guided queries must RebuildSeverity with
+// the original records, or use LoadForestAndRebuild.
 func (s *System) LoadForest(dir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := forest.LoadObserved(dir, s.spec, &s.idgen, s.forest.Options(), s.cfg.DaysPerMonth, s.registry)
+	f, _, err := forest.Load(dir, s.spec, &s.idgen, s.forest.Options(), s.cfg.DaysPerMonth,
+		forest.LoadOptions{Registry: s.registry})
 	if err != nil {
 		return err
 	}
@@ -163,7 +166,7 @@ type ForestRecovery = forest.LoadReport
 func (s *System) LoadForestRecover(dir string) (ForestRecovery, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, report, err := forest.LoadWith(dir, s.spec, &s.idgen, s.forest.Options(), s.cfg.DaysPerMonth,
+	f, report, err := forest.Load(dir, s.spec, &s.idgen, s.forest.Options(), s.cfg.DaysPerMonth,
 		forest.LoadOptions{Recover: true, Registry: s.registry})
 	if err != nil {
 		return report, err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"github.com/cpskit/atypical/internal/cluster"
 )
 
 func TestStreamProcessorThroughFacade(t *testing.T) {
@@ -168,5 +170,39 @@ func TestForestPersistenceThroughFacade(t *testing.T) {
 
 	if err := sys2.LoadForest("/nonexistent"); err == nil || errors.Is(err, ErrSeverityStale) {
 		t.Errorf("missing dir error = %v, want a plain load failure", err)
+	}
+}
+
+// A system that loads a saved forest must not hand out a loaded cluster's
+// ID to a fresh macro: the answer of an All query over the loaded micros
+// carries every ID once.
+func TestLoadForestAnswerIDsUnique(t *testing.T) {
+	sys, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.IngestMonths(1)
+	dir := t.TempDir()
+	if err := sys.SaveForest(dir); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.LoadForest(dir); !errors.Is(err, ErrSeverityStale) {
+		t.Fatalf("LoadForest error = %v, want ErrSeverityStale", err)
+	}
+	res := mustRun(t, fresh, QueryRequest{Days: 28})
+	seen := make(map[cluster.ID]bool, len(res.Macros))
+	dups := 0
+	for _, c := range res.Macros {
+		if seen[c.ID] {
+			dups++
+		}
+		seen[c.ID] = true
+	}
+	if dups != 0 {
+		t.Errorf("%d of %d macros reuse an ID", dups, len(res.Macros))
 	}
 }

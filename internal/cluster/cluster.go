@@ -22,6 +22,19 @@ type IDGen struct {
 // sentinel.
 func (g *IDGen) Next() ID { return ID(g.next.Add(1)) }
 
+// AdvancePast moves the generator so every later ID exceeds id. A system
+// adopting clusters numbered elsewhere — a forest loaded from disk — calls
+// it with their highest ID, so fresh merges never reuse a loaded ID. It
+// never moves the generator backwards.
+func (g *IDGen) AdvancePast(id ID) {
+	for {
+		cur := g.next.Load()
+		if cur >= uint64(id) || g.next.CompareAndSwap(cur, uint64(id)) {
+			return
+		}
+	}
+}
+
 // Reserve atomically claims a block of n consecutive IDs and returns the
 // first. Parallel construction reserves one block per batch and deals IDs
 // out positionally, so the numbering matches what n sequential Next calls
@@ -47,9 +60,6 @@ type Cluster struct {
 	// Micros counts the micro-clusters integrated into this cluster (1 for
 	// a micro-cluster itself).
 	Micros int
-	// Children are the two clusters a macro-cluster was merged from; nil
-	// for micro-clusters. They form the clustering tree of Section III-C.
-	Children []*Cluster
 
 	sev cps.Severity // cached Severity(); set at construction, 0 means unknown
 
@@ -166,11 +176,10 @@ func Merge(gen *IDGen, a, b *Cluster) *Cluster {
 // so concurrent merge scheduling cannot leak into the ID sequence.
 func mergeAs(id ID, a, b *Cluster) *Cluster {
 	out := &Cluster{
-		ID:       id,
-		SF:       MergeFeature(a.SF, b.SF),
-		TF:       MergeFeature(a.TF, b.TF),
-		Micros:   a.Micros + b.Micros,
-		Children: []*Cluster{a, b},
+		ID:     id,
+		SF:     MergeFeature(a.SF, b.SF),
+		TF:     MergeFeature(a.TF, b.TF),
+		Micros: a.Micros + b.Micros,
 	}
 	out.sev = a.Severity() + b.Severity()
 	return out

@@ -78,13 +78,16 @@ func TestFig15And16Shapes(t *testing.T) {
 	if oc <= mc || oc <= ac {
 		t.Errorf("OC (%v) should dominate MC (%v) and AC (%v)", oc, mc, ac)
 	}
-	// Sizes: OC biggest, AC well under AE.
+	// Sizes: OC biggest, AC well under AE. AC keeps every severity as its
+	// exact 8-byte float64 (so a reloaded forest answers byte-identically)
+	// where AE stores a quantized varint of one to three bytes, which puts
+	// AC near a quarter of AE on these datasets.
 	lastS := f16.Rows[len(f16.Rows)-1]
 	mcS, acS, ocS, aeS := parseF(t, lastS[1]), parseF(t, lastS[2]), parseF(t, lastS[3]), parseF(t, lastS[4])
 	if ocS <= aeS {
 		t.Errorf("OC model (%v KB) should exceed AE (%v KB): it materializes every reading's cells", ocS, aeS)
 	}
-	if acS >= aeS/5 {
+	if acS >= aeS/3 {
 		t.Errorf("AC (%v KB) should be a small fraction of AE (%v KB)", acS, aeS)
 	}
 	if mcS >= ocS {

@@ -29,12 +29,12 @@ func ExtStream(e *Env) []*Table {
 	start := time.Now()
 	batchCount := 0
 	var batchSev cps.Severity
-	for _, dayRecs := range ds.Atypical.SplitByDay(e.Spec) {
+	cps.ForEachDay(ds.Atypical.SplitByDay(e.Spec), func(_ int, dayRecs []cps.Record) {
 		for _, c := range cluster.ExtractMicroClusters(&idgen, dayRecs, e.neighbors, e.maxGap) {
 			batchCount++
 			batchSev += c.Severity()
 		}
-	}
+	})
 	batchMS := float64(time.Since(start).Microseconds()) / 1000
 	t.AddRow("batch", batchCount, float64(batchSev), batchMS, float64(len(recs))/batchMS*1000)
 

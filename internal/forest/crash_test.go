@@ -57,7 +57,7 @@ func TestForestSaveCrashMatrix(t *testing.T) {
 		}
 
 		var g cluster.IDGen
-		loaded, report, err := LoadWith(dir, cps.DefaultSpec(), &g, opts(), 30,
+		loaded, report, err := Load(dir, cps.DefaultSpec(), &g, opts(), 30,
 			LoadOptions{Recover: true})
 		if err != nil {
 			t.Fatalf("crash %d/%d: recovering load: %v", k, ops, err)
@@ -71,7 +71,7 @@ func TestForestSaveCrashMatrix(t *testing.T) {
 		}
 		// The strict loader must agree: nothing on disk is torn.
 		var g2 cluster.IDGen
-		if _, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30); err != nil {
+		if _, _, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30, LoadOptions{}); err != nil {
 			t.Fatalf("crash %d/%d: strict load after crash: %v", k, ops, err)
 		}
 		// Crash debris is cleared by the load, not inherited forever.
@@ -87,33 +87,62 @@ func TestForestSaveCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestForestLoadQuarantinesFlippedFile bit-flips one cluster file: the
-// strict load fails with ErrCorrupt, the recovering load quarantines the
-// file, counts it, and serves the healthy remainder.
+// TestForestLoadQuarantinesFlippedFile damages one cluster file — a bit
+// flip, or a day file left in the retired quantized ATYPCLU2 format, which
+// cannot give exact answers — and checks the degraded mode is explicit: the
+// strict load fails with the matching storage error, the recovering load
+// quarantines the file, counts it, and serves the healthy remainder.
 func TestForestLoadQuarantinesFlippedFile(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, victim string)
+		wantErr error
+	}{
+		{"flipped", func(t *testing.T, victim string) {
+			data, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-3] ^= 0x20
+			if err := os.WriteFile(victim, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, storage.ErrCorrupt},
+		// testdata/day-00002-atypclu2.clu is day 2 of buildForest(5) as the
+		// quantized writer saved it before that format was retired.
+		{"retired ATYPCLU2", func(t *testing.T, victim string) {
+			data, err := os.ReadFile("testdata/day-00002-atypclu2.clu")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(victim, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, storage.ErrBadMagic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testLoadQuarantines(t, tc.damage, tc.wantErr)
+		})
+	}
+}
+
+func testLoadQuarantines(t *testing.T, damage func(t *testing.T, victim string), wantErr error) {
 	f, _ := buildForest(t, 5)
 	dir := t.TempDir()
 	if err := f.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	victim := filepath.Join(dir, "day-00002.clu")
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-3] ^= 0x20
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damage(t, victim)
 
 	var g cluster.IDGen
-	if _, err := Load(dir, cps.DefaultSpec(), &g, opts(), 30); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("strict load of flipped file: err = %v, want ErrCorrupt", err)
+	if _, _, err := Load(dir, cps.DefaultSpec(), &g, opts(), 30, LoadOptions{}); !errors.Is(err, wantErr) {
+		t.Fatalf("strict load of damaged file: err = %v, want %v", err, wantErr)
 	}
 
 	reg := obs.NewRegistry()
 	var g2 cluster.IDGen
-	loaded, report, err := LoadWith(dir, cps.DefaultSpec(), &g2, opts(), 30,
+	loaded, report, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30,
 		LoadOptions{Recover: true, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +170,7 @@ func TestForestLoadQuarantinesFlippedFile(t *testing.T) {
 
 	// A reload of the quarantined directory is clean: *.corrupt is ignored.
 	var g3 cluster.IDGen
-	again, report2, err := LoadWith(dir, cps.DefaultSpec(), &g3, opts(), 30,
+	again, report2, err := Load(dir, cps.DefaultSpec(), &g3, opts(), 30,
 		LoadOptions{Recover: true})
 	if err != nil {
 		t.Fatal(err)

@@ -440,8 +440,9 @@ func (f *Forest) IntegratePath(path PathFunc) map[int][]*cluster.Cluster {
 // Save persists the forest to dir: one cluster file per materialized day,
 // plus one per *memoized* week and month — the partially materialized data
 // structure of Section IV (micro-clusters and the low-level macro-clusters
-// that have been computed; everything else is integrated on demand). The
-// snapshot is taken under the lock; file I/O runs outside it.
+// that have been computed; everything else is integrated on demand). Each
+// file is one exact cluster set (storage.WriteClustersExact). The snapshot
+// is taken under the lock; file I/O runs outside it.
 //
 // Every file is written through the faultfs atomic protocol (temp file →
 // fsync → rename → directory fsync), so a crash mid-save leaves each file
@@ -481,7 +482,7 @@ func (f *Forest) SaveFS(dir string, fsys faultfs.FS) error {
 		if err != nil {
 			return fmt.Errorf("forest: %w", err)
 		}
-		n, err := storage.WriteClusters(af, snap.cs)
+		n, err := storage.WriteClustersExact(af, snap.cs)
 		if err != nil {
 			af.Abort()
 			return fmt.Errorf("forest: writing %s: %w", path, err)
@@ -496,7 +497,7 @@ func (f *Forest) SaveFS(dir string, fsys faultfs.FS) error {
 	return nil
 }
 
-// LoadOptions configures LoadWith.
+// LoadOptions configures Load.
 type LoadOptions struct {
 	// FS is the filesystem seam; nil means the real filesystem.
 	FS faultfs.FS
@@ -519,24 +520,14 @@ type LoadReport struct {
 }
 
 // Load reads a forest previously saved to dir, restoring the materialized
-// days and any persisted week/month levels into the memo caches. Any
-// corrupt file fails the load with an error wrapping storage.ErrCorrupt.
-func Load(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.IntegrateOptions, daysPerMonth int) (*Forest, error) {
-	return LoadObserved(dir, spec, gen, opts, daysPerMonth, nil)
-}
-
-// LoadObserved is Load with an observer attached before any file is read, so
-// the bytes-read counter covers the restore itself as well as later Saves.
-// A nil registry behaves exactly like Load.
-func LoadObserved(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.IntegrateOptions, daysPerMonth int, r *obs.Registry) (*Forest, error) {
-	f, _, err := LoadWith(dir, spec, gen, opts, daysPerMonth, LoadOptions{Registry: r})
-	return f, err
-}
-
-// LoadWith reads a saved forest with explicit filesystem and recovery
-// options. Stray *.tmp files (crash debris) are removed; *.corrupt files
-// (previous quarantines) are ignored.
-func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.IntegrateOptions, daysPerMonth int, lo LoadOptions) (*Forest, LoadReport, error) {
+// days and any persisted week/month levels into the memo caches. Cluster
+// files carry exact severities and IDs, so the loaded forest integrates
+// exactly like the one that was saved; gen is advanced past the highest
+// loaded ID so fresh merges never reuse one. Without lo.Recover any corrupt
+// file — or one in a retired format (storage.ErrBadMagic) — fails the load.
+// Stray *.tmp files (crash debris) are removed; *.corrupt files (previous
+// quarantines) are ignored.
+func Load(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.IntegrateOptions, daysPerMonth int, lo LoadOptions) (*Forest, LoadReport, error) {
 	fsys := lo.FS
 	if fsys == nil {
 		fsys = faultfs.OS{}
@@ -563,7 +554,7 @@ func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.
 		if m != nil {
 			src = cr
 		}
-		cs, err := storage.ReadClusters(src)
+		cs, err := storage.ReadClustersExact(src)
 		if m != nil {
 			m.bytesRead.Add(cr.n)
 		}
@@ -590,6 +581,9 @@ func LoadWith(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.
 			}
 			report.Quarantined = append(report.Quarantined, e.Name())
 			continue
+		}
+		for _, c := range cs {
+			gen.AdvancePast(c.ID)
 		}
 		switch level {
 		case "day":

@@ -210,29 +210,35 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var g2 cluster.IDGen
-	loaded, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30)
+	loaded, _, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded.Days()) != 5 {
 		t.Fatalf("loaded days = %d", len(loaded.Days()))
 	}
+	var maxID cluster.ID
 	for _, d := range loaded.Days() {
 		orig, got := f.Day(d), loaded.Day(d)
 		if len(orig) != len(got) {
 			t.Fatalf("day %d: %d vs %d clusters", d, len(orig), len(got))
 		}
 		for i := range orig {
-			if orig[i].Severity() != got[i].Severity() {
-				t.Errorf("day %d cluster %d severity mismatch", d, i)
+			if orig[i].ID != got[i].ID || orig[i].Severity() != got[i].Severity() {
+				t.Errorf("day %d cluster %d: loaded %v, saved %v", d, i, got[i], orig[i])
 			}
+			maxID = max(maxID, got[i].ID)
 		}
+	}
+	// Fresh merges must not reuse a loaded ID.
+	if id := g2.Next(); id <= maxID {
+		t.Errorf("generator after load issued %d, want above the loaded maximum %d", id, maxID)
 	}
 }
 
 func TestLoadMissingDir(t *testing.T) {
 	var g cluster.IDGen
-	if _, err := Load("/nonexistent/forest", cps.DefaultSpec(), &g, opts(), 30); err == nil {
+	if _, _, err := Load("/nonexistent/forest", cps.DefaultSpec(), &g, opts(), 30, LoadOptions{}); err == nil {
 		t.Error("missing dir should error")
 	}
 }
@@ -256,7 +262,7 @@ func TestSaveLoadMemoizedLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	var g2 cluster.IDGen
-	loaded, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30)
+	loaded, _, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"github.com/cpskit/atypical/internal/cps"
 )
 
-// Every CRC-protected unit — a record block, an ATYPCLU2 file body, an
-// ATYPCLX1 shard answer — is one frame (little endian):
+// Every CRC-protected unit — a record block, an ATYPCLX1 cluster file or
+// shard answer — is one frame (little endian):
 //
 //	uvarint payloadLen | uint32 crc32-IEEE(payload) | payload
 //
@@ -97,12 +97,12 @@ type encoder struct{ b []byte }
 
 func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-// quantized writes s as a count of SeverityQuantum (the storage encoding).
+// quantized writes s as a count of SeverityQuantum (the record encoding).
 func (e *encoder) quantized(s cps.Severity) {
 	e.uvarint(uint64(math.Round(float64(s) / SeverityQuantum)))
 }
 
-// float64bits writes s as its raw IEEE-754 bits (the exact wire encoding).
+// float64bits writes s as its raw IEEE-754 bits (the cluster encoding).
 func (e *encoder) float64bits(s cps.Severity) {
 	e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(float64(s)))
 }

@@ -31,7 +31,7 @@ func TestReadRecordsArbitraryBytesProperty(t *testing.T) {
 
 func TestReadClustersArbitraryBytesProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		_, err := ReadClusters(bytes.NewReader(data))
+		_, err := ReadClustersExact(bytes.NewReader(data))
 		_ = err
 		return true // reaching here means no panic
 	}
@@ -178,7 +178,6 @@ func hugeFrameHeader(magic [8]byte, head []byte, payloadLen uint64) []byte {
 // network from a shard or from a corrupted file.
 func TestDecodersBoundAllocation(t *testing.T) {
 	clusterFile := hugeFrameHeader(clusterMagic, nil, maxClusterPayload)
-	exactFile := hugeFrameHeader(clusterExactMagic, nil, maxClusterPayload)
 	// One declared record, in a block declaring the block payload cap.
 	recordFile := hugeFrameHeader(recordMagic, []byte{1, 1}, maxBlockPayload)
 	for _, tc := range []struct {
@@ -186,8 +185,7 @@ func TestDecodersBoundAllocation(t *testing.T) {
 		input  []byte
 		decode func(io.Reader) error
 	}{
-		{"ReadClusters", clusterFile, func(r io.Reader) error { _, err := ReadClusters(r); return err }},
-		{"ReadClustersExact", exactFile, func(r io.Reader) error { _, err := ReadClustersExact(r); return err }},
+		{"ReadClustersExact", clusterFile, func(r io.Reader) error { _, err := ReadClustersExact(r); return err }},
 		{"ReadRecords", recordFile, func(r io.Reader) error { _, err := ReadRecords(r); return err }},
 		{"RecordReader.Next", recordFile, func(r io.Reader) error {
 			rr, err := NewRecordReader(r)
@@ -212,67 +210,58 @@ func TestDecodersBoundAllocation(t *testing.T) {
 	}
 }
 
-// FuzzReadClusters drives both cluster decoders — the forest file reader
-// and the shard wire reader — over arbitrary bytes. They must never panic,
-// must classify every rejection as ErrCorrupt or ErrBadMagic, and any set
-// one accepts must re-encode and decode again to the same IDs, children
-// and severity bits.
+// FuzzReadClusters drives the cluster decoder — the forest file reader and
+// the shard wire reader alike — over arbitrary bytes. It must never panic,
+// must classify every rejection as ErrCorrupt or ErrBadMagic, must reject
+// the retired quantized formats as ErrBadMagic, and any set it accepts must
+// re-encode and decode again to the same IDs, micro counts and severity
+// bits.
 func FuzzReadClusters(f *testing.F) {
-	// Two micros and their merge: small seeds keep minimization quick, and
-	// the macro's child links resolve within the set.
+	// Two micros and their merge: small seeds keep minimization quick.
 	cs := goldenClusters()
-	small := []*cluster.Cluster{cs[0], cs[1], cs[40]}
-	var v2, x1 bytes.Buffer
-	if _, err := WriteClusters(&v2, small); err != nil {
+	var x1 bytes.Buffer
+	if _, err := WriteClustersExact(&x1, []*cluster.Cluster{cs[0], cs[1], cs[40]}); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := WriteClustersExact(&x1, small); err != nil {
-		f.Fatal(err)
-	}
-	// Version 1 is the version-2 payload with no length/CRC frame.
-	_, k := binary.Uvarint(v2.Bytes()[len(clusterMagic):])
-	v1 := append(append([]byte(nil), clusterMagicV1[:]...), v2.Bytes()[len(clusterMagic)+k+4:]...)
-	for _, valid := range [][]byte{v1, v2.Bytes(), x1.Bytes()} {
+	retired := retiredClusterFiles(f)
+	for _, valid := range [][]byte{retired[0], retired[1], x1.Bytes()} {
 		f.Add(valid)
 		f.Add(valid[:len(valid)*2/3])
 		flipped := append([]byte(nil), valid...)
 		flipped[len(flipped)/2] ^= 0x08
 		f.Add(flipped)
 	}
+	f.Add(hugeFrameHeader([8]byte(retired[1]), nil, maxClusterPayload))
 	f.Add(hugeFrameHeader(clusterMagic, nil, maxClusterPayload))
-	f.Add(hugeFrameHeader(clusterExactMagic, nil, maxClusterPayload))
 	// A version-1 cluster whose one severity is a quantum count too large
 	// to survive a round trip through float64.
 	var e encoder
 	for _, v := range []uint64{1, 7, 1, 0, 1, 0, math.MaxUint64, 0} {
 		e.uvarint(v)
 	}
-	f.Add(append(append([]byte(nil), clusterMagicV1[:]...), e.b...))
+	f.Add(append(retired[0][:8:8], e.b...))
 
-	codecs := []struct {
-		read  func(io.Reader) ([]*cluster.Cluster, error)
-		write func(io.Writer, []*cluster.Cluster) (int64, error)
-	}{{ReadClusters, WriteClusters}, {ReadClustersExact, WriteClustersExact}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, codec := range codecs {
-			got, err := codec.read(bytes.NewReader(data))
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) {
-					t.Fatalf("unclassified rejection: %v", err)
-				}
-				continue
+		got, err := ReadClustersExact(bytes.NewReader(data))
+		if retiredClusterFile(data) && !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("retired format: got %v, want ErrBadMagic", err)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) {
+				t.Fatalf("unclassified rejection: %v", err)
 			}
-			var buf bytes.Buffer
-			if _, err := codec.write(&buf, got); err != nil {
-				t.Fatal(err)
-			}
-			again, err := codec.read(&buf)
-			if err != nil {
-				t.Fatalf("re-encoded set rejected: %v", err)
-			}
-			if d := clusterSetDiff(again, got); d != "" {
-				t.Fatalf("re-encoded set decodes differently: %s", d)
-			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := WriteClustersExact(&buf, got); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadClustersExact(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded set rejected: %v", err)
+		}
+		if d := clusterSetDiff(again, got); d != "" {
+			t.Fatalf("re-encoded set decodes differently: %s", d)
 		}
 	})
 }

@@ -1,12 +1,13 @@
 // Package storage implements the on-disk formats: a compact block-encoded
-// record file for CPS datasets and a feature codec for atypical clusters.
-// Both formats feed the model-size comparison of Fig. 16 (AE = serialized
-// events, AC = serialized clusters, OC/MC = cube cells) and let cmd tools
-// persist datasets and forests between runs. A third codec, ATYPCLX1
-// (clusters_exact.go), carries micro-clusters with exact severities over the
-// shard wire.
+// record file for CPS datasets and one exact cluster codec, ATYPCLX1
+// (clusters.go), that serves both saved forests and shard answers on the
+// wire. Both formats feed the model-size comparison of Fig. 16 (AE =
+// serialized events, AC = serialized clusters, OC/MC = cube cells) and let
+// cmd tools persist datasets and forests between runs. Records quantize
+// severities; clusters keep their exact bits, so a reloaded forest or a
+// gathered shard answer integrates exactly like the original.
 //
-// Every CRC-protected unit — a record block, a cluster file body, a shard
+// Every CRC-protected unit — a record block, a cluster file, a shard
 // answer — is one frame (frame.go): uvarint payloadLen | uint32 crc32 |
 // payload. Decoders treat all input as hostile: counts and lengths are
 // clamped before use, and memory grows with the bytes actually received,
