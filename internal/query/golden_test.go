@@ -13,18 +13,16 @@ import (
 	"time"
 
 	atypical "github.com/cpskit/atypical"
-	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/query"
 )
 
 // The query-signal goldens pin the bytes the query path reports about
 // itself: the canonical EXPLAIN record and the flight-recorder wide event
-// for every strategy × worker mode × sharding × cache verdict, plus the
-// materialized path's memo story. Run-unique fields (timestamps, durations,
-// trace IDs, merge-born cluster IDs) are normalized; everything else —
-// cardinalities, stage names and order, bounds, forest version, severity
-// generation, cache verdict, shard fan-out, SLO verdict — must repeat byte
-// for byte. Regenerate with
+// for every strategy × worker mode × sharding × cache verdict. Run-unique
+// fields (timestamps, durations, trace IDs, merge-born cluster IDs) are
+// normalized; everything else — cardinalities, stage names and order,
+// bounds, forest version, severity generation, cache verdict, shard
+// fan-out, SLO verdict — must repeat byte for byte. Regenerate with
 //
 //	go test ./internal/query/ -run TestQuerySignalGoldens -update
 //
@@ -32,8 +30,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata/golden files from the current code")
 
-// goldenConfig is a small deployment with two whole weeks, so the
-// materialized run has a memo path.
+// goldenConfig is a small deployment with two whole weeks.
 func goldenConfig() atypical.Config {
 	cfg := atypical.DefaultConfig()
 	cfg.Sensors = 120
@@ -188,21 +185,4 @@ func TestQuerySignalGoldens(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMaterializedExplainGolden pins the materialized path's EXPLAIN over a
-// cold forest (every week lookup misses) and a warm one (every lookup hits).
-func TestMaterializedExplainGolden(t *testing.T) {
-	sys := goldenSystem(t, 0, 0)
-	e := &query.Engine{Net: sys.Network(), Forest: sys.Forest(), Gen: &cluster.IDGen{}}
-	q := query.CityQuery(sys.Network(), sys.Spec(), 0, 14, goldenConfig().DeltaS)
-	runs := map[string]*query.Explain{}
-	for _, phase := range []string{"cold", "warm"} {
-		ctx, exp := query.WithExplain(context.Background())
-		if _, err := e.RunMaterializedCtx(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-		runs[phase] = exp.Canonical()
-	}
-	checkGolden(t, "materialized.json", runs)
 }
