@@ -78,7 +78,10 @@ fuzz-smoke: fuzz-lists
 ## every mutating filesystem operation of a catalog/manifest/forest save in
 ## turn (torn writes included), and the recovering reopen must land on the
 ## old state, the new state, or an explicit quarantine; never a parse error.
-## TestReloadReproducesIntegrationGolden saves three-month systems and
+## TestStaleLevelFilesNeverQuarantined (matched by `Quarantin`) loads a
+## forest directory holding week-*/month-* files from older saves, valid and
+## corrupt: only day files are stored data, so the load is strict-clean and
+## quarantines nothing. TestReloadReproducesIntegrationGolden saves three-month systems and
 ## reloads them into fresh ones, which must answer every integration golden
 ## request byte-identically. -count=1 defeats the test cache.
 crash-matrix:

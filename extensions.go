@@ -121,8 +121,8 @@ func (s *System) FilterUntrusted(rs *RecordSet, scores []TrustScore, minTrust fl
 	return out
 }
 
-// SaveForest persists the forest's materialized days (and any memoized
-// week/month levels) to dir.
+// SaveForest persists the forest's stored days to dir; higher levels are
+// derived and integrated on demand, so nothing else is written.
 func (s *System) SaveForest(dir string) error {
 	return s.Forest().Save(dir)
 }

@@ -159,35 +159,3 @@ func AblAggregate(e *Env) []*Table {
 		"rollup answers day-aligned F in O(regions×days); rtree is spatial-only (whole-month weights); arbtree carries per-node per-day aggregates")
 	return []*Table{t}
 }
-
-// AblMaterialize compares All-semantics query processing from raw
-// micro-clusters against the partially materialized path that reuses
-// memoized week-level macro-clusters (Section IV) — the second run pays
-// only the final integration.
-func AblMaterialize(e *Env) []*Table {
-	t := &Table{
-		ID:     "abl-materialize",
-		Title:  "Query from micro-clusters vs materialized week levels (All semantics, ms)",
-		Header: []string{"days", "micros(ms)", "mat-cold(ms)", "mat-warm(ms)", "warm-inputs"},
-	}
-	engine := e.QueryStack()
-	for _, days := range e.QueryRanges() {
-		q := query.CityQuery(e.Net, e.Spec, 0, days, e.Cfg.DeltaS)
-
-		start := time.Now()
-		engine.Run(q, query.All)
-		microMS := float64(time.Since(start).Microseconds()) / 1000
-
-		start = time.Now()
-		engine.RunMaterialized(q) // integrates and memoizes the weeks
-		coldMS := float64(time.Since(start).Microseconds()) / 1000
-
-		start = time.Now()
-		warm := engine.RunMaterialized(q)
-		warmMS := float64(time.Since(start).Microseconds()) / 1000
-
-		t.AddRow(days, microMS, coldMS, warmMS, warm.InputMicros)
-	}
-	t.Notes = append(t.Notes, "warm runs reuse the memoized week macro-clusters; Property 3 guarantees the same integrated result")
-	return []*Table{t}
-}

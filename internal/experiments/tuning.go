@@ -153,21 +153,20 @@ func maxIntE(a, b int) int {
 // Registry maps experiment ids to their functions. Fig. 15 and 16 share a
 // sweep and are produced together.
 var Registry = map[string]func(*Env) []*Table{
-	"fig14":           Fig14,
-	"fig15":           Fig15, // also emits fig16
-	"fig17":           Fig17,
-	"fig18":           Fig18,
-	"fig19":           Fig19,
-	"fig20":           Fig20,
-	"fig21":           Fig21,
-	"abl-extract":     AblExtract,
-	"abl-integrate":   AblIntegrate,
-	"abl-agg":         AblAggregate,
-	"abl-materialize": AblMaterialize,
-	"par-construct":   ParConstruct,
-	"ext-stream":      ExtStream,
-	"ext-predict":     ExtPredict,
-	"ext-trust":       ExtTrust,
+	"fig14":         Fig14,
+	"fig15":         Fig15, // also emits fig16
+	"fig17":         Fig17,
+	"fig18":         Fig18,
+	"fig19":         Fig19,
+	"fig20":         Fig20,
+	"fig21":         Fig21,
+	"abl-extract":   AblExtract,
+	"abl-integrate": AblIntegrate,
+	"abl-agg":       AblAggregate,
+	"par-construct": ParConstruct,
+	"ext-stream":    ExtStream,
+	"ext-predict":   ExtPredict,
+	"ext-trust":     ExtTrust,
 }
 
 // Order lists experiment ids in presentation order: the paper's figures
@@ -175,6 +174,6 @@ var Registry = map[string]func(*Env) []*Table{
 var Order = []string{
 	"fig14", "fig15", "fig17", "fig18", "fig19", "fig20", "fig21",
 	"par-construct",
-	"abl-extract", "abl-integrate", "abl-agg", "abl-materialize",
+	"abl-extract", "abl-integrate", "abl-agg",
 	"ext-stream", "ext-predict", "ext-trust",
 }

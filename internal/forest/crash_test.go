@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -20,23 +21,20 @@ import (
 // atomic protocol never publishes torn files) succeeds with nothing to
 // quarantine.
 func TestForestSaveCrashMatrix(t *testing.T) {
-	// The second save overwrites day files and adds a memoized week, so the
-	// matrix covers both fresh and replacing renames.
-	build := func(days int, memoWeek bool) *Forest {
+	// The second save overwrites days 0–2 and adds days 3–6, so the matrix
+	// covers both fresh and replacing renames.
+	build := func(days int) *Forest {
 		f, _ := buildForest(t, days)
-		if memoWeek {
-			f.Week(0)
-		}
 		return f
 	}
 
 	probe := faultfs.NewInjector(faultfs.OS{})
 	probeDir := t.TempDir()
-	if err := build(3, false).SaveFS(probeDir, probe); err != nil {
+	if err := build(3).SaveFS(probeDir, probe); err != nil {
 		t.Fatal(err)
 	}
 	before := probe.MutatingOps()
-	if err := build(7, true).SaveFS(probeDir, probe); err != nil {
+	if err := build(7).SaveFS(probeDir, probe); err != nil {
 		t.Fatal(err)
 	}
 	ops := probe.MutatingOps() - before
@@ -46,13 +44,13 @@ func TestForestSaveCrashMatrix(t *testing.T) {
 
 	for k := 1; k <= ops; k++ {
 		dir := t.TempDir()
-		if err := build(3, false).Save(dir); err != nil {
+		if err := build(3).Save(dir); err != nil {
 			t.Fatal(err)
 		}
 		inj := faultfs.NewInjector(faultfs.OS{})
 		inj.ShortWrites(true)
 		inj.CrashAt(k)
-		if err := build(7, true).SaveFS(dir, inj); err == nil {
+		if err := build(7).SaveFS(dir, inj); err == nil {
 			t.Fatalf("crash %d/%d: injected save unexpectedly succeeded", k, ops)
 		}
 
@@ -180,5 +178,50 @@ func testLoadQuarantines(t *testing.T, damage func(t *testing.T, victim string),
 	}
 	if len(again.Days()) != 4 {
 		t.Errorf("second recovery days = %v", again.Days())
+	}
+}
+
+// TestStaleLevelFilesNeverQuarantined loads a directory that also holds the
+// week-*/month-* level files older saves wrote — one a valid cluster set,
+// one corrupt. Only day files are stored data, so both loads succeed with
+// nothing quarantined, the level files stay untouched, and every day loads.
+func TestStaleLevelFilesNeverQuarantined(t *testing.T) {
+	f, _ := buildForest(t, 14)
+	dir := t.TempDir()
+	if err := f.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	var stale bytes.Buffer
+	if _, err := storage.WriteClustersExact(&stale, f.Week(0)); err != nil {
+		t.Fatal(err)
+	}
+	levels := map[string][]byte{
+		"week-00000.clu":  stale.Bytes(),
+		"month-00000.clu": []byte("not a cluster file"),
+	}
+	for name, data := range levels {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, lo := range []LoadOptions{{}, {Recover: true}} {
+		var g cluster.IDGen
+		loaded, report, err := Load(dir, cps.DefaultSpec(), &g, opts(), 30, lo)
+		if err != nil {
+			t.Fatalf("Recover=%v: %v", lo.Recover, err)
+		}
+		if len(report.Quarantined) != 0 {
+			t.Fatalf("Recover=%v: quarantined %v", lo.Recover, report.Quarantined)
+		}
+		if got, want := loaded.Stats(), f.Stats(); got != want {
+			t.Fatalf("Recover=%v: loaded %+v, saved %+v", lo.Recover, got, want)
+		}
+	}
+	for name, want := range levels {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed by the load (err %v)", name, err)
+		}
 	}
 }

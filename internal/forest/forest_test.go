@@ -104,23 +104,22 @@ func TestWeekIntegratesRecurringEvents(t *testing.T) {
 	}
 }
 
-func TestWeekMemoizationAndInvalidation(t *testing.T) {
+func TestWeekReflectsAddDay(t *testing.T) {
 	f, g := buildForest(t, 7)
-	w1 := f.Week(0)
-	w2 := f.Week(0)
-	if &w1[0] != &w2[0] {
-		t.Error("Week should memoize")
+	micros := func() (n int) {
+		for _, c := range f.Week(0) {
+			n += c.Micros
+		}
+		return n
 	}
-	// Adding a day to week 0 invalidates the cache.
+	if got := micros(); got != 14 {
+		t.Fatalf("week 0 integrates %d micros, want 14", got)
+	}
+	// Replacing a day of week 0 shows in the next Week(0).
 	spec := cps.DefaultSpec()
 	f.AddDay(3, []*cluster.Cluster{dayMicro(g, spec, 3, 2000, 3)})
-	w3 := f.Week(0)
-	total := 0
-	for _, c := range w3 {
-		total += c.Micros
-	}
-	if total != 13 { // 6 days × 2 + 1 replaced day × 1
-		t.Errorf("after invalidation micros = %d, want 13", total)
+	if got := micros(); got != 13 { // 6 days × 2 + 1 replaced day × 1
+		t.Errorf("after AddDay micros = %d, want 13", got)
 	}
 }
 
@@ -138,9 +137,25 @@ func TestMonthBuildsOnWeeks(t *testing.T) {
 	if month[0].Micros != 14 {
 		t.Errorf("month integrates %d micros, want 14", month[0].Micros)
 	}
-	// Weeks are cached as a side effect.
-	if f.Stats().WeeksCached != 2 {
-		t.Errorf("weeks cached = %d", f.Stats().WeeksCached)
+}
+
+// A month integrates its own days only, also when its edges fall inside a
+// week: with 30-day months, weeks 4 and 8 straddle month boundaries.
+func TestMonthIntegratesOnlyItsDays(t *testing.T) {
+	var g cluster.IDGen
+	spec := cps.DefaultSpec()
+	f := New(spec, &g, opts(), 30)
+	for d := 0; d < 60; d++ {
+		f.AddDay(d, []*cluster.Cluster{dayMicro(&g, spec, d, 0, 5)})
+	}
+	for m := 0; m < 2; m++ {
+		micros := 0
+		for _, c := range f.Month(m) {
+			micros += c.Micros
+		}
+		if micros != 30 {
+			t.Errorf("month %d integrates %d micros, want its 30 days' 30", m, micros)
+		}
 	}
 }
 
@@ -203,6 +218,29 @@ func TestIntegratePath(t *testing.T) {
 	}
 }
 
+// IntegratePath draws merge IDs bucket by bucket in day order, so the IDs
+// it assigns do not depend on map iteration.
+func TestIntegratePathDrawsIDsInDayOrder(t *testing.T) {
+	var g cluster.IDGen
+	spec := cps.DefaultSpec()
+	f := New(spec, &g, cluster.IntegrateOptions{SimThreshold: 0.4, Balance: cluster.Arithmetic}, 30)
+	for d := 0; d < 28; d++ {
+		f.AddDay(d, []*cluster.Cluster{dayMicro(&g, spec, d, 0, 5)})
+	}
+	buckets := f.IntegratePath(WeekdayWeekendPath)
+	var prev cluster.ID
+	for b := 0; b < 8; b++ {
+		if len(buckets[b]) != 1 {
+			t.Fatalf("bucket %d: %d clusters, want 1", b, len(buckets[b]))
+		}
+		if id := buckets[b][0].ID; id <= prev {
+			t.Errorf("bucket %d merged as ID %d, not above bucket %d's %d", b, id, b-1, prev)
+		} else {
+			prev = id
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	f, _ := buildForest(t, 5)
 	dir := t.TempDir()
@@ -251,39 +289,4 @@ func TestNewPanicsOnBadMonth(t *testing.T) {
 	}()
 	var g cluster.IDGen
 	New(cps.DefaultSpec(), &g, opts(), 0)
-}
-
-func TestSaveLoadMemoizedLevels(t *testing.T) {
-	f, _ := buildForest(t, 14)
-	// Memoize a week and the month before saving.
-	week0 := f.Week(0)
-	dir := t.TempDir()
-	if err := f.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	var g2 cluster.IDGen
-	loaded, _, err := Load(dir, cps.DefaultSpec(), &g2, opts(), 30, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Stats().WeeksCached != 1 {
-		t.Fatalf("loaded weeks cached = %d, want 1", loaded.Stats().WeeksCached)
-	}
-	// The cached week is served without re-integration and matches.
-	got := loaded.Week(0)
-	if len(got) != len(week0) {
-		t.Fatalf("loaded week clusters = %d, want %d", len(got), len(week0))
-	}
-	var wantSev, gotSev cps.Severity
-	for i := range week0 {
-		wantSev += week0[i].Severity()
-		gotSev += got[i].Severity()
-	}
-	if wantSev != gotSev {
-		t.Errorf("loaded week severity %v, want %v", gotSev, wantSev)
-	}
-	// Un-memoized week 1 is still computable from the loaded days.
-	if len(loaded.Week(1)) == 0 {
-		t.Error("week 1 not recomputable after load")
-	}
 }

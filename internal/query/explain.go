@@ -2,8 +2,8 @@
 // the All/Pru/Gui strategies; aggregate counters (metrics.go) show the
 // trade across traffic, but debugging one slow or surprising query needs
 // the per-run story: which strategy ran, how many micro-clusters each stage
-// saw and shed, which red zones Gui consulted, how the forest's memo cache
-// behaved, the shape of the integration merge tree, and the significance
+// saw and shed, which red zones Gui consulted, which forest version it
+// read, the shape of the integration merge tree, and the significance
 // bound arithmetic δs·length(T)·N applied to each macro-cluster's actual
 // severity. An Explain record captures exactly that.
 //
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/cpskit/atypical/internal/cluster"
-	"github.com/cpskit/atypical/internal/obs"
 	"github.com/cpskit/atypical/internal/obs/flight"
 )
 
@@ -57,8 +56,7 @@ type Explain struct {
 	// Scatter is present on sharded runs only: the per-shard fan-out behind
 	// the scatter/gather stages.
 	Scatter *ExplainScatter `json:"scatter,omitempty"`
-	// Forest describes the forest state consulted and the memoized-level
-	// path taken (materialized runs).
+	// Forest describes the forest state consulted.
 	Forest ExplainForest `json:"forest"`
 	// MergeTree is the integration shape.
 	MergeTree ExplainMergeTree `json:"merge_tree"`
@@ -124,21 +122,10 @@ type ExplainShard struct {
 	Micros int    `json:"micros"`
 }
 
-// ExplainMemo is one memoized-level lookup inside the forest.
-type ExplainMemo struct {
-	Level   string `json:"level"`
-	Index   int    `json:"index"`
-	Hit     bool   `json:"hit"`
-	Version uint64 `json:"version"`
-}
-
 // ExplainForest ties the answer to a forest state.
 type ExplainForest struct {
 	// Version is the forest's write-version counter at run time.
 	Version uint64 `json:"version"`
-	// Memos is the memoized-level path, in lookup order (materialized runs;
-	// empty when the run scanned raw day leaves only).
-	Memos []ExplainMemo `json:"memos,omitempty"`
 }
 
 // ExplainMergeTree is the integration shape: the serial pairwise scan or
@@ -177,20 +164,12 @@ type explainKey struct{}
 
 // WithExplain arms ctx to collect an Explain for the next engine run on
 // this context and returns the record, which the run fills in place when it
-// finishes.
-// The context also carries a memo sink so forest lookups report their
-// hit/miss path. One record collects one run: arm a fresh context per
-// query. Collection is not synchronized — use the returned record only
-// after the run returns.
+// finishes. One record collects one run: arm a fresh context per query.
+// Collection is not synchronized — use the returned record only after the
+// run returns.
 func WithExplain(ctx context.Context) (context.Context, *Explain) {
 	exp := &Explain{}
-	ctx = context.WithValue(ctx, explainKey{}, exp)
-	ctx = obs.WithMemoSink(ctx, func(ev obs.MemoEvent) {
-		exp.Forest.Memos = append(exp.Forest.Memos, ExplainMemo{
-			Level: ev.Level, Index: ev.Index, Hit: ev.Hit, Version: ev.Version,
-		})
-	})
-	return ctx, exp
+	return context.WithValue(ctx, explainKey{}, exp), exp
 }
 
 // ExplainFromContext returns the armed record, or nil.
@@ -203,7 +182,6 @@ func ExplainFromContext(ctx context.Context) *Explain {
 // failed, leaving the question, the stages that completed and the elapsed
 // time. A cache hit reports the question, the candidate accounting and its
 // single cache stage; the strategy's intermediate state was never computed.
-// Memo events the forest reported during the run are kept.
 func (e *Explain) fill(r *recorder, res *Result, elapsed time.Duration) {
 	q, n := r.q, r.sensors
 	bound := float64(cluster.SignificanceBound(q.DeltaS, q.Time.Len(), n))
@@ -215,7 +193,7 @@ func (e *Explain) fill(r *recorder, res *Result, elapsed time.Duration) {
 		},
 		Threshold:    ExplainThreshold{DeltaS: q.DeltaS, LengthT: q.Time.Len(), Sensors: n, Bound: bound},
 		Stages:       r.stages,
-		Forest:       ExplainForest{Version: r.ver, Memos: e.Forest.Memos},
+		Forest:       ExplainForest{Version: r.ver},
 		Significance: ExplainSignificance{Bound: bound},
 		ElapsedNS:    int64(elapsed),
 	}
@@ -336,24 +314,7 @@ func (e *Explain) Text() string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "  forest       version %d", e.Forest.Version)
-	if len(e.Forest.Memos) > 0 {
-		hits := 0
-		for _, m := range e.Forest.Memos {
-			if m.Hit {
-				hits++
-			}
-		}
-		fmt.Fprintf(&b, "; memo path %d lookups (%d hit / %d miss):", len(e.Forest.Memos), hits, len(e.Forest.Memos)-hits)
-		for _, m := range e.Forest.Memos {
-			verb := "miss"
-			if m.Hit {
-				verb = "hit"
-			}
-			fmt.Fprintf(&b, " %s[%d]=%s@v%d", m.Level, m.Index, verb, m.Version)
-		}
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "  forest       version %d\n", e.Forest.Version)
 	if e.MergeTree.Parallel {
 		fmt.Fprintf(&b, "  merge tree   parallel ×%d workers, chunk %d, levels %v: %d inputs → %d macros\n",
 			e.MergeTree.Workers, e.MergeTree.ChunkSize, e.MergeTree.Levels, e.MergeTree.Inputs, e.MergeTree.Macros)

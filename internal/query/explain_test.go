@@ -122,54 +122,6 @@ func TestExplainContents(t *testing.T) {
 	}
 }
 
-// TestExplainMaterializedMemoPath checks the forest memo hit/miss path flows
-// into the record with node versions, and that warmed runs stay canonical.
-func TestExplainMaterializedMemoPath(t *testing.T) {
-	e, spec := pipeline(t, 200, 14)
-	q := CityQuery(e.Net, spec, 0, 14, 0.05)
-
-	ctx, exp := WithExplain(context.Background())
-	if _, err := e.RunMaterializedCtx(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Forest.Memos) == 0 {
-		t.Fatal("cold materialized run recorded no memo lookups")
-	}
-	if exp.Forest.Memos[0].Hit {
-		t.Error("first lookup on a cold forest reported a hit")
-	}
-	for _, m := range exp.Forest.Memos {
-		if m.Level != "week" {
-			t.Errorf("memo level = %q, want week", m.Level)
-		}
-		if m.Version != exp.Forest.Version {
-			t.Errorf("memo version %d != forest version %d", m.Version, exp.Forest.Version)
-		}
-	}
-
-	// Warmed runs are all hits and byte-identical canonically.
-	var payloads [][]byte
-	for run := 0; run < 2; run++ {
-		ctx, exp := WithExplain(context.Background())
-		if _, err := e.RunMaterializedCtx(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range exp.Forest.Memos {
-			if !m.Hit {
-				t.Errorf("warmed lookup %+v missed", m)
-			}
-		}
-		data, err := exp.Canonical().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads = append(payloads, data)
-	}
-	if !bytes.Equal(payloads[0], payloads[1]) {
-		t.Errorf("warmed materialized canonical Explain differs:\n%s\nvs\n%s", payloads[0], payloads[1])
-	}
-}
-
 // TestExplainDoesNotChangeAnswer runs the same query with and without an
 // armed Explain and compares everything about the answer that is stable
 // across runs (IDs are generator draws, so severities stand in for them).

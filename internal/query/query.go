@@ -139,8 +139,7 @@ type Engine struct {
 	Obs *Metrics
 	// Scatterer, when non-nil, replaces the candidates stage of Run with a
 	// scatter-gather fan-out over shards (see scatter.go). Forest must still
-	// be set: it supplies the window spec and serves RunMaterialized, which
-	// always reads locally.
+	// be set: it supplies the window spec and integration options.
 	Scatterer Scatterer
 	// Cache, when non-nil, serves repeated queries from the canonical-keyed
 	// answer cache (cache.go). The lookup happens before the candidates
@@ -177,7 +176,7 @@ func (e *Engine) Run(q Query, s Strategy) *Result {
 // (recorder.go).
 func (e *Engine) RunCtx(ctx context.Context, q Query, s Strategy) (*Result, error) {
 	var rec recorder
-	ctx = rec.arm(ctx, e, "query.run", q, s)
+	ctx = rec.arm(ctx, e, q, s)
 	return rec.finish(e.runCtx(ctx, &rec, q, s))
 }
 
@@ -273,9 +272,9 @@ func (e *Engine) candidates(ctx context.Context, rec *recorder, q Query, res *Re
 	return out, nil
 }
 
-// integrateSignificant is Algorithm 4 lines 4–7, shared by both run bodies:
-// integrate the qualified micro-clusters, then keep the macro-clusters
-// passing the significance bound, removing false positives.
+// integrateSignificant is Algorithm 4 lines 4–7: integrate the qualified
+// micro-clusters, then keep the macro-clusters passing the significance
+// bound, removing false positives.
 func (e *Engine) integrateSignificant(ctx context.Context, rec *recorder, res *Result, inputs []*cluster.Cluster) error {
 	res.InputMicros = len(inputs)
 	var err error
@@ -327,68 +326,6 @@ func (e *Engine) filterTouching(ctx context.Context, cs []*cluster.Cluster, regi
 		}
 	}
 	return out, nil
-}
-
-// RunMaterialized answers q with All semantics but starts from the forest's
-// materialized levels instead of raw micro-clusters: fully covered weeks
-// contribute their (memoized) week-level macro-clusters, ragged edge days
-// contribute micro-clusters, and one final integration pass combines them.
-// Property 3 (commutative/associative merging) makes the multi-level path
-// equivalent to integrating the micro-clusters directly — this is the
-// partially-materialized query processing of Section IV.
-func (e *Engine) RunMaterialized(q Query) *Result {
-	res, err := e.RunMaterializedCtx(context.Background(), q)
-	if err != nil {
-		panic(err) // background context cannot cancel; see Run
-	}
-	return res
-}
-
-// RunMaterializedCtx is RunMaterialized with cooperative cancellation. Runs
-// are recorded like RunCtx's, under a "query.run_materialized" root span and
-// the All strategy (the semantics they implement).
-func (e *Engine) RunMaterializedCtx(ctx context.Context, q Query) (*Result, error) {
-	var rec recorder
-	ctx = rec.arm(ctx, e, "query.run_materialized", q, All)
-	return rec.finish(e.runMaterializedCtx(ctx, &rec, q))
-}
-
-// runMaterializedCtx gathers the materialized leaves, keeps those touching
-// W, then integrates and checks significance.
-func (e *Engine) runMaterializedCtx(ctx context.Context, rec *recorder, q Query) (*Result, error) {
-	rec.ver = e.Forest.Version()
-	rec.sensors = e.sensorsInRegions(q.Regions)
-	res := &Result{Strategy: All, Bound: cluster.SignificanceBound(q.DeltaS, q.Time.Len(), rec.sensors)}
-
-	perDay := cps.Window(e.Forest.Spec().PerDay())
-	firstDay := int(q.Time.From / perDay)
-	lastDay := int(q.Time.To / perDay) // exclusive
-
-	// Materialize: covered weeks contribute memoized week macros (each
-	// lookup reports a memo event into an armed Explain), ragged days their
-	// micro-clusters.
-	var leaves []*cluster.Cluster
-	day := firstDay
-	for day < lastDay {
-		if day%forest.DaysPerWeek == 0 && day+forest.DaysPerWeek <= lastDay {
-			leaves = append(leaves, e.Forest.WeekCtx(ctx, day/forest.DaysPerWeek)...)
-			day += forest.DaysPerWeek
-			continue
-		}
-		leaves = append(leaves, e.Forest.Day(day)...)
-		day++
-	}
-	rec.stage("materialize", lastDay-firstDay, len(leaves))
-	res.CandidateMicros = len(leaves)
-	inputs, err := e.filterTouching(ctx, leaves, regionSet(q.Regions))
-	if err != nil {
-		return nil, err
-	}
-	rec.stage("candidates", len(leaves), len(inputs))
-	if err := e.integrateSignificant(ctx, rec, res, inputs); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // regionSet indexes a region list for the touch test.

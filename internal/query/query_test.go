@@ -35,9 +35,9 @@ func pipeline(t testing.TB, sensors, days int) (*Engine, cps.WindowSpec) {
 	var idgen cluster.IDGen
 	opts := cluster.IntegrateOptions{SimThreshold: 0.5, Balance: cluster.Arithmetic, Period: cps.Window(spec.PerDay())}
 	f := forest.New(spec, &idgen, opts, days)
-	for day, recs := range ds.Atypical.SplitByDay(spec) {
+	cps.ForEachDay(ds.Atypical.SplitByDay(spec), func(day int, recs []cps.Record) {
 		f.AddDay(day, cluster.ExtractMicroClusters(&idgen, recs, neighbors, maxGap))
-	}
+	})
 	sev := cube.NewSeverityIndex(net, spec)
 	sev.Add(ds.Atypical.Records())
 	return &Engine{Net: net, Forest: f, Severity: sev, Gen: &idgen}, spec
@@ -212,66 +212,5 @@ func TestEmptyRangeQuery(t *testing.T) {
 	res := e.Run(CityQuery(e.Net, spec, 40, 5, 0.05), All) // beyond data
 	if res.CandidateMicros != 0 || len(res.Macros) != 0 {
 		t.Errorf("out-of-range query returned data: %+v", res)
-	}
-}
-
-func TestRunMaterializedMatchesAll(t *testing.T) {
-	e, spec := pipeline(t, 250, 14)
-	q := CityQuery(e.Net, spec, 0, 14, 0.02)
-	all := e.Run(q, All)
-	mat := e.RunMaterialized(q)
-
-	// Severity is conserved identically (Property 3: merging is
-	// commutative and associative, so multi-level integration carries the
-	// same mass).
-	var allSev, matSev cps.Severity
-	for _, c := range all.Macros {
-		allSev += c.Severity()
-	}
-	for _, c := range mat.Macros {
-		matSev += c.Severity()
-	}
-	if d := float64(allSev - matSev); d > 1e-6*float64(allSev) || d < -1e-6*float64(allSev) {
-		t.Errorf("severity: all %v, materialized %v", allSev, matSev)
-	}
-	// The significant sets match cluster for cluster.
-	if len(mat.Significant) != len(all.Significant) {
-		t.Fatalf("significant: all %d, materialized %d", len(all.Significant), len(mat.Significant))
-	}
-	for _, want := range all.Significant {
-		found := false
-		for _, got := range mat.Significant {
-			if cluster.SimilarityAt(want, got, cluster.Arithmetic, cps.Window(spec.PerDay())) >= 0.5 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("materialized path missed significant cluster %v", want)
-		}
-	}
-	// Second run hits the memoized weeks: it must see far fewer inputs
-	// than the micro path.
-	again := e.RunMaterialized(q)
-	if again.InputMicros >= all.InputMicros {
-		t.Errorf("materialized inputs %d should be below micro inputs %d", again.InputMicros, all.InputMicros)
-	}
-}
-
-func TestRunMaterializedRaggedRange(t *testing.T) {
-	e, spec := pipeline(t, 250, 14)
-	// Days [3, 12): no aligned week boundary at the start.
-	q := Query{Regions: CityQuery(e.Net, spec, 0, 14, 0.02).Regions, Time: cps.DayRange(spec, 3, 9), DeltaS: 0.02}
-	all := e.Run(q, All)
-	mat := e.RunMaterialized(q)
-	var allSev, matSev cps.Severity
-	for _, c := range all.Macros {
-		allSev += c.Severity()
-	}
-	for _, c := range mat.Macros {
-		matSev += c.Severity()
-	}
-	if d := float64(allSev - matSev); d > 1e-6*float64(allSev) || d < -1e-6*float64(allSev) {
-		t.Errorf("ragged severity: all %v, materialized %v", allSev, matSev)
 	}
 }

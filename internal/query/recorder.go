@@ -12,15 +12,15 @@ import (
 // The query path's one instrumentation seam. A run reports each pipeline
 // step exactly once, through recorder.stage(name, in, out), and finish
 // derives every signal from those reports and the Result: the span tree
-// (query.run or query.run_materialized, with query.redzones and
-// query.integrate children), the EXPLAIN record, the flight-recorder wide
-// event, and the Metrics/SLO observation. Each stage boundary reads the
-// clock once and every sink sees that reading, so /debug/traces, EXPLAIN
-// and /debug/querylog report the same duration for the same stage, and the
-// SLO verdict on the wide event is computed from the elapsed time the SLO
-// counters see. With no span exporter, Explain or flight event armed, stage
-// reads no clock and allocates nothing; the run's start and finish reads
-// remain, for Result.Elapsed.
+// (query.run, with query.redzones and query.integrate children), the
+// EXPLAIN record, the flight-recorder wide event, and the Metrics/SLO
+// observation. Each stage boundary reads the clock once and every sink sees
+// that reading, so /debug/traces, EXPLAIN and /debug/querylog report the
+// same duration for the same stage, and the SLO verdict on the wide event is
+// computed from the elapsed time the SLO counters see. With no span
+// exporter, Explain or flight event armed, stage reads no clock and
+// allocates nothing; the run's start and finish reads remain, for
+// Result.Elapsed.
 
 // maxStages is the longest stage list a run records (scatter, gather,
 // redzones, guided_filter, integrate, significance).
@@ -54,14 +54,14 @@ type recorder struct {
 // arm starts recording one run of q under strategy s, picking the sinks from
 // ctx and opening the root span. It returns the context the pipeline runs
 // under, which carries the root span for stage and shard child spans.
-func (r *recorder) arm(ctx context.Context, e *Engine, span string, q Query, s Strategy) context.Context {
+func (r *recorder) arm(ctx context.Context, e *Engine, q Query, s Strategy) context.Context {
 	r.e, r.q, r.s = e, q, s
 	r.exp = ExplainFromContext(ctx)
 	r.fe = flight.EventFromContext(ctx)
 	r.start = time.Now()
 	r.last = r.start
 	//atyplint:ignore spanend the root span is ended by finish, which every run path reaches
-	ctx, root := obs.StartAt(ctx, span, r.start)
+	ctx, root := obs.StartAt(ctx, "query.run", r.start)
 	root.SetAttr("strategy", s.String())
 	r.ctx, r.root = ctx, root
 	if r.exp != nil || r.fe != nil {

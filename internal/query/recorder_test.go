@@ -85,7 +85,7 @@ func TestRecorderUnarmedAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
 		var rec recorder
-		rec.arm(ctx, e, "query.run", Query{}, Gui)
+		rec.arm(ctx, e, Query{}, Gui)
 		rec.stage("redzones", 1, 1)
 		rec.stage("integrate", 1, 1)
 		rec.finish(res, nil)

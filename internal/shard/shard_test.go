@@ -59,9 +59,9 @@ func buildStack(t testing.TB, sensors, days int) *stack {
 	idgen := &cluster.IDGen{}
 	opts := cluster.IntegrateOptions{SimThreshold: 0.5, Balance: cluster.Arithmetic, Period: cps.Window(spec.PerDay())}
 	f := forest.New(spec, idgen, opts, days)
-	for day, recs := range ds.Atypical.SplitByDay(spec) {
+	cps.ForEachDay(ds.Atypical.SplitByDay(spec), func(day int, recs []cps.Record) {
 		f.AddDay(day, cluster.ExtractMicroClusters(idgen, recs, neighbors, maxGap))
-	}
+	})
 	return &stack{net: net, spec: spec, f: f, idgen: idgen, opts: opts, days: days}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -92,40 +91,6 @@ func TestMetricsCoverPipeline(t *testing.T) {
 	}
 	if v := flat["atyp_api_errors_total{op=\"query\"}"]; v != 0 {
 		t.Errorf("query API errors = %v, want 0", v)
-	}
-}
-
-// Repeated week-level lookups must hit the forest memo: the first computes
-// (one miss), the second is served from cache (one hit, no new miss).
-func TestMetricsForestMemo(t *testing.T) {
-	reg := NewObserver()
-	sys := buildSystem(t, WithObserver(reg))
-	memo := func() (hits, misses float64) {
-		flat := sys.Metrics().Flatten()
-		for series, v := range flat {
-			if strings.HasPrefix(series, "atyp_forest_memo_hits_total") {
-				hits += v
-			}
-			if strings.HasPrefix(series, "atyp_forest_memo_misses_total") {
-				misses += v
-			}
-		}
-		return
-	}
-	if cs := sys.Forest().Week(0); len(cs) == 0 {
-		t.Fatal("week 0 integrated to nothing; memo assertions would be vacuous")
-	}
-	h1, m1 := memo()
-	if m1 == 0 {
-		t.Fatalf("first lookup recorded no miss (hits=%v misses=%v)", h1, m1)
-	}
-	sys.Forest().Week(0)
-	h2, m2 := memo()
-	if m2 != m1 {
-		t.Errorf("repeat lookup recomputed the level: misses %v -> %v", m1, m2)
-	}
-	if h2 <= h1 {
-		t.Errorf("repeat lookup did not hit the memo: hits %v -> %v", h1, h2)
 	}
 }
 

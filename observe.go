@@ -52,8 +52,8 @@ type Span = obs.Span
 type SpanExporter = obs.SpanExporter
 
 // WithObserver attaches a metrics registry to the system: ingest stages,
-// query strategies, the forest's memoization and storage I/O, and API
-// errors all record into r. A nil r leaves observability off (the default).
+// query strategies, forest writes and storage I/O, and API errors all
+// record into r. A nil r leaves observability off (the default).
 func WithObserver(r *Observer) Option {
 	return func(o *systemOptions) { o.registry = r }
 }
@@ -101,8 +101,8 @@ func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
 
 // Explain is the structured EXPLAIN record of one query run: strategy,
 // significance bound arithmetic, per-stage timings and cardinalities,
-// pruning and red-zone accounting, the forest memo path, the integration
-// merge-tree shape, and per-macro significance verdicts.
+// pruning and red-zone accounting, the forest version read, the
+// integration merge-tree shape, and per-macro significance verdicts.
 type Explain = query.Explain
 
 // SLOTarget is a per-strategy latency objective; see WithQuerySLO.
