@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"sort"
 	"time"
 
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/dsu"
 	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/index"
 )
 
 // MaxWindowGap converts the paper's time interval threshold δt into the
@@ -26,35 +24,43 @@ func MaxWindowGap(deltaT, width time.Duration) int {
 // relation (Definition 1 — sensors within δd and windows within δt).
 //
 // neighbors[s] must list the sensors strictly within δd of s (e.g. from
-// index.NewNeighborIndex(...).NeighborLists()); maxGap is MaxWindowGap(δt,
-// width). This is the indexed O(N + n·log n) path of Proposition 1. Events
-// are returned with records in canonical order, sorted by first record.
+// index.NewNeighborIndex(...).NeighborLists()), so the lists are symmetric;
+// maxGap is MaxWindowGap(δt, width). Events are returned with records in
+// canonical order, sorted by first record.
+//
+// One sweep in canonical order links each record to the latest earlier
+// record of its own sensor and of each neighbor, when that record is within
+// maxGap windows: O(N + n·|neighbors|) for N sensors and n records, the
+// indexed path of Proposition 1. Linking to the latest record suffices: an
+// earlier record of that sensor within maxGap of this one lies between the
+// two in time, so the sweep has already chained it to the latest through
+// the sensor's own links. A pair whose later record belongs to the other
+// sensor is linked from that side, as the lists are symmetric.
+// stream.Processor.Observe applies the same rule record by record.
 func ExtractEvents(recs []cps.Record, neighbors [][]cps.SensorID, maxGap int) [][]cps.Record {
 	if len(recs) == 0 {
 		return nil
 	}
-	widx := index.NewWindowIndex(recs)
+	// lastPos[s] is the position of sensor s's latest record so far (-1
+	// before its first) and lastWin[s] that record's window.
+	lastPos := make([]int, len(neighbors))
+	lastWin := make([]cps.Window, len(neighbors))
+	for s := range lastPos {
+		lastPos[s] = -1
+	}
+	gap := cps.Window(maxGap)
 	d := dsu.New(len(recs))
 	for i, r := range recs {
-		for gap := 0; gap <= maxGap; gap++ {
-			w := r.Window - cps.Window(gap)
-			if gap > 0 {
-				// The same sensor in an earlier window is always within δd.
-				if j := widx.IndexOf(w, r.Sensor); j >= 0 {
-					d.Union(i, j)
-				}
-			}
-			for _, nb := range neighbors[r.Sensor] {
-				if gap == 0 && nb >= r.Sensor {
-					// Within one window, each unordered pair is visited
-					// once from its higher-sensor endpoint.
-					continue
-				}
-				if j := widx.IndexOf(w, nb); j >= 0 {
-					d.Union(i, j)
-				}
+		if j := lastPos[r.Sensor]; j >= 0 && r.Window-lastWin[r.Sensor] <= gap {
+			d.Union(i, j)
+		}
+		for _, nb := range neighbors[r.Sensor] {
+			if j := lastPos[nb]; j >= 0 && r.Window-lastWin[nb] <= gap {
+				d.Union(i, j)
 			}
 		}
+		lastPos[r.Sensor] = i
+		lastWin[r.Sensor] = r.Window
 	}
 	return componentsToEvents(recs, d)
 }
@@ -85,19 +91,26 @@ func ExtractEventsBrute(recs []cps.Record, locs []geo.Point, deltaD float64, max
 	return componentsToEvents(recs, d)
 }
 
+// componentsToEvents groups recs by DSU set. Sets get their event slot in
+// order of first record, and each event is filled in ascending record
+// order, so over a canonical slice the events come out in canonical order,
+// sorted by first record.
 func componentsToEvents(recs []cps.Record, d *dsu.DSU) [][]cps.Record {
-	comps := d.Components()
-	events := make([][]cps.Record, 0, len(comps))
-	for _, members := range comps {
-		ev := make([]cps.Record, len(members))
-		for k, idx := range members {
-			ev[k] = recs[idx]
-		}
-		// Members are ascending record indices over a canonical slice, so
-		// each event is already in canonical order.
-		events = append(events, ev)
+	slot := make([]int32, len(recs)) // root -> event index, -1 unassigned
+	for i := range slot {
+		slot[i] = -1
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i][0].Less(events[j][0]) })
+	events := make([][]cps.Record, 0, d.Sets())
+	for i, r := range recs {
+		root := d.Find(i)
+		k := slot[root]
+		if k < 0 {
+			k = int32(len(events))
+			slot[root] = k
+			events = append(events, make([]cps.Record, 0, d.SetSize(root)))
+		}
+		events[k] = append(events[k], r)
+	}
 	return events
 }
 

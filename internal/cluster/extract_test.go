@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -141,20 +143,65 @@ func TestExtractMatchesBruteForce(t *testing.T) {
 
 		fast := ExtractEvents(canonical, nb, maxGap)
 		slow := ExtractEventsBrute(canonical, locs, deltaD, maxGap)
-		if len(fast) != len(slow) {
-			t.Fatalf("trial %d: fast %d events, brute %d", trial, len(fast), len(slow))
-		}
-		for e := range fast {
-			if len(fast[e]) != len(slow[e]) {
-				t.Fatalf("trial %d event %d: sizes %d vs %d", trial, e, len(fast[e]), len(slow[e]))
-			}
-			for k := range fast[e] {
-				if fast[e][k] != slow[e][k] {
-					t.Fatalf("trial %d event %d record %d: %v vs %v", trial, e, k, fast[e][k], slow[e][k])
-				}
-			}
+		if err := sameEvents(fast, slow); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// sameEvents reports the first difference between two event lists: their
+// order, their sizes and every record must match.
+func sameEvents(fast, slow [][]cps.Record) error {
+	if len(fast) != len(slow) {
+		return fmt.Errorf("sweep %d events, brute %d", len(fast), len(slow))
+	}
+	for e := range fast {
+		if !slices.Equal(fast[e], slow[e]) {
+			return fmt.Errorf("event %d: sweep %v, brute %v", e, fast[e], slow[e])
+		}
+	}
+	return nil
+}
+
+// FuzzExtractEventsEquivalence checks the sweep against the pairwise oracle
+// on random canonical record sets. Sixteen sensors sit in a 3×4-mile box,
+// but records name only the first twelve, so neighbor lists also name
+// sensors with no records. Windows straddle the start of a day (negative
+// days included), maxGap runs 0–3 and δd ranges from isolating to linking
+// almost every pair.
+func FuzzExtractEventsEquivalence(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 11, 2, 12, 3, 13, 0, 14, 5, 20}, uint8(2), uint8(1), int64(1))
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 11, 0, 11, 3, 4, 12, 4, 15}, uint8(0), uint8(2), int64(-3))
+	f.Add([]byte{7, 11, 8, 12, 9, 13, 10, 12, 1, 1, 6, 23}, uint8(3), uint8(0), int64(0))
+	f.Add([]byte{}, uint8(1), uint8(3), int64(5))
+	rng := rand.New(rand.NewSource(5))
+	locs := make([]geo.Point, 16)
+	for i := range locs {
+		locs[i] = geo.Point{Lat: 34 + rng.Float64()*3/geo.MilesPerDegreeLat, Lon: -118 + rng.Float64()*4/geo.MilesPerDegreeLon(34)}
+	}
+	deltas := []float64{0.3, 1, 2, 6}
+	perDay := cps.Window(cps.DefaultSpec().PerDay())
+	f.Fuzz(func(t *testing.T, data []byte, gapRaw, deltaRaw uint8, day int64) {
+		maxGap := int(gapRaw % 4)
+		deltaD := deltas[int(deltaRaw)%len(deltas)]
+		// Each byte pair is (sensor, offset): windows run 12 before to 11
+		// after the day boundary.
+		start := cps.Window(day%(1<<20))*perDay - 12
+		var recs []cps.Record
+		for ; len(data) >= 2; data = data[2:] {
+			recs = append(recs, cps.Record{
+				Sensor:   cps.SensorID(data[0] % 12),
+				Window:   start + cps.Window(data[1]%24),
+				Severity: cps.Severity(data[1]%5 + 1),
+			})
+		}
+		canonical := cps.NewRecordSet(recs).Records()
+		fast := ExtractEvents(canonical, neighborsFor(locs, deltaD), maxGap)
+		slow := ExtractEventsBrute(canonical, locs, deltaD, maxGap)
+		if err := sameEvents(fast, slow); err != nil {
+			t.Fatalf("maxGap %d, δd %v: %v", maxGap, deltaD, err)
+		}
+	})
 }
 
 func TestExtractEventsPartition(t *testing.T) {

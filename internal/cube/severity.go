@@ -6,7 +6,9 @@
 package cube
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -153,60 +155,93 @@ type cellTriple struct {
 }
 
 // accumulate sums one record batch into sorted columns; no lock required.
-// Cell sums fold in record order: each triple slice is stable-sorted by
-// (region, key) from the original record order, so records hitting the
-// same cell keep their input order and the fold adds them in exactly the
-// sequence a per-cell `+=` would.
+// Cell sums fold in record order: records hitting the same (region, key)
+// cell are added in their input order, exactly the sequence a per-cell `+=`
+// would use.
+//
+// Canonical input, whose windows never descend, takes the linear path: a
+// stable counting scatter by region. Within each region the windows, and
+// with them the days (window/perDay), then still never descend, so the
+// scattered triples are already in (region, key) order with every cell's
+// records in input order. A batch whose windows do descend somewhere is
+// stable-sorted by (region, key) instead, once per column set, which keeps
+// the same input order within each cell.
 func (x *SeverityIndex) accumulate(recs []cps.Record) severityColumns {
 	perDay := int64(x.spec.PerDay())
-	winTriples := make([]cellTriple, 0, len(recs))
-	dayTriples := make([]cellTriple, 0, len(recs))
-	for _, r := range recs {
+	counts := make([]int, x.net.Grid.NumRegions())
+	triples := make([]cellTriple, 0, len(recs))
+	ordered := true
+	for i, r := range recs {
+		if i > 0 && r.Window < recs[i-1].Window {
+			ordered = false
+		}
 		region := x.net.Sensor(r.Sensor).Region
 		if region == geo.NoRegion {
 			continue
 		}
-		winTriples = append(winTriples, cellTriple{region: region, key: int64(r.Window), sev: r.Severity})
-		dayTriples = append(dayTriples, cellTriple{region: region, key: int64(r.Window) / perDay, sev: r.Severity})
-	}
-	byRegionKey := func(ts []cellTriple) func(i, j int) bool {
-		return func(i, j int) bool {
-			if ts[i].region != ts[j].region {
-				return ts[i].region < ts[j].region
-			}
-			return ts[i].key < ts[j].key
-		}
+		counts[region]++
+		triples = append(triples, cellTriple{region: region, key: int64(r.Window), sev: r.Severity})
 	}
 	var c severityColumns
-
-	sort.SliceStable(winTriples, byRegionKey(winTriples))
-	for i := 0; i < len(winTriples); {
-		j := i + 1
-		sum := winTriples[i].sev
-		for j < len(winTriples) && winTriples[j].region == winTriples[i].region && winTriples[j].key == winTriples[i].key {
-			sum += winTriples[j].sev
-			j++
-		}
-		c.winRegion = append(c.winRegion, winTriples[i].region)
-		c.winKey = append(c.winKey, cps.Window(winTriples[i].key))
-		c.winSev = append(c.winSev, sum)
-		i = j
+	if ordered {
+		byRegion := scatterByRegion(triples, counts)
+		c.winRegion, c.winKey, c.winSev = foldCells[cps.Window](byRegion, 1)
+		c.dayRegion, c.dayKey, c.daySev = foldCells[int64](byRegion, perDay)
+		return c
 	}
-
-	sort.SliceStable(dayTriples, byRegionKey(dayTriples))
-	for i := 0; i < len(dayTriples); {
-		j := i + 1
-		sum := dayTriples[i].sev
-		for j < len(dayTriples) && dayTriples[j].region == dayTriples[i].region && dayTriples[j].key == dayTriples[i].key {
-			sum += dayTriples[j].sev
-			j++
-		}
-		c.dayRegion = append(c.dayRegion, dayTriples[i].region)
-		c.dayKey = append(c.dayKey, dayTriples[i].key)
-		c.daySev = append(c.daySev, sum)
-		i = j
+	days := make([]cellTriple, len(triples))
+	for i, t := range triples {
+		days[i] = cellTriple{region: t.region, key: t.key / perDay, sev: t.sev}
 	}
+	slices.SortStableFunc(triples, cmpRegionKey)
+	slices.SortStableFunc(days, cmpRegionKey)
+	c.winRegion, c.winKey, c.winSev = foldCells[cps.Window](triples, 1)
+	c.dayRegion, c.dayKey, c.daySev = foldCells[int64](days, 1)
 	return c
+}
+
+// scatterByRegion is a stable counting sort of ts by region; counts[r] is
+// the number of triples in region r.
+func scatterByRegion(ts []cellTriple, counts []int) []cellTriple {
+	next := make([]int, len(counts))
+	for r := 1; r < len(counts); r++ {
+		next[r] = next[r-1] + counts[r-1]
+	}
+	out := make([]cellTriple, len(ts))
+	for _, t := range ts {
+		out[next[t.region]] = t
+		next[t.region]++
+	}
+	return out
+}
+
+func cmpRegionKey(a, b cellTriple) int {
+	if a.region != b.region {
+		return cmp.Compare(a.region, b.region)
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// foldCells sums runs of equal (region, key/div) in ts, which must be
+// ordered by that pair, into one column set.
+func foldCells[K ~int64](ts []cellTriple, div int64) ([]geo.RegionID, []K, []cps.Severity) {
+	var regions []geo.RegionID
+	var keys []K
+	var sevs []cps.Severity
+	for i := 0; i < len(ts); {
+		region, key := ts[i].region, ts[i].key/div
+		sum := ts[i].sev
+		j := i + 1
+		for j < len(ts) && ts[j].region == region && ts[j].key/div == key {
+			sum += ts[j].sev
+			j++
+		}
+		regions = append(regions, region)
+		keys = append(keys, K(key))
+		sevs = append(sevs, sum)
+		i = j
+	}
+	return regions, keys, sevs
 }
 
 // mergeColumns folds shard columns b into a, producing a fresh generation:

@@ -66,14 +66,3 @@ func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
 
 // SetSize returns the size of x's set.
 func (d *DSU) SetSize(x int) int { return int(d.size[d.Find(x)]) }
-
-// Components groups the elements by set, returned as representative-keyed
-// slices. Element order within a component is ascending.
-func (d *DSU) Components() map[int][]int {
-	out := make(map[int][]int, d.sets)
-	for i := 0; i < len(d.parent); i++ {
-		r := d.Find(i)
-		out[r] = append(out[r], i)
-	}
-	return out
-}

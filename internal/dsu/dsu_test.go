@@ -44,28 +44,6 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	d := New(5)
-	d.Union(0, 2)
-	d.Union(3, 4)
-	comps := d.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	total := 0
-	for _, members := range comps {
-		total += len(members)
-		for i := 1; i < len(members); i++ {
-			if members[i-1] >= members[i] {
-				t.Error("members should be ascending")
-			}
-		}
-	}
-	if total != 5 {
-		t.Errorf("components cover %d elements", total)
-	}
-}
-
 // Property: DSU connectivity equals brute-force transitive closure.
 func TestMatchesTransitiveClosure(t *testing.T) {
 	f := func(edges []uint16) bool {

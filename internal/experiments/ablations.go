@@ -11,8 +11,9 @@ import (
 )
 
 // AblExtract compares the two complexity regimes of Proposition 1: event
-// extraction with the spatial/temporal index (O(N + n log n)) vs the
-// brute-force pairwise scan (O(N + n²)), over growing daily record counts.
+// extraction as one sweep over the spatial index's neighbor lists
+// (O(N + n·|neighbors|)) vs the brute-force pairwise scan (O(N + n²)), over
+// growing daily record counts.
 func AblExtract(e *Env) []*Table {
 	t := &Table{
 		ID:     "abl-extract",

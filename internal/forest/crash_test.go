@@ -225,3 +225,52 @@ func TestStaleLevelFilesNeverQuarantined(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveRemovesStaleLevelFiles saves into a directory that holds the
+// week-*/month-* level files older saves wrote, and checks the save removes
+// both while leaving a quarantined look-alike alone. A crash at any mutating
+// operation of that save leaves a directory the strict loader accepts with
+// nothing quarantined, since the removals come after every day commit.
+func TestSaveRemovesStaleLevelFiles(t *testing.T) {
+	f, _ := buildForest(t, 9)
+	stale := []string{"week-00000.clu", "month-00000.clu"}
+	const kept = "week-00001.clu.corrupt"
+	seed := func(t *testing.T) string {
+		dir := t.TempDir()
+		for _, name := range append([]string{kept}, stale...) {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("not a cluster file"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	probe := faultfs.NewInjector(faultfs.OS{})
+	dir := seed(t)
+	if err := f.SaveFS(dir, probe); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s survived the save (stat err %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, kept)); err != nil {
+		t.Errorf("%s should stay: %v", kept, err)
+	}
+
+	ops := probe.MutatingOps()
+	for k := 1; k <= ops; k++ {
+		dir := seed(t)
+		inj := faultfs.NewInjector(faultfs.OS{})
+		inj.CrashAt(k)
+		if err := f.SaveFS(dir, inj); err == nil {
+			t.Fatalf("crash %d/%d: injected save unexpectedly succeeded", k, ops)
+		}
+		var g cluster.IDGen
+		_, report, err := Load(dir, cps.DefaultSpec(), &g, opts(), 30, LoadOptions{})
+		if err != nil || len(report.Quarantined) != 0 {
+			t.Fatalf("crash %d/%d: strict load: err %v, quarantined %v", k, ops, err, report.Quarantined)
+		}
+	}
+}

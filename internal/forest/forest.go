@@ -296,7 +296,9 @@ func (f *Forest) IntegratePath(path PathFunc) map[int][]*cluster.Cluster {
 // Every file is written through the faultfs atomic protocol (temp file →
 // fsync → rename → directory fsync), so a crash mid-save leaves each file
 // at either its previous or its new contents — never torn — plus at most
-// stray *.tmp debris that loads ignore and remove.
+// stray *.tmp debris that loads ignore and remove. Week and month level
+// files that saves before the day-only layout wrote are removed once every
+// day file has committed.
 func (f *Forest) Save(dir string) error {
 	return f.SaveFS(dir, faultfs.OS{})
 }
@@ -332,6 +334,20 @@ func (f *Forest) SaveFS(dir string, fsys faultfs.FS) error {
 		}
 		if m != nil {
 			m.bytesWritten.Add(n)
+		}
+	}
+	// Saves before the day-only layout also wrote derived week-*/month-*
+	// level files. They go only after every day file has committed: a crash
+	// before this point leaves just files that Load ignores.
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("forest: %w", err)
+	}
+	for _, e := range entries {
+		if isStaleLevelFileName(e.Name()) {
+			if err := fsys.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("forest: %w", err)
+			}
 		}
 	}
 	return nil
@@ -453,6 +469,23 @@ func parseDayFileName(name string) (day int, ok bool) {
 		return 0, false
 	}
 	return n, true
+}
+
+// isStaleLevelFileName reports whether name is a week or month level file
+// ("week-00003.clu", "month-00001.clu") from a save before the day-only
+// layout. Crash debris and quarantined files do not match.
+func isStaleLevelFileName(name string) bool {
+	rest, found := strings.CutSuffix(name, ".clu")
+	if !found {
+		return false
+	}
+	for _, level := range []string{"week-", "month-"} {
+		if digits, ok := strings.CutPrefix(rest, level); ok && digits != "" &&
+			strings.Trim(digits, "0123456789") == "" {
+			return true
+		}
+	}
+	return false
 }
 
 // countingReader tracks bytes read through it for the storage counter.

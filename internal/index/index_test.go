@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/geo"
@@ -100,60 +99,6 @@ func TestNeighborLists(t *testing.T) {
 				t.Fatalf("neighbor relation not symmetric: %d->%d", s, o)
 			}
 		}
-	}
-}
-
-func TestWindowIndex(t *testing.T) {
-	rs := cps.NewRecordSet([]cps.Record{
-		{Sensor: 1, Window: 5, Severity: 1},
-		{Sensor: 3, Window: 5, Severity: 1},
-		{Sensor: 2, Window: 7, Severity: 1},
-	})
-	idx := NewWindowIndex(rs.Records())
-	if got := idx.At(5); len(got) != 2 {
-		t.Errorf("At(5) = %v", got)
-	}
-	if got := idx.At(6); got != nil {
-		t.Errorf("At(6) = %v, want nil", got)
-	}
-	if got := idx.IndexOf(5, 3); got != 1 {
-		t.Errorf("IndexOf(5,3) = %d", got)
-	}
-	if got := idx.IndexOf(5, 2); got != -1 {
-		t.Errorf("IndexOf missing sensor = %d", got)
-	}
-	if got := idx.IndexOf(9, 1); got != -1 {
-		t.Errorf("IndexOf missing window = %d", got)
-	}
-}
-
-func TestWindowIndexProperty(t *testing.T) {
-	f := func(seeds []uint16) bool {
-		recs := make([]cps.Record, 0, len(seeds))
-		for _, x := range seeds {
-			recs = append(recs, cps.Record{
-				Sensor:   cps.SensorID(x % 8),
-				Window:   cps.Window(x / 8 % 32),
-				Severity: 1,
-			})
-		}
-		rs := cps.NewRecordSet(recs)
-		idx := NewWindowIndex(rs.Records())
-		// Every record is findable at its own position.
-		for i, r := range rs.Records() {
-			if idx.IndexOf(r.Window, r.Sensor) != i {
-				return false
-			}
-		}
-		// At() partitions the slice.
-		total := 0
-		for w := cps.Window(0); w < 32; w++ {
-			total += len(idx.At(w))
-		}
-		return total == rs.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,8 +1,7 @@
-// Package index provides the spatial and temporal access paths that turn
-// Algorithm 1's O(N + n²) worst case into the indexed O(N + n·log n) path of
-// Proposition 1: a uniform grid over sensor locations for δd neighbor
-// queries, a window index over canonical record slices for δt adjacency, and
-// an aggregate R-tree for rectangular range aggregation.
+// Package index provides the spatial access paths: a uniform grid over
+// sensor locations for the δd neighbor lists that Algorithm 1's extraction
+// sweep walks (Proposition 1), and an aggregate R-tree for rectangular range
+// aggregation.
 package index
 
 import (
@@ -97,59 +96,4 @@ func (idx *NeighborIndex) NeighborLists() [][]cps.SensorID {
 		out[id] = nb
 	}
 	return out
-}
-
-// WindowIndex locates the subslice of a canonical record slice belonging to
-// each window in O(1) after an O(n) build — the temporal access path of the
-// extraction sweep.
-type WindowIndex struct {
-	recs  []cps.Record
-	first map[cps.Window]int // window -> first index in recs
-	spans map[cps.Window]int // window -> record count
-}
-
-// NewWindowIndex indexes recs, which must be in canonical (window, sensor)
-// order (e.g. RecordSet.Records()).
-func NewWindowIndex(recs []cps.Record) *WindowIndex {
-	idx := &WindowIndex{
-		recs:  recs,
-		first: make(map[cps.Window]int),
-		spans: make(map[cps.Window]int),
-	}
-	for i := 0; i < len(recs); {
-		w := recs[i].Window
-		j := i
-		for j < len(recs) && recs[j].Window == w {
-			j++
-		}
-		idx.first[w] = i
-		idx.spans[w] = j - i
-		i = j
-	}
-	return idx
-}
-
-// At returns the records of window w (possibly empty), aliasing the indexed
-// slice.
-func (idx *WindowIndex) At(w cps.Window) []cps.Record {
-	i, ok := idx.first[w]
-	if !ok {
-		return nil
-	}
-	return idx.recs[i : i+idx.spans[w]]
-}
-
-// IndexOf returns the position in the canonical slice of the record with the
-// given key, or -1.
-func (idx *WindowIndex) IndexOf(w cps.Window, s cps.SensorID) int {
-	i, ok := idx.first[w]
-	if !ok {
-		return -1
-	}
-	span := idx.recs[i : i+idx.spans[w]]
-	k := sort.Search(len(span), func(j int) bool { return span[j].Sensor >= s })
-	if k < len(span) && span[k].Sensor == s {
-		return i + k
-	}
-	return -1
 }

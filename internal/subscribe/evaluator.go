@@ -1,11 +1,10 @@
 package subscribe
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
@@ -274,22 +273,20 @@ func (ev *evaluator) union(a, b int) {
 }
 
 // clusterFP fingerprints a cluster's canonical features exactly (float bits,
-// not formatted decimals), so equality means bit-identical SF and TF.
+// not formatted decimals), so equality means bit-identical SF and TF. The
+// layout is fixed-width binary: SF's entry count, then each SF entry's key
+// and severity bits, then each TF entry's, all as 8-byte words. The count
+// fixes where SF ends, so no two clusters share a fingerprint.
 func clusterFP(c *cluster.Cluster) string {
-	var b strings.Builder
-	b.Grow(24 * (len(c.SF) + len(c.TF)))
+	b := make([]byte, 0, 8+16*(len(c.SF)+len(c.TF)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(c.SF)))
 	for _, e := range c.SF {
-		b.WriteString(strconv.FormatUint(uint64(e.Key), 16))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(math.Float64bits(float64(e.Sev)), 16))
-		b.WriteByte(';')
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.Key))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(e.Sev)))
 	}
-	b.WriteByte('|')
 	for _, e := range c.TF {
-		b.WriteString(strconv.FormatUint(uint64(e.Key), 16))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(math.Float64bits(float64(e.Sev)), 16))
-		b.WriteByte(';')
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.Key))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(float64(e.Sev)))
 	}
-	return b.String()
+	return string(b)
 }

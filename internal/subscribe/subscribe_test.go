@@ -2,7 +2,9 @@ package subscribe
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -384,5 +386,36 @@ func TestReplayAbsorbAndRetract(t *testing.T) {
 	}
 	if rep.Gaps != 1 {
 		t.Errorf("Gaps = %d, want 1", rep.Gaps)
+	}
+}
+
+// TestClusterFPExact pins the fingerprint's exactness: clusters that differ
+// in one severity bit, or only in where SF ends and TF begins, must get
+// different fingerprints, and equal features equal ones.
+func TestClusterFPExact(t *testing.T) {
+	sf := func(es ...cluster.Entry[cps.SensorID]) cluster.SpatialFeature { return es }
+	tf := func(es ...cluster.Entry[cps.Window]) cluster.TemporalFeature { return es }
+	base := &cluster.Cluster{
+		SF: sf(cluster.Entry[cps.SensorID]{Key: 1, Sev: 1}, cluster.Entry[cps.SensorID]{Key: 2, Sev: 1}),
+		TF: tf(cluster.Entry[cps.Window]{Key: 3, Sev: 2}),
+	}
+	same := &cluster.Cluster{SF: slices.Clone(base.SF), TF: slices.Clone(base.TF)}
+	if clusterFP(base) != clusterFP(same) {
+		t.Fatal("equal features gave different fingerprints")
+	}
+	oneBit := &cluster.Cluster{SF: slices.Clone(base.SF), TF: slices.Clone(base.TF)}
+	oneBit.SF[1].Sev = cps.Severity(math.Nextafter(1, 2))
+	// The same key/severity word sequence with SF one entry shorter.
+	shifted := &cluster.Cluster{
+		SF: sf(cluster.Entry[cps.SensorID]{Key: 1, Sev: 1}),
+		TF: tf(cluster.Entry[cps.Window]{Key: 2, Sev: 1}, cluster.Entry[cps.Window]{Key: 3, Sev: 2}),
+	}
+	for _, tc := range []struct {
+		name string
+		c    *cluster.Cluster
+	}{{"one severity bit", oneBit}, {"SF/TF boundary", shifted}} {
+		if clusterFP(tc.c) == clusterFP(base) {
+			t.Errorf("%s: fingerprints collide", tc.name)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"github.com/cpskit/atypical/internal/cps"
-	"github.com/cpskit/atypical/internal/index"
 )
 
 // ErrConfig is the sentinel every configuration rejection wraps, so callers
@@ -66,7 +65,10 @@ func New(cfg Config) (*Analyzer, error) {
 // Scores computes per-sensor trust over a canonical record slice. Sensors
 // with no records are omitted. Results are ascending by sensor.
 func (a *Analyzer) Scores(recs []cps.Record) []Score {
-	widx := index.NewWindowIndex(recs)
+	present := make(map[recordKey]struct{}, len(recs))
+	for _, r := range recs {
+		present[recordKey{r.Window, r.Sensor}] = struct{}{}
+	}
 	perSensor := make(map[cps.SensorID]*Score)
 	for _, r := range recs {
 		s := perSensor[r.Sensor]
@@ -75,7 +77,7 @@ func (a *Analyzer) Scores(recs []cps.Record) []Score {
 			perSensor[r.Sensor] = s
 		}
 		s.Records++
-		if a.corroborated(widx, r) {
+		if a.corroborated(present, r) {
 			s.Corroborated++
 		}
 	}
@@ -88,16 +90,22 @@ func (a *Analyzer) Scores(recs []cps.Record) []Score {
 	return out
 }
 
+// recordKey is a record's canonical (window, sensor) key.
+type recordKey struct {
+	w cps.Window
+	s cps.SensorID
+}
+
 // corroborated reports whether some *other* sensor within δd was atypical
 // within δt of r.
-func (a *Analyzer) corroborated(widx *index.WindowIndex, r cps.Record) bool {
+func (a *Analyzer) corroborated(present map[recordKey]struct{}, r cps.Record) bool {
 	if int(r.Sensor) >= len(a.cfg.Neighbors) {
 		return false
 	}
 	for gap := -a.cfg.MaxGap; gap <= a.cfg.MaxGap; gap++ {
 		w := r.Window + cps.Window(gap)
 		for _, nb := range a.cfg.Neighbors[r.Sensor] {
-			if widx.IndexOf(w, nb) >= 0 {
+			if _, ok := present[recordKey{w, nb}]; ok {
 				return true
 			}
 		}
