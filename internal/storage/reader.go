@@ -86,8 +86,9 @@ func (rr *RecordReader) loadBlock() error {
 		return fmt.Errorf("%w: block header: %v", ErrCorrupt, err)
 	}
 	// The record count sits outside the block's CRC: clamp it against what
-	// the writer can produce before allocating or decoding anything.
-	if n > blockSize {
+	// the writer can produce before allocating or decoding anything. The
+	// writer never emits an empty block, and Next needs a record from each.
+	if n == 0 || n > blockSize {
 		return fmt.Errorf("%w: absurd block record count %d", ErrCorrupt, n)
 	}
 	if rr.read+n > rr.total {

@@ -17,6 +17,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/cpskit/atypical/internal/cluster"
@@ -66,24 +67,27 @@ type Config struct {
 // Emitted) are atomic and may be read concurrently from other goroutines —
 // e.g. a monitoring loop watching an ObserveAll in flight.
 //
-// Memory invariant for long-lived streams: every internal structure is
-// bounded by the records of the last MaxGap+1 windows. In particular the
-// recent map holds no sensor whose latest record is more than MaxGap windows
-// behind the stream clock — stale refs can never satisfy join and are pruned
-// as the clock advances, so a perpetual stream over many sensors does not
-// accumulate dead entries between Flushes.
+// Memory invariant for long-lived streams: every event ref is bounded by the
+// records of the last MaxGap+1 windows. In particular no sensor's recent ref
+// outlives its latest record by more than MaxGap windows — stale refs can
+// never satisfy join and are cleared as the clock advances, so a perpetual
+// stream over many sensors pins no dead events between Flushes. The flat
+// per-sensor and per-window arrays themselves stay allocated for reuse.
 type Processor struct {
 	cfg Config
 	gen *cluster.IDGen
 
-	// recent maps each sensor to the event and window of its latest record.
-	recent map[cps.SensorID]sensorRef
-	// expiry buckets the sensors of recent by the window of their latest
-	// record, so advance prunes stale refs in time amortized by the records
-	// that created them instead of scanning the whole map. A sensor appears
-	// in the bucket of every window it reported in; only the bucket matching
-	// its current ref deletes it.
-	expiry map[cps.Window][]cps.SensorID
+	// recent holds, per sensor, the event and window of its latest record;
+	// a zero ref (nil event) means none within MaxGap windows. Indexed by
+	// SensorID: sized to the neighbor lists, grown for sensors past them.
+	recent []sensorRef
+	// expiry is a ring of MaxGap+1 buckets, bucket w mod (MaxGap+1) listing
+	// the sensors that reported in window w, so advance clears stale refs in
+	// time amortized by the records that set them. A sensor appears in the
+	// bucket of every window it reported in; only the bucket matching its
+	// current ref clears it. Empty before the first record and after Flush;
+	// the buckets' lists are reused.
+	expiry []expiryBucket
 	// open lists live events (some entries may be forwarded; compacted on
 	// advance).
 	open []*event
@@ -129,6 +133,11 @@ type sensorRef struct {
 	window cps.Window
 }
 
+type expiryBucket struct {
+	window  cps.Window
+	sensors []cps.SensorID
+}
+
 // New returns a processor; gen supplies the emitted clusters' IDs.
 func New(cfg Config, gen *cluster.IDGen) (*Processor, error) {
 	if cfg.Emit == nil {
@@ -140,8 +149,7 @@ func New(cfg Config, gen *cluster.IDGen) (*Processor, error) {
 	return &Processor{
 		cfg:    cfg,
 		gen:    gen,
-		recent: make(map[cps.SensorID]sensorRef),
-		expiry: make(map[cps.Window][]cps.SensorID),
+		recent: make([]sensorRef, len(cfg.Neighbors)),
 	}, nil
 }
 
@@ -182,8 +190,11 @@ func (p *Processor) Observe(r cps.Record) error {
 	// same sensor, or a δd-neighbor, with a record within MaxGap windows.
 	var home *event
 	join := func(s cps.SensorID) {
-		ref, ok := p.recent[s]
-		if !ok || r.Window-ref.window > cps.Window(p.cfg.MaxGap) {
+		if int(s) >= len(p.recent) {
+			return
+		}
+		ref := p.recent[s]
+		if ref.ev == nil || r.Window-ref.window > cps.Window(p.cfg.MaxGap) {
 			return
 		}
 		ev := ref.ev.find()
@@ -218,10 +229,17 @@ func (p *Processor) Observe(r cps.Record) error {
 	if r.Window > home.last {
 		home.last = r.Window
 	}
-	prev, had := p.recent[r.Sensor]
+	if n := int(r.Sensor) + 1; n > len(p.recent) {
+		p.recent = append(p.recent, make([]sensorRef, n-len(p.recent))...)
+	}
+	prev := p.recent[r.Sensor]
 	p.recent[r.Sensor] = sensorRef{ev: home, window: r.Window}
-	if !had || prev.window != r.Window {
-		p.expiry[r.Window] = append(p.expiry[r.Window], r.Sensor)
+	if prev.ev == nil || prev.window != r.Window {
+		// The bucket is empty or already r.Window's: any other window it
+		// could hold is more than MaxGap behind and expired in advance.
+		b := &p.expiry[ringSlot(r.Window, len(p.expiry))]
+		b.window = r.Window
+		b.sensors = append(b.sensors, r.Sensor)
 	}
 	return nil
 }
@@ -245,8 +263,9 @@ func (p *Processor) ObserveAll(ctx context.Context, recs []cps.Record) error {
 
 // advance moves the stream clock to w, closing events that can no longer
 // gain records (last record more than MaxGap windows in the past) and
-// pruning recent-map refs that can no longer satisfy join.
+// clearing recent refs that can no longer satisfy join.
 func (p *Processor) advance(w cps.Window) {
+	p.expire(w)
 	p.window = w
 	p.started = true
 	live := p.open[:0]
@@ -266,28 +285,49 @@ func (p *Processor) advance(w cps.Window) {
 	clear(p.open[len(live):])
 	p.open = live
 
-	// Expire the recent buckets of every window now more than MaxGap behind
-	// the clock. At most MaxGap+1 buckets are live after a prune, so the key
-	// scan is O(MaxGap) plus the refs actually deleted — amortized by the
-	// records that created them, never a full-map sweep.
-	for bw, sensors := range p.expiry {
-		if w-bw <= cps.Window(p.cfg.MaxGap) {
-			continue
-		}
-		for _, s := range sensors {
-			if ref, ok := p.recent[s]; ok && ref.window == bw {
-				delete(p.recent, s)
-			}
-		}
-		delete(p.expiry, bw)
-	}
-
 	if m := p.obsm.Load(); m != nil {
 		// Compaction dropped every forwarded entry, so len(live) is already
 		// the exact open-event count; OpenEvents() stays for external
 		// callers, where open may hold forwarded entries between advances.
 		m.open.Set(float64(len(live)))
 	}
+}
+
+// expire clears the refs of the windows that fall more than MaxGap behind
+// the clock when it moves to w. Live buckets hold the windows within MaxGap
+// of the old clock, so the stale ones are the oldest min(w-old, MaxGap+1)
+// of them: the scan visits one bucket per window the clock passes, plus the
+// refs actually cleared.
+func (p *Processor) expire(w cps.Window) {
+	ring := p.cfg.MaxGap + 1
+	if !p.started {
+		// Nothing is live: lay out the ring, reusing Flush's buckets.
+		p.expiry = slices.Grow(p.expiry, ring)[:ring]
+		return
+	}
+	first := p.window - cps.Window(p.cfg.MaxGap)
+	n := min(w-p.window, cps.Window(ring))
+	for bw := first; bw < first+n; bw++ {
+		b := &p.expiry[ringSlot(bw, ring)]
+		if b.window != bw {
+			continue
+		}
+		for _, s := range b.sensors {
+			if p.recent[s].window == bw {
+				p.recent[s] = sensorRef{}
+			}
+		}
+		b.sensors = b.sensors[:0]
+	}
+}
+
+// ringSlot returns window w's bucket in a ring of n.
+func ringSlot(w cps.Window, n int) int {
+	k := w % cps.Window(n)
+	if k < 0 {
+		k += cps.Window(n)
+	}
+	return int(k)
 }
 
 // Flush closes every open event; call at end of stream.
@@ -299,8 +339,11 @@ func (p *Processor) Flush() {
 	}
 	clear(p.open) // drop the event refs the backing array would pin
 	p.open = p.open[:0]
-	p.recent = make(map[cps.SensorID]sensorRef)
-	clear(p.expiry)
+	clear(p.recent)
+	for i := range p.expiry {
+		p.expiry[i].sensors = p.expiry[i].sensors[:0]
+	}
+	p.expiry = p.expiry[:0]
 	p.started = false
 	if m := p.obsm.Load(); m != nil {
 		m.open.Set(0)

@@ -327,9 +327,36 @@ func TestObserveAllMatchesObserveLoop(t *testing.T) {
 	}
 }
 
-// The recent map must not leak: once a sensor's latest record is more than
+// liveRefs counts the sensors holding a recent ref.
+func liveRefs(p *Processor) int {
+	n := 0
+	for _, ref := range p.recent {
+		if ref.ev != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// hasRef reports whether sensor s holds a recent ref.
+func hasRef(p *Processor, s cps.SensorID) bool {
+	return int(s) < len(p.recent) && p.recent[s].ev != nil
+}
+
+// liveBuckets counts the expiry buckets listing any sensor.
+func liveBuckets(p *Processor) int {
+	n := 0
+	for _, b := range p.expiry {
+		if len(b.sensors) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// The recent refs must not leak: once a sensor's latest record is more than
 // MaxGap windows behind the stream clock it can never satisfy join, so
-// advance prunes it without waiting for Flush.
+// advance clears it without waiting for Flush.
 func TestRecentMapPrunedAfterGap(t *testing.T) {
 	const n = 40
 	p, _ := newProc(t, lineLocs(n, 10), 1.5, 2)
@@ -338,18 +365,18 @@ func TestRecentMapPrunedAfterGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(p.recent) != n {
-		t.Fatalf("recent = %d sensors, want %d", len(p.recent), n)
+	if got := liveRefs(p); got != n {
+		t.Fatalf("recent = %d sensors, want %d", got, n)
 	}
 	// Advance past the gap: every window-0 ref is stale now.
 	if err := p.Observe(cps.Record{Sensor: 0, Window: 10, Severity: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.recent) != 1 {
-		t.Errorf("recent = %d sensors after gap, want 1 (the live one)", len(p.recent))
+	if got := liveRefs(p); got != 1 {
+		t.Errorf("recent = %d sensors after gap, want 1 (the live one)", got)
 	}
-	if len(p.expiry) != 1 {
-		t.Errorf("expiry = %d buckets after gap, want 1", len(p.expiry))
+	if got := liveBuckets(p); got != 1 {
+		t.Errorf("expiry = %d buckets after gap, want 1", got)
 	}
 }
 
@@ -368,13 +395,13 @@ func TestRecentPruneKeepsRefreshedSensor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := p.recent[0]; !ok {
+	if !hasRef(p, 0) {
 		t.Error("refreshed sensor 0 pruned by its stale bucket")
 	}
-	if _, ok := p.recent[1]; ok {
+	if hasRef(p, 1) {
 		t.Error("stale sensor 1 survived the prune")
 	}
-	if _, ok := p.recent[2]; !ok {
+	if !hasRef(p, 2) {
 		t.Error("live sensor 2 missing from recent")
 	}
 }
@@ -421,5 +448,37 @@ func TestObserveAllCancelled(t *testing.T) {
 	}
 	if p.Observed() != 0 {
 		t.Fatalf("cancelled ObserveAll consumed %d records", p.Observed())
+	}
+}
+
+// A sensor past the neighbor lists still chains its own records, across a
+// negative window and a ring wrap, and Flush clears its ref with the rest.
+func TestSensorPastNeighborLists(t *testing.T) {
+	p, out := newProc(t, lineLocs(2, 10), 1.5, 2)
+	for _, r := range []cps.Record{
+		{Sensor: 0, Window: -1, Severity: 1},
+		{Sensor: 9, Window: -1, Severity: 1},
+		{Sensor: 9, Window: 1, Severity: 1},
+		{Sensor: 9, Window: 3, Severity: 1},
+		{Sensor: 0, Window: 4, Severity: 1}, // window -1 expired: sensor 0 starts anew
+	} {
+		if err := p.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !hasRef(p, 9) || liveRefs(p) != 2 {
+		t.Fatalf("refs = %d (sensor 9 held: %v), want sensors 0 and 9", liveRefs(p), hasRef(p, 9))
+	}
+	p.Flush()
+	if liveRefs(p) != 0 || len(p.expiry) != 0 {
+		t.Errorf("after Flush: %d refs, %d buckets; want none", liveRefs(p), len(p.expiry))
+	}
+	sizes := make([]int, len(*out))
+	for i, c := range *out {
+		sizes[i] = int(c.Severity())
+	}
+	sort.Ints(sizes)
+	if len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 1 || sizes[2] != 3 {
+		t.Errorf("event sizes = %v, want [1 1 3]", sizes)
 	}
 }

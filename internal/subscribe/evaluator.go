@@ -1,6 +1,7 @@
 package subscribe
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -22,26 +23,31 @@ import (
 // later one. The evaluator gets exact equivalence from a decomposition
 // instead:
 //
-//   - Integration only ever merges clusters sharing a sensor key or a folded
-//     temporal key (every balance function maps zero overlap to similarity 0,
-//     and integrateCore's candidates come from per-key posting lists). Merges
-//     therefore respect the connected components of the shared-key graph over
-//     the input micros, and the batch run over the full input is the disjoint
-//     union of independent runs over each component.
-//   - Within one component, integrateCore's behavior depends only on the
-//     relative order of that component's inputs: posting lists for the
-//     component's keys hold only component positions, the FIFO queue visits
-//     them in input order, and cluster IDs never influence a merge decision.
+//   - Similarity is (g_s+g_t)/2 with each balance term at most 1, so at
+//     δsim ≥ 0.5 a pair of clusters with no common sensor or no common
+//     folded window scores at most 0.5 and never merges. cluster.Closure
+//     groups the accepted micros so that no two groups share both a sensor
+//     and a folded window (below 0.5, so that they share neither), and
+//     every macro built inside a group keeps its keys inside the group's.
+//     Batch integration therefore never merges across groups: it only
+//     stamps and skips such pairs, and the batch run over the full input
+//     is the disjoint union of independent runs over each group.
+//   - Within one group, integrateCore's behavior depends only on the
+//     relative order of that group's inputs: the first-match walk visits
+//     posting lists in ascending position, the FIFO queue visits them in
+//     input order, and cluster IDs never influence a merge decision.
+//   - The closure is unique, whatever order the micros arrive in, because
+//     key unions only grow: a conflict between two groups survives every
+//     later merge. It can therefore be kept incrementally as micros arrive.
 //
-// So the evaluator tracks the shared-key components with a union-find as
-// micros arrive, and on every arrival re-runs cluster.Integrate over just the
-// affected component's members sorted into canonical batch order — (day,
-// arrival sequence), exactly how IngestClusters + MicrosInRange would order
-// them. The result is bit-identical, float-for-float, to the corresponding
-// slice of the batch fixpoint; per-arrival cost is bounded by the component's
-// size, not the stream's. Memory is bounded by the micros in the query's
-// scope: a standing query over a finite time range T plateaus once the stream
-// passes T.
+// So on every arrival the evaluator adds the micro to the closure and re-runs
+// cluster.Integrate over just the affected group's members sorted into
+// canonical batch order — (day, arrival sequence), exactly how
+// IngestClusters + MicrosInRange would order them. The result is
+// bit-identical, float-for-float, to the corresponding slice of the batch
+// fixpoint; per-arrival cost is bounded by the group's size, not the
+// stream's. Memory is bounded by the micros in the query's scope: a standing
+// query over a finite time range T plateaus once the stream passes T.
 type evaluator struct {
 	net      *traffic.Network
 	q        query.Query
@@ -62,13 +68,10 @@ type evaluator struct {
 	// restricted to one day is the batch emission order for that day, so
 	// (day, index) sorts any subset into canonical batch order.
 	members []member
-	// parent is the union-find over member indices: shared-key components.
-	parent []int
-	// bySensor/byWindow map each seen key to some member featuring it; an
-	// arriving micro unions with those members' components.
-	bySensor map[cps.SensorID]int
-	byWindow map[cps.Window]int
-	// comps indexes the live components by their current union-find root.
+	// closure groups the member indices; its groups are the components.
+	closure *cluster.Closure
+	// comps indexes the live components by closure root, which is the
+	// component id minus one.
 	comps map[int]*component
 }
 
@@ -77,13 +80,8 @@ type member struct {
 	day int
 }
 
-// component is one shared-key connected component's current state.
+// component is one closure group's current state.
 type component struct {
-	// id is the stable component identity: smallest member arrival index + 1.
-	// Merges keep the smallest id of the parts.
-	id uint64
-	// members are the component's member indices, canonically sorted.
-	members []int
 	// sig is the current significant set (the component's slice of the batch
 	// answer); sigFPs its sorted feature fingerprints for change detection.
 	sig    []*cluster.Cluster
@@ -112,97 +110,64 @@ func newEvaluator(cfg Config, q query.Query, strat query.Strategy) *evaluator {
 		dayBound: cluster.SignificanceBound(q.DeltaS, cfg.Spec.PerDay(), numSensors),
 		opts:     cfg.Options,
 		perDay:   cps.Window(cfg.Spec.PerDay()),
-		bySensor: make(map[cps.SensorID]int),
-		byWindow: make(map[cps.Window]int),
+		closure:  cluster.NewClosure(cfg.Options),
 		comps:    make(map[int]*component),
 	}
 }
 
 // offer evaluates one emitted micro-cluster, returning the push it triggers
-// (Component/Absorbed/Clusters populated; Seq/Ts/Gap are the registry's).
-func (ev *evaluator) offer(c *cluster.Cluster) (Push, bool) {
+// (Component/Absorbed/Clusters populated; Seq/Ts/Gap are the registry's) and
+// the number of micros it re-integrated, zero when c is out of scope.
+func (ev *evaluator) offer(c *cluster.Cluster) (p Push, group int, ok bool) {
 	// Scope: mirror the batch candidate stage exactly. Day assignment and the
 	// half-open day test match IngestClusters + MicrosInRange; the region
 	// touch test is the engine's filterTouching; Pru's day-scale prune is
 	// per-micro and order-independent, so applying it on arrival commutes
 	// with the batch filter.
 	if len(c.TF) == 0 {
-		return Push{}, false
+		return Push{}, 0, false
 	}
 	day := int(c.TF[0].Key / ev.perDay)
 	dayStart := cps.Window(day) * ev.perDay
 	if dayStart < ev.q.Time.From || dayStart >= ev.q.Time.To {
-		return Push{}, false
+		return Push{}, 0, false
 	}
 	if !query.Touches(ev.net, c, ev.inRegion) {
-		return Push{}, false
+		return Push{}, 0, false
 	}
 	if ev.strat == query.Pru && !c.Significant(ev.dayBound) {
-		return Push{}, false
+		return Push{}, 0, false
 	}
 
 	m := len(ev.members)
 	ev.members = append(ev.members, member{c: c, day: day})
-	ev.parent = append(ev.parent, m)
+	root, absorbedRoots := ev.closure.Add(c)
 
-	// Components sharing a key with c, gathered before any union so roots
-	// are still distinct.
-	old := make(map[int]*component)
-	link := func(prev int) {
-		r := ev.find(prev)
-		if comp, ok := ev.comps[r]; ok {
-			old[r] = comp
-		}
-	}
-	for _, e := range c.SF {
-		if prev, ok := ev.bySensor[e.Key]; ok {
-			link(prev)
-		} else {
-			ev.bySensor[e.Key] = m
-		}
-	}
-	for _, k := range c.FoldedKeys(ev.opts.Period) {
-		if prev, ok := ev.byWindow[k]; ok {
-			link(prev)
-		} else {
-			ev.byWindow[k] = m
-		}
-	}
-	for r := range old {
-		ev.union(r, m)
-		delete(ev.comps, r)
-	}
-	root := ev.find(m)
-
-	// The merged component: surviving id is the smallest, the others are
-	// absorbed (together with anything still pending announcement).
-	idxs := []int{m}
-	id := uint64(m) + 1
+	// The surviving id is the smallest member's; the other components are
+	// absorbed, together with anything they still had pending announcement.
+	id := uint64(root) + 1
 	var absorbed []uint64
 	var oldFPs []string
-	for _, comp := range old {
-		idxs = append(idxs, comp.members...)
-		if comp.id < id {
-			id = comp.id
-		}
-		absorbed = append(absorbed, comp.absorbedPending...)
-		oldFPs = append(oldFPs, comp.sigFPs...)
+	if root != m {
+		old := ev.comps[root]
+		absorbed = append(absorbed, old.absorbedPending...)
+		oldFPs = append(oldFPs, old.sigFPs...)
 	}
-	for _, comp := range old {
-		if comp.id != id {
-			absorbed = append(absorbed, comp.id)
-		}
+	for _, r := range absorbedRoots {
+		old := ev.comps[r]
+		absorbed = append(absorbed, old.absorbedPending...)
+		absorbed = append(absorbed, uint64(r)+1)
+		oldFPs = append(oldFPs, old.sigFPs...)
+		delete(ev.comps, r)
 	}
-	sort.Slice(idxs, func(i, j int) bool {
-		a, b := idxs[i], idxs[j]
-		if ev.members[a].day != ev.members[b].day {
-			return ev.members[a].day < ev.members[b].day
-		}
-		return a < b
-	})
 
-	// Re-integrate the component in canonical order: bit-identical to its
-	// slice of the batch fixpoint (see the type comment).
+	// Re-integrate the group in canonical order: bit-identical to its slice
+	// of the batch fixpoint (see the type comment). Members come ascending by
+	// arrival, so a stable sort by day gives (day, arrival) order.
+	idxs := slices.Clone(ev.closure.Members(root))
+	slices.SortStableFunc(idxs, func(a, b int) int {
+		return cmp.Compare(ev.members[a].day, ev.members[b].day)
+	})
 	inputs := make([]*cluster.Cluster, len(idxs))
 	for i, ix := range idxs {
 		inputs[i] = ev.members[ix].c
@@ -217,7 +182,7 @@ func (ev *evaluator) offer(c *cluster.Cluster) (Push, bool) {
 		}
 	}
 	sort.Strings(fps)
-	comp := &component{id: id, members: idxs, sig: sig, sigFPs: fps}
+	comp := &component{sig: sig, sigFPs: fps}
 	ev.comps[root] = comp
 
 	// Push only when the observable answer changed: the merged component's
@@ -227,10 +192,10 @@ func (ev *evaluator) offer(c *cluster.Cluster) (Push, bool) {
 	sort.Strings(oldFPs)
 	if slices.Equal(fps, oldFPs) {
 		comp.absorbedPending = absorbed
-		return Push{}, false
+		return Push{}, len(idxs), false
 	}
 	slices.Sort(absorbed)
-	return Push{Component: id, Absorbed: absorbed, Clusters: sig}, true
+	return Push{Component: id, Absorbed: absorbed, Clusters: sig}, len(idxs), true
 }
 
 // requeueAbsorbed returns a dropped push's absorbed ids to the component's
@@ -239,36 +204,11 @@ func (ev *evaluator) requeueAbsorbed(componentID uint64, absorbed []uint64) {
 	if len(absorbed) == 0 {
 		return
 	}
-	roots := make([]int, 0, len(ev.comps))
-	for root := range ev.comps {
-		roots = append(roots, root)
-	}
-	slices.Sort(roots)
-	for _, root := range roots {
-		if comp := ev.comps[root]; comp.id == componentID {
-			// Sorted so the pending set re-announced by the next push is
-			// deterministic no matter how many drops accumulated into it.
-			comp.absorbedPending = append(comp.absorbedPending, absorbed...)
-			slices.Sort(comp.absorbedPending)
-			return
-		}
-	}
-}
-
-// find resolves the union-find root with path halving.
-func (ev *evaluator) find(x int) int {
-	for ev.parent[x] != x {
-		ev.parent[x] = ev.parent[ev.parent[x]]
-		x = ev.parent[x]
-	}
-	return x
-}
-
-// union attaches a's root under b's.
-func (ev *evaluator) union(a, b int) {
-	ra, rb := ev.find(a), ev.find(b)
-	if ra != rb {
-		ev.parent[ra] = rb
+	if comp, ok := ev.comps[int(componentID-1)]; ok {
+		// Sorted so the pending set re-announced by the next push is
+		// deterministic no matter how many drops accumulated into it.
+		comp.absorbedPending = append(comp.absorbedPending, absorbed...)
+		slices.Sort(comp.absorbedPending)
 	}
 }
 

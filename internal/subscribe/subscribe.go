@@ -10,8 +10,15 @@
 // standing query over any finite canonical stream (see Replay) reconstructs
 // precisely the Significant set the batch engine reports for the same
 // QueryRequest after Flush + forest rebuild, bit-identical features included.
-// That holds by construction, not by approximation — see evaluator.go for the
-// component decomposition argument.
+// That holds by construction, not by approximation. Similarity is
+// (g_s+g_t)/2 with each term at most 1, so at δsim ≥ 0.5 clusters that share
+// no sensor or no folded window score at most 0.5 and never merge. Each
+// subscription keeps its accepted micros in a cluster.Closure: groups that
+// share no sensor-and-window pair of key unions (below δsim 0.5, no key at
+// all). The closure is unique because key unions only grow, so it is kept
+// incrementally, and batch integration never merges across its groups. An
+// arriving micro therefore re-integrates only its own group, in canonical
+// batch order — see evaluator.go for the full argument.
 //
 // Delivery is strictly non-blocking: a slow subscriber never stalls Offer (and
 // therefore never stalls stream ingest). A push that finds the subscriber's
@@ -145,6 +152,7 @@ type subObs struct {
 	pushes  *obs.Counter
 	dropped *obs.Counter
 	eval    *obs.Histogram
+	group   *obs.Histogram
 }
 
 // Registry holds the live subscriptions and fans stream-emitted
@@ -193,6 +201,9 @@ func (r *Registry) SetObserver(reg *obs.Registry) {
 		eval: reg.Histogram("atyp_sub_eval_seconds",
 			"incremental evaluation time per offered micro-cluster, all subscriptions",
 			obs.ExpBuckets(1e-6, 4, 12)),
+		group: reg.Histogram("atyp_sub_group_micros",
+			"micro-clusters re-integrated per offer and subscription: the size of the arriving micro's closure group",
+			obs.ExpBuckets(1, 2, 14)),
 	})
 }
 
@@ -267,7 +278,10 @@ func (r *Registry) Offer(c *cluster.Cluster) {
 	m := r.obsm.Load()
 	start := time.Now()
 	for _, s := range r.subs {
-		p, ok := s.ev.offer(c)
+		p, group, ok := s.ev.offer(c)
+		if group > 0 && m != nil {
+			m.group.Observe(float64(group))
+		}
 		if !ok {
 			continue
 		}

@@ -15,6 +15,7 @@ import (
 	"github.com/cpskit/atypical/internal/forest"
 	"github.com/cpskit/atypical/internal/geo"
 	"github.com/cpskit/atypical/internal/index"
+	"github.com/cpskit/atypical/internal/obs"
 	"github.com/cpskit/atypical/internal/query"
 	"github.com/cpskit/atypical/internal/stream"
 	"github.com/cpskit/atypical/internal/traffic"
@@ -417,5 +418,32 @@ func TestClusterFPExact(t *testing.T) {
 		if clusterFP(tc.c) == clusterFP(base) {
 			t.Errorf("%s: fingerprints collide", tc.name)
 		}
+	}
+}
+
+// atyp_sub_group_micros records the size of the group each in-scope offer
+// re-integrates, and nothing for a micro out of scope.
+func TestGroupMicrosHistogram(t *testing.T) {
+	e := newEnv(30)
+	reg := e.registry(t, 0, 8)
+	o := obs.NewRegistry()
+	reg.SetObserver(o)
+	if _, err := reg.Register(e.cityQuery(1, 1e-9), query.All); err != nil {
+		t.Fatal(err)
+	}
+	var g cluster.IDGen
+	offer := func(sensor, window int) {
+		reg.Offer(cluster.FromRecords(g.Next(), []cps.Record{
+			{Sensor: cps.SensorID(sensor), Window: cps.Window(window), Severity: 3},
+		}))
+	}
+	offer(0, 1)                   // a group of 1
+	offer(0, 1)                   // same sensor and window: the group grows to 2
+	offer(5, 40)                  // shares neither: a new group of 1
+	offer(0, 3*e.spec.PerDay()+1) // day 3 is out of the 1-day scope
+	h := o.Histogram("atyp_sub_group_micros", "", nil).Snapshot()
+	// Buckets are 1, 2, 4, ...: two groups of 1, one of 2.
+	if h.Count != 3 || h.Counts[0] != 2 || h.Counts[1] != 1 {
+		t.Errorf("group sizes: %d observations, buckets %v; want 3, two of 1 and one of 2", h.Count, h.Counts)
 	}
 }
