@@ -305,6 +305,12 @@ func benchIntegrateBalance(b *testing.B, g cluster.Balance) {
 func BenchmarkFig21IntegrateMin(b *testing.B) { benchIntegrateBalance(b, cluster.Min) }
 func BenchmarkFig21IntegrateAvg(b *testing.B) { benchIntegrateBalance(b, cluster.Arithmetic) }
 func BenchmarkFig21IntegrateMax(b *testing.B) { benchIntegrateBalance(b, cluster.Max) }
+func BenchmarkFig21IntegrateGeo(b *testing.B) { benchIntegrateBalance(b, cluster.Geometric) }
+
+// Harmonic integrates without integrateCore's rejection memory (its balance
+// is not shown monotone in floating point), so this row prices the kernel
+// with that skip off.
+func BenchmarkFig21IntegrateHar(b *testing.B) { benchIntegrateBalance(b, cluster.Harmonic) }
 
 // --- Ablations (DESIGN.md §5) ---
 

@@ -13,16 +13,19 @@
 // Without -exp, all experiments run in presentation order. Fig. 15 also
 // emits Fig. 16 (they share a sweep).
 //
-// In -parjson mode the previous result at the target path (if any) is
-// preserved as <path minus .json>.prev.json and compared against the fresh
-// run: a delta section reports the serial/parallel construction time and
+// In -parjson mode the serial and the parallel construction each run five
+// times and the artifact keeps the median run (as for the sharded query
+// below), so one stalled repetition does not move the measurement. The
+// previous result at the target path (if any) is preserved as
+// <path minus .json>.prev.json and compared against the fresh run: a delta
+// section reports the serial/parallel construction time and
 // speedup movement, and the run exits non-zero when either measured total
 // regressed by more than -maxregress (fraction; 0 disables the gate) — the
 // CI perf gate. The gate applies only when the previous artifact was
 // measured on the same host facts (GOMAXPROCS, CPU count, Go version);
 // against a baseline from a different host the deltas are printed under a
 // "baseline from a different host, not gated" line and the run exits 0.
-// -benchshards additionally times the same Guided query
+// -benchshards additionally times the same Guided query (median of five)
 // unsharded versus scatter-gathered across that many in-process shards
 // (equivalence-checked; a mismatch fails the run) and holds the sharded
 // time to the same -maxregress budget; artifacts from before the field

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+
 	"github.com/cpskit/atypical/internal/cps"
 )
 
@@ -65,11 +67,23 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 	}
 	folded := func(c *Cluster) TemporalFeature { return c.summaryAt(opts.Period).tf }
 
+	// Both skips below are exact only when every feature has ascending
+	// keys and finite, non-negative severities (a decoded cluster may carry
+	// anything) and, for the rejection memory, when the balance is
+	// monotone in floating point. Otherwise the kernel walks and evaluates
+	// every candidate.
+	sane := featuresSane(micros)
+	sensorsOnly := sane && opts.SimThreshold >= 0.5
+	remember := sane && opts.Balance != Harmonic
+
 	// Posting lists: key -> positions of clusters featuring the key, in
 	// ascending position order. A merged cluster's keys are a union of its
 	// inputs' keys, so the inputs fix both key sets up front.
 	bySensor := newPostings(micros, func(c *Cluster) SpatialFeature { return c.SF })
-	byWindow := newPostings(micros, folded)
+	var byWindow *postings[cps.Window]
+	if !sensorsOnly {
+		byWindow = newPostings(micros, folded)
+	}
 
 	// Examining a cluster walks its posting lists — sensor lists, then
 	// window lists, each in ascending position order — and evaluates every
@@ -78,8 +92,46 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 	// restarts on the merged cluster, so a snowballing cluster stops paying
 	// for the lists past its match. Each list read drops dead positions;
 	// a list cut short by a merge keeps the rest of them for a later walk.
+	//
+	// Two kinds of candidate are known not to merge and are stamped without
+	// being evaluated (DESIGN.md §5 has the argument):
+	//
+	//   - at δsim ≥ 0.5, any candidate that shares no sensor: its spatial
+	//     term is g(0,0) = 0, so it scores at most 0.5. The walk reads the
+	//     sensor lists only, which meet every candidate that can merge in
+	//     the order the full walk meets it, and no window lists are built;
+	//   - a candidate rejected earlier in the same chain (the merges that
+	//     follow one queue pop) when none of the clusters the chain absorbed
+	//     since shares a sensor or folded window with it: its common entries
+	//     keep their bits while the chain's totals only grow, so its
+	//     similarity cannot have risen.
 	stamp := make([]uint32, n, 2*n)
 	var epoch uint32
+	// rejected[p] records the chain that last rejected position p and how
+	// many clusters that chain had absorbed at the time.
+	var rejected []rejection
+	if remember {
+		rejected = make([]rejection, n, 2*n)
+	}
+	var chain uint32
+	var absorbed []int32 // positions the current chain merged with, in order
+	// stillRejected reports whether p's last rejection in this chain still
+	// holds: no cluster absorbed since shares a key with it. When it does,
+	// the rejection is renewed as of now, so later checks start from here.
+	stillRejected := func(p int32) bool {
+		r := &rejected[p]
+		if r.chain != chain {
+			return false
+		}
+		x := active[p]
+		for _, y := range absorbed[r.absorbed:] {
+			if sharesKey(x.SF, active[y].SF) || sharesKey(folded(x), folded(active[y])) {
+				return false
+			}
+		}
+		r.absorbed = int32(len(absorbed))
+		return true
+	}
 	// match walks one posting list for c, returning the first candidate
 	// above δsim or -1.
 	match := func(c *Cluster, list *[]int32) int32 {
@@ -95,9 +147,15 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 				continue
 			}
 			stamp[p] = epoch
+			if remember && stillRejected(p) {
+				continue
+			}
 			if opts.similarity(c, active[p]) > opts.SimThreshold {
 				*list = l[:w+copy(l[w:], l[r+1:])]
 				return p
+			}
+			if remember {
+				rejected[p] = rejection{chain: chain, absorbed: int32(len(absorbed))}
 			}
 		}
 		*list = l[:w]
@@ -117,6 +175,8 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 		if !alive[pos] {
 			continue
 		}
+		chain++
+		absorbed = absorbed[:0]
 	repeat:
 		c := active[pos]
 		epoch++
@@ -127,7 +187,7 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 				break
 			}
 		}
-		if cand < 0 {
+		if cand < 0 && !sensorsOnly {
 			for _, e := range folded(c) {
 				if cand = match(c, &byWindow.lists[byWindow.index(e.Key)]); cand >= 0 {
 					break
@@ -143,7 +203,13 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 			stamp = append(stamp, 0)
 			newPos := len(active) - 1
 			bySensor.add(merged.SF, newPos)
-			byWindow.add(folded(merged), newPos)
+			if !sensorsOnly {
+				byWindow.add(folded(merged), newPos)
+			}
+			if remember {
+				rejected = append(rejected, rejection{})
+				absorbed = append(absorbed, cand)
+			}
 			pos = newPos
 			goto repeat
 		}
@@ -156,6 +222,64 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 		}
 	}
 	return out
+}
+
+// rejection is integrateCore's memory of one candidate's last rejection.
+type rejection struct {
+	chain    uint32 // the chain that rejected it; 0 means none
+	absorbed int32  // clusters that chain had absorbed at the time
+}
+
+// featuresSane reports whether every feature of every cluster has strictly
+// ascending keys and finite, non-negative severities, the premise of
+// integrateCore's skips.
+func featuresSane(cs []*Cluster) bool {
+	for _, c := range cs {
+		if !featureSane(c.SF) || !featureSane(c.TF) {
+			return false
+		}
+	}
+	return true
+}
+
+func featureSane[K Key](f Feature[K]) bool {
+	for i, e := range f {
+		if !(e.Sev >= 0 && e.Sev <= math.MaxFloat64) || i > 0 && f[i-1].Key >= e.Key {
+			return false
+		}
+	}
+	return true
+}
+
+// sharesKey reports whether two features have a key in common, searching
+// each key of the shorter one in the rest of the longer one.
+func sharesKey[K Key](a, b Feature[K]) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 || a[len(a)-1].Key < b[0].Key || b[len(b)-1].Key < a[0].Key {
+		return false
+	}
+	j := 0
+	for _, e := range a {
+		lo, hi := j, len(b)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if b[m].Key < e.Key {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == len(b) {
+			return false
+		}
+		if b[lo].Key == e.Key {
+			return true
+		}
+		j = lo
+	}
+	return false
 }
 
 // postings holds one position list per feature key. Keys index the lists by

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cps"
@@ -157,18 +158,34 @@ func foldLinear(tf TemporalFeature, period cps.Window) TemporalFeature {
 //     with windows across three days' periods;
 //   - 1: one giant cluster of size bytes' worth of keys on one side of the
 //     join's switch ratio, the rest small;
-//   - 2: hostile key spans — sensors at both ends of uint32, windows ±2^40.
+//   - 2: hostile key spans — sensors at both ends of uint32, windows ±2^40;
+//   - 3: dense keys — eight sensors, eight windows a day over four days —
+//     and a first byte divisible by 4 also closes the cluster after its
+//     record, so small clusters often share a window and no sensor, or the
+//     reverse, and a chain's rejections are often revisited;
+//   - 4: mode 3's keys with hostile severities — zero, negative, subnormal,
+//     NaN, ±Inf and MaxFloat64 (whose sums overflow to +Inf) — mixed with
+//     ordinary ones, as a decoded cluster may carry them; an odd size also
+//     reverses every second micro's spatial feature and repeats a key.
 func fuzzKernelMicros(data []byte, mode, size uint8, g *IDGen) []*Cluster {
 	const far = cps.Window(1) << 40
 	var micros []*Cluster
 	var recs []cps.Record
 	flush := func() {
 		if len(recs) > 0 {
-			micros = append(micros, FromRecords(g.Next(), recs))
+			c := FromRecords(g.Next(), recs)
+			if mode%5 == 4 && size&1 == 1 && len(micros)%2 == 1 {
+				// Keys out of order, and one repeated, as a corrupt
+				// decode can leave them.
+				slices.Reverse(c.SF)
+				c.SF = append(c.SF, c.SF[0])
+				c.Hydrate()
+			}
+			micros = append(micros, c)
 			recs = recs[:0]
 		}
 	}
-	switch mode % 3 {
+	switch mode % 5 {
 	case 1:
 		// The giant: overlapRatio·small ± a few keys, spread over a day.
 		n := int(size)%(4*overlapRatio) + 1
@@ -184,7 +201,13 @@ func fuzzKernelMicros(data []byte, mode, size uint8, g *IDGen) []*Cluster {
 		}
 		sev := cps.Severity(1+int(data[3])%40) / 10
 		r := cps.Record{Severity: sev}
-		switch mode % 3 {
+		switch mode % 5 {
+		case 4:
+			r.Severity = hostileSeverity(data[3], sev)
+			fallthrough
+		case 3:
+			r.Sensor = cps.SensorID(data[1] % 8)
+			r.Window = cps.Window(data[3]%4)*144 + cps.Window(data[2]%8)
 		case 2:
 			r.Sensor = cps.SensorID(data[1]) << 24
 			if data[1]&1 == 1 {
@@ -196,13 +219,39 @@ func fuzzKernelMicros(data []byte, mode, size uint8, g *IDGen) []*Cluster {
 			r.Window = cps.Window(data[3]%4)*144 + cps.Window(data[2])
 		}
 		recs = append(recs, r)
+		if mode%5 >= 3 && data[0]%4 == 0 {
+			flush()
+		}
 	}
 	flush()
 	return micros
 }
 
+// hostileSeverity picks, by b's high bits, one of the severities integration
+// must survive without the premises of its skips, or the ordinary sev.
+func hostileSeverity(b uint8, sev cps.Severity) cps.Severity {
+	switch b >> 4 {
+	case 0:
+		return 0
+	case 1:
+		return -sev
+	case 2:
+		return cps.Severity(math.SmallestNonzeroFloat64)
+	case 3:
+		return cps.Severity(math.NaN())
+	case 4:
+		return cps.Severity(math.Inf(1))
+	case 5:
+		return cps.Severity(math.Inf(-1))
+	case 6:
+		return math.MaxFloat64
+	}
+	return sev
+}
+
 // Integrate equals the gather-then-evaluate oracle bit for bit, merge trees
-// included, at absolute windows and at a day's period.
+// included, at absolute windows and at a day's period, at δsim on both sides
+// of 0.5 and exactly at it, and on hostile severities.
 func FuzzIntegrateKernelEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 1, 3, 3, 5, 0, 0, 0, 0, 1, 2, 4, 4, 1, 5, 3, 9}, uint8(0), uint8(0), uint8(0), uint8(1))
 	f.Add([]byte{1, 1, 1, 1, 0, 0, 0, 0, 1, 2, 2, 2, 0, 1, 1, 1, 1, 3, 3, 3}, uint8(1), uint8(overlapRatio-1), uint8(1), uint8(0))
@@ -212,6 +261,26 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 	// Windows 287 and 288 against window 0 at a 288-window period: they
 	// merge only if 288 folds onto 0.
 	f.Add([]byte{1, 1, 143, 1, 1, 1, 0, 2, 0, 0, 0, 0, 1, 1, 0, 0}, uint8(0), uint8(0), uint8(5), uint8(0))
+	// δsim exactly 0.5 (periodSel>>2 == 1), at both periods, under a
+	// memory-on balance and the memory-off one.
+	f.Add([]byte{1, 1, 10, 1, 1, 2, 20, 1, 0, 0, 0, 0, 1, 1, 30, 1, 0, 0, 0, 0, 1, 2, 20, 3, 1, 3, 30, 1}, uint8(0), uint8(0), uint8(4), uint8(3))
+	f.Add([]byte{1, 1, 10, 1, 1, 2, 20, 1, 0, 0, 0, 0, 1, 1, 30, 1, 0, 0, 0, 0, 1, 2, 20, 3, 1, 3, 30, 1}, uint8(0), uint8(0), uint8(5), uint8(1))
+	f.Add([]byte{1, 7, 7, 1, 1, 8, 9, 2, 1, 9, 9, 3, 0, 0, 0, 0, 1, 7, 8, 4, 1, 9, 9, 1}, uint8(0), uint8(0), uint8(4), uint8(0))
+	// Hostile severities at δsim 0.5 and 0.4, chosen by the fourth byte's
+	// high nibble: NaN, MaxFloat64 and negative in the first; zero,
+	// subnormal and ±Inf in the second. The third reverses keys as well.
+	f.Add([]byte{1, 1, 10, 0x31, 1, 2, 20, 0x72, 0, 0, 0, 0, 1, 1, 10, 0x61, 1, 2, 20, 0x62, 0, 0, 0, 0, 1, 2, 20, 0x13}, uint8(4), uint8(0), uint8(4), uint8(3))
+	f.Add([]byte{1, 1, 10, 0x01, 1, 2, 20, 0x22, 0, 0, 0, 0, 1, 1, 10, 0x51, 1, 2, 20, 0x42, 0, 0, 0, 0, 1, 2, 20, 0x93}, uint8(4), uint8(0), uint8(13), uint8(1))
+	f.Add([]byte{1, 1, 10, 0x71, 1, 2, 20, 0x72, 0, 0, 0, 0, 1, 1, 10, 0x01, 1, 3, 20, 0x62, 0, 0, 0, 0, 1, 2, 20, 0x73}, uint8(4), uint8(1), uint8(4), uint8(3))
+	// TestRejectionMemoryWindowOnlyDirty's micros in mode 3: c, z, w, y, x.
+	f.Add([]byte{1, 1, 1, 9, 4, 2, 2, 9, 4, 5, 5, 9, 4, 5, 5, 9, 1, 2, 2, 29, 4, 3, 3, 9, 4, 1, 3, 9}, uint8(3), uint8(0), uint8(4), uint8(3))
+	// At δsim 0.4, micros sharing a window and no sensor score 0.5 and
+	// merge, met only in the window lists.
+	f.Add([]byte{4, 1, 1, 9, 4, 2, 1, 9}, uint8(3), uint8(0), uint8(12), uint8(3))
+	// A negative severity lifts a window-only candidate's temporal term
+	// above 1: c (sensor 1, window 433) merges with x (sensor 0, windows 2
+	// and 433, severities -1.7 and 4) only through the window lists.
+	f.Add([]byte{4, 1, 1, 119, 1, 0, 1, 119, 4, 0, 2, 16}, uint8(4), uint8(0), uint8(4), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, mode, size, periodSel, balSel uint8) {
 		if len(data) > 4096 {
 			return
@@ -219,7 +288,7 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 		var g IDGen
 		micros := fuzzKernelMicros(data, mode, size, &g)
 		opts := IntegrateOptions{
-			SimThreshold: []float64{0.3, 0.5, 0.7}[int(periodSel>>2)%3],
+			SimThreshold: []float64{0.3, 0.5, 0.7, 0.4}[int(periodSel>>2)%4],
 			Balance:      Balances[int(balSel)%len(Balances)],
 			Period:       []cps.Window{0, 288}[int(periodSel)%2],
 		}
@@ -232,10 +301,68 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 		// IDs on the survivors pin the merge order as well as the result.
 		got := integrateCore(cloneMicros(micros), opts, ga.Next)
 		want := integrateGatherAll(cloneMicros(micros), opts, gb.Next)
-		if !clustersExactEq(got, want) {
+		if !clustersBitEq(got, want) {
 			t.Fatalf("Integrate %v\noracle    %v", got, want)
 		}
 	})
+}
+
+// clustersBitEq is clustersExactEq comparing severity bits, so NaN
+// severities compare equal to themselves.
+func clustersBitEq(a, b []*Cluster) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Micros != b[i].Micros ||
+			!featuresBitEq(a[i].SF, b[i].SF) || !featuresBitEq(a[i].TF, b[i].TF) {
+			return false
+		}
+	}
+	return true
+}
+
+func featuresBitEq[K Key](a, b Feature[K]) bool {
+	return slices.EqualFunc(a, b, func(x, y Entry[K]) bool {
+		return x.Key == y.Key && math.Float64bits(float64(x.Sev)) == math.Float64bits(float64(y.Sev))
+	})
+}
+
+// A candidate rejected by a chain must be evaluated again once the chain
+// absorbs a cluster sharing only a folded window with it: the window raises
+// its temporal overlap, and here that is enough for the chain to take it.
+// Skipped, it would merge only at its own queue turn, after z and w merge,
+// under a later ID.
+func TestRejectionMemoryWindowOnlyDirty(t *testing.T) {
+	for _, period := range []cps.Window{0, 288} {
+		var g IDGen
+		// c: sensors 1–2, windows 10 and 20. x shares sensor 1 and no
+		// window, so the chain rejects it first (sim 0.375). y shares
+		// sensor 2 and window 20 with c (sim 0.625) and merges; y's
+		// window 30 — one day later at period 288 — is x's only window,
+		// and y has no sensor of x. c+y against x scores 7/12. z and w
+		// merge with each other and nothing else.
+		c := FromRecords(g.Next(), []cps.Record{{Sensor: 1, Window: 10, Severity: 1}, {Sensor: 2, Window: 20, Severity: 1}})
+		z := FromRecords(g.Next(), []cps.Record{{Sensor: 10, Window: 100, Severity: 1}})
+		w := FromRecords(g.Next(), []cps.Record{{Sensor: 10, Window: 100, Severity: 1}})
+		y := FromRecords(g.Next(), []cps.Record{{Sensor: 2, Window: 20, Severity: 3}, {Sensor: 3, Window: 30 + period, Severity: 1}})
+		x := FromRecords(g.Next(), []cps.Record{{Sensor: 1, Window: 30, Severity: 1}})
+		micros := []*Cluster{c, z, w, y, x}
+		opts := IntegrateOptions{SimThreshold: 0.5, Balance: Arithmetic, Period: period}
+		var ga, gb IDGen
+		ga.next.Store(g.next.Load())
+		gb.next.Store(g.next.Load())
+		got := integrateCore(cloneMicros(micros), opts, ga.Next)
+		want := integrateGatherAll(cloneMicros(micros), opts, gb.Next)
+		if !clustersBitEq(got, want) {
+			t.Fatalf("period %d: Integrate %v\noracle    %v", period, got, want)
+		}
+		// The chain's second merge, c+y+x, is the second ID drawn.
+		chainID := ID(g.next.Load() + 2)
+		if !slices.ContainsFunc(got, func(m *Cluster) bool { return m.ID == chainID && m.Micros == 3 }) {
+			t.Fatalf("period %d: got %v, want c+y+x under ID %d", period, got, chainID)
+		}
+	}
 }
 
 // cloneMicros copies clusters without their memoized summaries.

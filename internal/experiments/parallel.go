@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/cpskit/atypical/internal/cluster"
@@ -120,9 +122,24 @@ func (e *Env) parStage(workers int) ParStage {
 	return s
 }
 
+// benchReps is how many times the bench-quick artifact repeats each timed
+// stage; it reports the median run, so one descheduled run cannot move it.
+const benchReps = 5
+
+// medianStage runs the construction benchReps times and returns the run
+// with the median total.
+func (e *Env) medianStage(workers int) ParStage {
+	runs := make([]ParStage, benchReps)
+	for i := range runs {
+		runs[i] = e.parStage(workers)
+	}
+	slices.SortFunc(runs, func(a, b ParStage) int { return cmp.Compare(a.Total, b.Total) })
+	return runs[benchReps/2]
+}
+
 // MeasureParallelConstruction runs the serial and the workers-wide parallel
-// construction once each and reports the speedup. workers <= 0 selects
-// GOMAXPROCS.
+// construction benchReps times each and reports the median runs and their
+// speedup. workers <= 0 selects GOMAXPROCS.
 func MeasureParallelConstruction(e *Env, workers int) ParResult {
 	procs := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
@@ -135,8 +152,8 @@ func MeasureParallelConstruction(e *Env, workers int) ParResult {
 		Workers:    workers,
 		Sensors:    e.Net.NumSensors(),
 		Records:    e.Dataset(0).Atypical.Len(),
-		Serial:     e.parStage(0),
-		Parallel:   e.parStage(workers),
+		Serial:     e.medianStage(0),
+		Parallel:   e.medianStage(workers),
 	}
 	if res.Parallel.Total > 0 {
 		res.Speedup = res.Serial.Total / res.Parallel.Total

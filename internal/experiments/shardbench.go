@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"github.com/cpskit/atypical/internal/query"
@@ -40,16 +41,11 @@ func MeasureShardedQuery(e *Env, n int) *ShardQueryBench {
 	}
 	q := query.CityQuery(e.Net, e.Spec, 0, min(7, e.Cfg.QueryMonths*e.Cfg.DaysPerMonth), e.Cfg.DeltaS)
 
-	start := time.Now()
-	base := eng.Run(q, query.Gui)
-	res := &ShardQueryBench{Shards: n, UnshardedS: time.Since(start).Seconds()}
-
+	base, unshardedS := medianRun(eng, q)
 	sharded := *eng
 	sharded.Scatterer = shard.NewCoordinator(set.Backends(), nil)
-	start = time.Now()
-	shr := sharded.Run(q, query.Gui)
-	res.ShardedS = time.Since(start).Seconds()
-	res.Significant = len(shr.Significant)
+	shr, shardedS := medianRun(&sharded, q)
+	res := &ShardQueryBench{Shards: n, UnshardedS: unshardedS, ShardedS: shardedS, Significant: len(shr.Significant)}
 
 	res.Identical = base.CandidateMicros == shr.CandidateMicros &&
 		base.InputMicros == shr.InputMicros &&
@@ -65,4 +61,18 @@ func MeasureShardedQuery(e *Env, n int) *ShardQueryBench {
 		}
 	}
 	return res
+}
+
+// medianRun answers q with Gui benchReps times and returns the last answer
+// with the median wall time in seconds.
+func medianRun(eng *query.Engine, q query.Query) (*query.Result, float64) {
+	var res *query.Result
+	secs := make([]float64, benchReps)
+	for i := range secs {
+		start := time.Now()
+		res = eng.Run(q, query.Gui)
+		secs[i] = time.Since(start).Seconds()
+	}
+	slices.Sort(secs)
+	return res, secs[benchReps/2]
 }

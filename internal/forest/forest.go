@@ -14,10 +14,11 @@
 package forest
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +51,9 @@ type Forest struct {
 	mu      sync.RWMutex
 	version uint64 // bumped by every write
 	days    map[int][]*cluster.Cluster
+	// order lists the keys of days ascending. A new day replaces the slice
+	// instead of writing into it, so a reader may keep it past the lock.
+	order []int
 
 	// obsm holds the pre-resolved metric handles (nil = unobserved). An
 	// atomic pointer so SetObserver may arm an already-shared forest
@@ -126,7 +130,7 @@ func (f *Forest) integrate(leaves []*cluster.Cluster) []*cluster.Cluster {
 // replacing any previous slice.
 func (f *Forest) AddDay(day int, micros []*cluster.Cluster) {
 	f.mu.Lock()
-	f.days[day] = micros
+	f.setDayLocked(day, micros)
 	f.bumpLocked()
 	f.mu.Unlock()
 }
@@ -143,12 +147,22 @@ func (f *Forest) AppendDay(day int, micros []*cluster.Cluster) {
 	merged := make([]*cluster.Cluster, 0, len(existing)+len(micros))
 	merged = append(merged, existing...)
 	merged = append(merged, micros...)
-	f.days[day] = merged
+	f.setDayLocked(day, merged)
 	f.bumpLocked()
 	f.mu.Unlock()
 	if m := f.obsm.Load(); m != nil {
 		m.appends.Inc()
 	}
+}
+
+// setDayLocked stores one day's slice, adding the day to the order when it
+// is new. Callers hold f.mu for writing.
+func (f *Forest) setDayLocked(day int, micros []*cluster.Cluster) {
+	if _, ok := f.days[day]; !ok {
+		i, _ := slices.BinarySearch(f.order, day)
+		f.order = slices.Insert(slices.Clip(f.order), i, day)
+	}
+	f.days[day] = micros
 }
 
 // bumpLocked advances the version after a write. Callers hold f.mu.
@@ -171,17 +185,7 @@ func (f *Forest) Day(day int) []*cluster.Cluster {
 func (f *Forest) Days() []int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.daysLocked()
-}
-
-// daysLocked is Days for callers already holding f.mu (either mode).
-func (f *Forest) daysLocked() []int {
-	out := make([]int, 0, len(f.days))
-	for d := range f.days {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Clone(f.order)
 }
 
 // MicrosInRange returns every micro-cluster whose day falls inside the
@@ -191,12 +195,21 @@ func (f *Forest) MicrosInRange(tr cps.TimeRange) []*cluster.Cluster {
 	perDay := cps.Window(f.spec.PerDay())
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	var out []*cluster.Cluster
-	for _, d := range f.daysLocked() {
-		dayStart := cps.Window(d) * perDay
-		if dayStart >= tr.From && dayStart < tr.To {
-			out = append(out, f.days[d]...)
-		}
+	// Day starts ascend with the day, so the days in range are one run of
+	// the order.
+	lo, _ := slices.BinarySearchFunc(f.order, tr.From, func(d int, from cps.Window) int {
+		return cmp.Compare(cps.Window(d)*perDay, from)
+	})
+	hi, n := lo, 0
+	for ; hi < len(f.order) && cps.Window(f.order[hi])*perDay < tr.To; hi++ {
+		n += len(f.days[f.order[hi]])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*cluster.Cluster, 0, n)
+	for _, d := range f.order[lo:hi] {
+		out = append(out, f.days[d]...)
 	}
 	return out
 }
@@ -272,7 +285,7 @@ func (f *Forest) IntegratePath(path PathFunc) map[int][]*cluster.Cluster {
 	buckets := make(map[int][]*cluster.Cluster)
 	var order []int
 	f.mu.RLock()
-	for _, d := range f.daysLocked() {
+	for _, d := range f.order {
 		if b, ok := path(d); ok {
 			if _, seen := buckets[b]; !seen {
 				order = append(order, b)
@@ -310,7 +323,7 @@ func (f *Forest) SaveFS(dir string, fsys faultfs.FS) error {
 		return fmt.Errorf("forest: %w", err)
 	}
 	f.mu.RLock()
-	days := f.daysLocked()
+	days := f.order
 	snaps := make([][]*cluster.Cluster, len(days))
 	for i, d := range days {
 		snaps[i] = f.days[d]
@@ -441,7 +454,7 @@ func Load(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.Inte
 		for _, c := range cs {
 			gen.AdvancePast(c.ID)
 		}
-		f.days[day] = cs
+		f.setDayLocked(day, cs)
 	}
 	return f, report, nil
 }

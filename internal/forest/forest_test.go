@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cluster"
@@ -70,6 +71,42 @@ func TestMicrosInRange(t *testing.T) {
 	}
 	if len(f.MicrosInRange(cps.DayRange(spec, 50, 5))) != 0 {
 		t.Error("out-of-range should be empty")
+	}
+}
+
+// Days stored out of order, some appended twice, come back in day order
+// from Days and MicrosInRange; a Days snapshot is not changed by a later
+// new day, and ranges that clip the stored days return exactly their run.
+func TestMicrosInRangeDayOrder(t *testing.T) {
+	var g cluster.IDGen
+	spec := cps.DefaultSpec()
+	f := New(spec, &g, opts(), 30)
+	ids := map[int][]cluster.ID{}
+	for _, d := range []int{5, 1, 3, 1, 8, 5} {
+		c := dayMicro(&g, spec, d, 0, 2)
+		ids[d] = append(ids[d], c.ID)
+		f.AppendDay(d, []*cluster.Cluster{c})
+	}
+	snap := f.Days()
+	f.AddDay(0, []*cluster.Cluster{dayMicro(&g, spec, 0, 0, 2)})
+	if !slices.Equal(snap, []int{1, 3, 5, 8}) || !slices.Equal(f.Days(), []int{0, 1, 3, 5, 8}) {
+		t.Fatalf("Days snapshot %v, now %v", snap, f.Days())
+	}
+	for _, tc := range []struct {
+		from, n int
+		want    []int
+	}{{1, 5, []int{1, 3, 5}}, {2, 2, []int{3}}, {4, 10, []int{5, 8}}, {9, 3, nil}, {-3, 2, nil}} {
+		var want []cluster.ID
+		for _, d := range tc.want {
+			want = append(want, ids[d]...)
+		}
+		var got []cluster.ID
+		for _, c := range f.MicrosInRange(cps.DayRange(spec, tc.from, tc.n)) {
+			got = append(got, c.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("days [%d, %d): got %v, want %v", tc.from, tc.from+tc.n, got, want)
+		}
 	}
 }
 
