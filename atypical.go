@@ -84,9 +84,10 @@ type Config struct {
 	SimThreshold float64
 	// Workers bounds the goroutines used for parallel offline construction:
 	// 0 keeps every path serial (byte-compatible with historical output),
-	// n > 0 uses up to n goroutines, n < 0 one per CPU. Results do not
-	// depend on the worker count; see WithWorkers. Query serving stays on
-	// the serial path unless WithQueryWorkers opts in.
+	// n > 0 uses up to n goroutines, n < 0 one per CPU. Results are the same
+	// for every n != 0, but integrated levels may differ from the serial
+	// path's; see WithWorkers. Query serving stays on the serial path unless
+	// WithQueryWorkers opts in.
 	Workers int
 }
 
@@ -120,10 +121,11 @@ type systemOptions struct {
 // extraction, severity sharding, level integration). n > 0 means up to n
 // goroutines, n < 0 one per CPU, 0 the serial legacy path. Every parallel
 // path is deterministic: the produced forests, indexes and reports are
-// identical for every n (the extraction and severity paths bit-identically
-// match the serial path; integration uses the fixed merge tree of
-// cluster.IntegrateParallel). Query serving is NOT affected — see
-// WithQueryWorkers.
+// identical for every n != 0. Extraction and severity also match the serial
+// path bit for bit; level integration does not, because it uses the fixed
+// merge tree of cluster.IntegrateParallel, whose merge order differs from
+// the serial kernel's (see WithQueryWorkers). Query serving is NOT affected
+// — see WithQueryWorkers.
 func WithWorkers(n int) Option {
 	return func(o *systemOptions) { o.workers = n; o.workersSet = true }
 }
@@ -406,15 +408,18 @@ func (s *System) GenerateMonth(m int) *gen.Dataset { return s.gen.Month(m) }
 // byte-identical to a serial ingest regardless of worker count or
 // GOMAXPROCS.
 func (s *System) Ingest(rs *cps.RecordSet) {
-	// A background context cannot cancel, so the error path is unreachable
-	// in practice; anything that does surface is recorded in the API error
-	// metrics by IngestCtx rather than panicking.
+	// A background context cannot cancel, so the only error is a rejected
+	// record set (see IngestCtx), which ingests nothing and is recorded in
+	// the API error metrics; callers that must know use IngestCtx.
 	_ = s.IngestCtx(context.Background(), rs)
 }
 
 // IngestCtx is Ingest with cooperative cancellation. On cancellation no day
 // is partially ingested, but days already handed to the forest stay: callers
-// abandoning an ingest mid-way should rebuild from scratch.
+// abandoning an ingest mid-way should rebuild from scratch. A record set
+// holding a severity that is not finite and positive, or one whose events
+// sum a feature entry to +Inf, is rejected whole with an error wrapping
+// ErrInvalidConfig before anything is ingested.
 func (s *System) IngestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	ctx, sp := obs.Start(s.armSpans(ctx), "ingest")
 	err := s.ingestCtx(ctx, rs)
@@ -431,6 +436,11 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	fst, sev, workers := s.forest, s.sev, s.workers
 	s.mu.RUnlock()
 
+	for _, r := range rs.Records() {
+		if !r.Severity.Valid() {
+			return fmt.Errorf("%w: record %v: severity must be finite and positive", ErrInvalidConfig, r)
+		}
+	}
 	byDay := rs.SplitByDay(s.spec)
 	days := make([]cluster.DayRecords, 0, len(byDay))
 	cps.ForEachDay(byDay, func(day int, recs []cps.Record) {
@@ -443,6 +453,13 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	spEx.End()
 	if err != nil {
 		return err
+	}
+	for _, micros := range perDay {
+		for _, c := range micros {
+			if !c.Valid() {
+				return fmt.Errorf("%w: event of %d windows sums a feature severity to +Inf", ErrInvalidConfig, len(c.TF))
+			}
+		}
 	}
 	s.obs.extractDone(t)
 

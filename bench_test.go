@@ -200,7 +200,10 @@ func benchQuery(b *testing.B, s query.Strategy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := f.engine.Run(q, s)
+		res, err := f.engine.RunCtx(context.Background(), q, s)
+		if err != nil {
+			b.Fatal(err)
+		}
 		inputs = res.InputMicros
 	}
 	b.ReportMetric(float64(inputs), "inputs")
@@ -261,8 +264,14 @@ func BenchmarkObsOverheadQuery(b *testing.B) {
 func BenchmarkFig18Scoring(b *testing.B) {
 	f := benchFixture(b)
 	q := query.CityQuery(f.net, f.spec, 0, 14, 0.02)
-	all := f.engine.Run(q, query.All)
-	gui := f.engine.Run(q, query.Gui)
+	all, err := f.engine.RunCtx(context.Background(), q, query.All)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gui, err := f.engine.RunCtx(context.Background(), q, query.Gui)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr := eval.Score(gui.Macros, all.Significant, all.Bound, cluster.Arithmetic)
@@ -509,7 +518,9 @@ func BenchmarkStreamProcessor(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		p.Flush()
+		if err := p.Flush(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

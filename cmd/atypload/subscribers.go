@@ -126,8 +126,7 @@ func startLocalSubscribers(sys *atypical.System, n, days int) (func() (phaseResu
 			streamErr <- err
 			return
 		}
-		p.Flush()
-		streamErr <- nil
+		streamErr <- p.Flush()
 	}()
 
 	finish := func() (phaseResult, error) {

@@ -514,7 +514,9 @@ func replayStream(ctx context.Context, logger *slog.Logger, sys *atypical.System
 			}
 			return
 		}
-		p.Flush()
+		if err := p.Flush(); err != nil {
+			logger.Error("stream replay: flushing", "err", err)
+		}
 	}
 }
 

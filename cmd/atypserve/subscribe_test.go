@@ -57,7 +57,9 @@ func driveStream(t *testing.T, sys *atypical.System, days int) {
 	if err := p.ObserveAll(context.Background(), recs); err != nil {
 		t.Fatal(err)
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // readSSEEvent reads one complete SSE event (heartbeat comments skipped).
@@ -254,6 +256,12 @@ func TestSubscribeValidation(t *testing.T) {
 	}
 	if code, _ := status("?deltas=abc"); code != http.StatusBadRequest {
 		t.Errorf("bad deltas: %d, want 400", code)
+	}
+	for _, v := range []string{"NaN", "Inf", "-Inf"} {
+		if code, body := status("?deltas=" + v); code != http.StatusBadRequest ||
+			!strings.Contains(body, "invalid_request") {
+			t.Errorf("deltas=%s: %d %q, want 400 invalid_request", v, code, body)
+		}
 	}
 	if code, _ := status("?mode=carrier-pigeon"); code != http.StatusBadRequest {
 		t.Errorf("bad mode: %d, want 400", code)

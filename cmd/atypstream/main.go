@@ -91,7 +91,9 @@ func main() {
 	if err := rr.Err(); err != nil {
 		fatal(err)
 	}
-	proc.Flush()
+	if err := proc.Flush(); err != nil {
+		fatal(err)
+	}
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(os.Stdout, "\nreplayed %d records in %s (%.0f records/s): %d events closed, %d alerts\n",

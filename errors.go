@@ -12,14 +12,15 @@ import (
 // errors.Is rather than string matching:
 //
 //   - ErrInvalidConfig: a Config field or method argument fails validation
-//     (NewSystem, NewStreamProcessor, TrainPredictor).
+//     (NewSystem, NewStreamProcessor, TrainPredictor, and IngestCtx or
+//     IngestClusters given a severity that is not finite and positive).
 //   - ErrSeverityStale: the severity index lags the forest; Guided queries
 //     are refused until RebuildSeverity runs (LoadForest, Run).
 //   - ErrUnknownStrategy: a Strategy value outside IntegrateAll/Pruned/
 //     Guided reached the engine.
 //   - ErrInvalidRequest: a QueryRequest fails Validate — conflicting
-//     spatial scopes, a non-positive day count, a negative δs, or a
-//     malformed window range (Run; atypserve maps it to HTTP 400).
+//     spatial scopes, a non-positive day count, a negative or non-finite
+//     δs, or a malformed window range (Run; atypserve maps it to HTTP 400).
 //   - ErrNoData: the requested range holds nothing to operate on
 //     (TrainPredictor).
 //   - ErrPartialResult: a sharded query lost shards after retry and the
@@ -47,7 +48,8 @@ var ErrUnknownStrategy = query.ErrUnknownStrategy
 
 // ErrInvalidRequest reports a QueryRequest that fails validation before it
 // reaches the engine: conflicting spatial scopes (Regions and Box both
-// set), a non-positive Days with no Window override, a negative DeltaS, or
+// set), a non-positive Days with no Window override, a negative or
+// non-finite DeltaS, or
 // a Window with negative origin or inverted bounds. Run returns it wrapped
 // with the offending field spelled out; atypserve answers HTTP 400 with a
 // structured body.

@@ -50,7 +50,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	proc.Flush()
+	if err := proc.Flush(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("... stream done: %d records, %d events closed, %d alerts\n\n",
 		proc.Observed(), proc.Emitted(), alerts)
 
@@ -71,7 +73,9 @@ func main() {
 
 	// Build the forest from the streamed clusters and forecast tomorrow.
 	fmt.Println("\n=== Next-day forecast from 10 training days ===")
-	sys.IngestClusters(closed)
+	if err := sys.IngestClusters(closed); err != nil {
+		log.Fatal(err)
+	}
 	model, err := sys.TrainPredictor(0, 10, 0.2)
 	if err != nil {
 		log.Fatal(err)

@@ -51,8 +51,15 @@ func (s *System) NewStreamProcessor(emit func(*Cluster)) (*StreamProcessor, erro
 
 // IngestClusters adds externally produced micro-clusters (e.g. from a
 // StreamProcessor) to the forest under their first record's day, routing
-// them to their home shards as well when local sharding is enabled.
-func (s *System) IngestClusters(micros []*Cluster) {
+// them to their home shards as well when local sharding is enabled. If any
+// cluster is nil or fails Cluster.Valid it returns an error wrapping
+// ErrInvalidConfig and ingests nothing.
+func (s *System) IngestClusters(micros []*Cluster) error {
+	for i, c := range micros {
+		if c == nil || !c.Valid() {
+			return fmt.Errorf("%w: cluster %d of %d: features must have ascending keys and finite, positive severities", ErrInvalidConfig, i, len(micros))
+		}
+	}
 	perDay := Window(s.spec.PerDay())
 	byDay := make(map[int][]*Cluster)
 	for _, c := range micros {
@@ -69,6 +76,7 @@ func (s *System) IngestClusters(micros []*Cluster) {
 			s.shardSet.AppendDay(day, cs)
 		}
 	})
+	return nil
 }
 
 // PredictionModel forecasts per-sensor and per-window severity from

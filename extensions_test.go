@@ -3,10 +3,57 @@ package atypical
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cluster"
 )
+
+// Ingest is where records and clusters enter the system, so it holds them to
+// cluster.Feature.Valid's rule, which integration relies on without checking:
+// a record set or cluster batch holding a severity that is not finite and
+// positive, or an event whose records sum one feature entry to +Inf, is
+// rejected whole and stores nothing.
+func TestIngestRejectsInvalidSeverities(t *testing.T) {
+	sys, err := NewSystem(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, sev := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rs := NewRecordSet([]Record{{Sensor: 1, Window: 3, Severity: 1}, {Sensor: 2, Window: 40, Severity: Severity(sev)}})
+		if err := sys.IngestCtx(ctx, rs); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("record severity %v: IngestCtx = %v, want ErrInvalidConfig", sev, err)
+		}
+	}
+	huge := Severity(math.MaxFloat64)
+	overflow := NewRecordSet([]Record{{Sensor: 1, Window: 3, Severity: huge}, {Sensor: 1, Window: 4, Severity: huge}})
+	if err := sys.IngestCtx(ctx, overflow); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("event summing to +Inf: IngestCtx = %v, want ErrInvalidConfig", err)
+	}
+
+	var g cluster.IDGen
+	good := cluster.FromRecords(g.Next(), []Record{{Sensor: 1, Window: 3, Severity: 1}})
+	for name, bad := range map[string]*Cluster{
+		"nil":      nil,
+		"nan":      {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: Severity(math.NaN())}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
+		"zero":     {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 0}}},
+		"unsorted": {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 2, Sev: 1}, {Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 2}}},
+	} {
+		if err := sys.IngestClusters([]*Cluster{good, bad}); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s cluster: IngestClusters = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+	if days := sys.Forest().Days(); len(days) != 0 {
+		t.Fatalf("rejected ingests stored days %v", days)
+	}
+	if err := sys.IngestClusters([]*Cluster{good}); err != nil {
+		t.Fatalf("valid cluster rejected: %v", err)
+	}
+	if days := sys.Forest().Days(); len(days) != 1 {
+		t.Fatalf("valid cluster stored days %v, want one", days)
+	}
+}
 
 func TestStreamProcessorThroughFacade(t *testing.T) {
 	sys, err := NewSystem(testConfig())
@@ -25,7 +72,9 @@ func TestStreamProcessorThroughFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if len(streamed) == 0 {
 		t.Fatal("no clusters streamed")
 	}
@@ -34,7 +83,9 @@ func TestStreamProcessorThroughFacade(t *testing.T) {
 	// Ingest. Micro counts differ slightly by design: the batch pipeline
 	// splits events at midnight (per-day materialization), the stream
 	// keeps overnight events whole.
-	sys.IngestClusters(streamed)
+	if err := sys.IngestClusters(streamed); err != nil {
+		t.Fatal(err)
+	}
 	var streamSev Severity
 	for _, day := range sys.Forest().Days() {
 		for _, c := range sys.Forest().Day(day) {

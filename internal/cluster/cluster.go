@@ -107,6 +107,10 @@ func FromRecords(id ID, recs []cps.Record) *Cluster {
 	return c
 }
 
+// Valid reports whether both features pass Feature.Valid, the condition
+// every cluster must meet before it is stored or integrated.
+func (c *Cluster) Valid() bool { return c.SF.Valid() && c.TF.Valid() }
+
 // Severity returns the cluster's total severity Σμ = Σν (Definition 5).
 // Every constructor in this package precomputes the cache; clusters built
 // field-by-field elsewhere (storage decoding) should call Hydrate once. The

@@ -26,9 +26,9 @@ type Entry[K Key] struct {
 }
 
 // Feature is a sparse severity vector: entries sorted by key, keys unique,
-// severities positive. The spatial feature SF of Definition 4 is a
-// Feature[cps.SensorID] (μ values); the temporal feature TF is a
-// Feature[cps.Window] (ν values).
+// severities finite and positive (Valid). The spatial feature SF of
+// Definition 4 is a Feature[cps.SensorID] (μ values); the temporal feature
+// TF is a Feature[cps.Window] (ν values).
 //
 // Features are algebraic (paper Property 2): merging two features is an
 // O(m1+m2) sorted merge-join that sums severities on common keys and copies
@@ -221,19 +221,15 @@ func CommonKeyCount[K Key](a, b Feature[K]) int {
 	return n
 }
 
-// valid reports whether the feature satisfies its invariants (sorted unique
-// keys, positive severities). Used by tests and storage decoding.
-func (f Feature[K]) valid() bool {
+// Valid reports whether the feature satisfies its invariants: strictly
+// ascending keys and every severity finite and positive (cps.Severity.Valid).
+// It is the one validity rule for clusters; each path by which a cluster
+// enters the system checks it or its record-level half (see integrateCore).
+func (f Feature[K]) Valid() bool {
 	for i, e := range f {
-		if e.Sev <= 0 {
-			return false
-		}
-		if i > 0 && f[i-1].Key >= e.Key {
+		if !e.Sev.Valid() || i > 0 && f[i-1].Key >= e.Key {
 			return false
 		}
 	}
 	return true
 }
-
-// Valid exposes invariant checking for other packages (storage, tests).
-func (f Feature[K]) Valid() bool { return f.valid() }

@@ -115,12 +115,26 @@ func TestCommonKeyCount(t *testing.T) {
 	}
 }
 
+// Valid is the one rule every cluster entering the system must pass, so
+// integration's skips can rely on it: strictly ascending keys, severities
+// finite and positive. The extremes that pass stay kernel inputs in
+// FuzzIntegrateKernelEquivalence.
 func TestFeatureValid(t *testing.T) {
 	bad1 := SpatialFeature{{Key: 2, Sev: 1}, {Key: 1, Sev: 1}} // unsorted
-	bad2 := SpatialFeature{{Key: 1, Sev: 0}}                   // non-positive severity
 	bad3 := SpatialFeature{{Key: 1, Sev: 1}, {Key: 1, Sev: 2}} // duplicate key
-	if bad1.Valid() || bad2.Valid() || bad3.Valid() {
-		t.Error("invalid features accepted")
+	if bad1.Valid() || bad3.Valid() {
+		t.Error("invalid key order accepted")
+	}
+	for _, sev := range []float64{0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := TemporalFeature{{Key: -3, Sev: 1}, {Key: 4, Sev: cps.Severity(sev)}}
+		if f.Valid() {
+			t.Errorf("severity %v accepted", sev)
+		}
+	}
+	for _, sev := range []float64{math.SmallestNonzeroFloat64, 1, math.MaxFloat64} {
+		if f := (SpatialFeature{{Key: 0, Sev: cps.Severity(sev)}}); !f.Valid() {
+			t.Errorf("severity %v rejected", sev)
+		}
 	}
 }
 

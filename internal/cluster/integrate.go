@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"math"
-
-	"github.com/cpskit/atypical/internal/cps"
-)
+import "github.com/cpskit/atypical/internal/cps"
 
 // IntegrateOptions configures cluster integration (Algorithm 3).
 type IntegrateOptions struct {
@@ -67,14 +63,26 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*
 	}
 	folded := func(c *Cluster) TemporalFeature { return c.summaryAt(opts.Period).tf }
 
-	// Both skips below are exact only when every feature has ascending
-	// keys and finite, non-negative severities (a decoded cluster may carry
-	// anything) and, for the rejection memory, when the balance is
-	// monotone in floating point. Otherwise the kernel walks and evaluates
-	// every candidate.
-	sane := featuresSane(micros)
-	sensorsOnly := sane && opts.SimThreshold >= 0.5
-	remember := sane && opts.Balance != Harmonic
+	// Both skips below are exact only when every input passes
+	// Cluster.Valid and, for the rejection memory, when the balance is
+	// monotone in floating point (Harmonic is not known to be). The kernel
+	// does not check Valid: each path that brings a cluster into the
+	// system does, once per cluster, and every input comes from one of them
+	// (DESIGN.md §5):
+	//
+	//   - System.IngestCtx: records must be finite and positive, and each
+	//     extracted micro must pass Valid (records may sum to +Inf);
+	//   - stream.Processor: Observe rejects such records and emit drops,
+	//     and reports, a micro failing Valid, so subscriptions see none;
+	//   - System.IngestClusters rejects the batch if any cluster fails;
+	//   - storage.ReadClustersExact (forest.Load, LoadForestRecover, shard
+	//     HTTP answers) rejects zero or wrapping key deltas and invalid
+	//     severities as ErrCorrupt;
+	//   - merges the kernel builds from valid inputs keep keys sorted and
+	//     severities positive; their sums may overflow to +Inf, which the
+	//     skips' argument allows.
+	sensorsOnly := opts.SimThreshold >= 0.5
+	remember := opts.Balance != Harmonic
 
 	// Posting lists: key -> positions of clusters featuring the key, in
 	// ascending position order. A merged cluster's keys are a union of its
@@ -230,27 +238,6 @@ type rejection struct {
 	absorbed int32  // clusters that chain had absorbed at the time
 }
 
-// featuresSane reports whether every feature of every cluster has strictly
-// ascending keys and finite, non-negative severities, the premise of
-// integrateCore's skips.
-func featuresSane(cs []*Cluster) bool {
-	for _, c := range cs {
-		if !featureSane(c.SF) || !featureSane(c.TF) {
-			return false
-		}
-	}
-	return true
-}
-
-func featureSane[K Key](f Feature[K]) bool {
-	for i, e := range f {
-		if !(e.Sev >= 0 && e.Sev <= math.MaxFloat64) || i > 0 && f[i-1].Key >= e.Key {
-			return false
-		}
-	}
-	return true
-}
-
 // sharesKey reports whether two features have a key in common, searching
 // each key of the shorter one in the rest of the longer one.
 func sharesKey[K Key](a, b Feature[K]) bool {
@@ -385,17 +372,4 @@ func IntegrateNaive(gen *IDGen, micros []*Cluster, opts IntegrateOptions) []*Clu
 			return set
 		}
 	}
-}
-
-// FixpointHolds verifies the Algorithm 3 postcondition: no pair of clusters
-// in set has similarity above δsim. Exposed for tests and debugging.
-func FixpointHolds(set []*Cluster, opts IntegrateOptions) bool {
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if opts.similarity(set[i], set[j]) > opts.SimThreshold {
-				return false
-			}
-		}
-	}
-	return true
 }

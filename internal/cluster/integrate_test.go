@@ -145,7 +145,7 @@ func TestIntegrateInvariants(t *testing.T) {
 			if !approxEq(float64(gotSev), float64(wantSev)) || gotMicros != len(micros) {
 				return false
 			}
-			if !FixpointHolds(out, opts) {
+			if !fixpointHolds(out, opts) {
 				return false
 			}
 		}
@@ -280,16 +280,29 @@ func TestIntegrateHostileKeySpan(t *testing.T) {
 	}
 }
 
+// fixpointHolds verifies the Algorithm 3 postcondition: no pair of clusters
+// in set has similarity above δsim.
+func fixpointHolds(set []*Cluster, opts IntegrateOptions) bool {
+	for i := 0; i < len(set); i++ {
+		for j := i + 1; j < len(set); j++ {
+			if opts.similarity(set[i], set[j]) > opts.SimThreshold {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestFixpointHolds(t *testing.T) {
 	var g IDGen
 	a := FromRecords(g.Next(), []cps.Record{{Sensor: 1, Window: 0, Severity: 1}})
 	b := FromRecords(g.Next(), []cps.Record{{Sensor: 1, Window: 0, Severity: 1}})
 	opts := defaultOpts()
-	if FixpointHolds([]*Cluster{a, b}, opts) {
+	if fixpointHolds([]*Cluster{a, b}, opts) {
 		t.Error("identical clusters exceed any δsim < 1")
 	}
 	c := FromRecords(g.Next(), []cps.Record{{Sensor: 99, Window: 99, Severity: 1}})
-	if !FixpointHolds([]*Cluster{a, c}, opts) {
+	if !fixpointHolds([]*Cluster{a, c}, opts) {
 		t.Error("disjoint clusters are a fixpoint")
 	}
 }

@@ -11,7 +11,7 @@ package cluster
 //     reassociated into a chunked pairwise-merge tree. IntegrateParallel
 //     fixes the chunk boundaries and the reduction tree by input length
 //     alone, so its output is identical for every worker count and
-//     GOMAXPROCS setting; only wall-clock time changes.
+//     GOMAXPROCS setting (though not to Integrate's; see below).
 //
 // IntegrateParallel's result satisfies the same fixpoint postcondition as
 // Integrate (no surviving pair above δsim) and agrees with the serial path

@@ -170,7 +170,7 @@ func TestIntegrateParallelInvariants(t *testing.T) {
 		if !approxEq(float64(gotSev), float64(wantSev)) || gotMicros != len(micros) {
 			return false
 		}
-		return FixpointHolds(out, opts)
+		return fixpointHolds(out, opts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -315,7 +315,7 @@ func FuzzParallelIntegrateEquivalence(f *testing.F) {
 		if gotMicros != len(micros1) {
 			t.Fatalf("micro count not conserved: got %d want %d", gotMicros, len(micros1))
 		}
-		if !FixpointHolds(out1, opts) {
+		if !fixpointHolds(out1, opts) {
 			t.Fatal("fixpoint violated: a surviving pair exceeds the threshold")
 		}
 	})

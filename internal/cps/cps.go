@@ -10,6 +10,7 @@ package cps
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -80,9 +81,14 @@ func (ws WindowSpec) Format(w Window) string {
 }
 
 // Severity is the paper's severity measure f(s, t). The default unit is
-// minutes of atypical duration inside the window, but any non-negative
+// minutes of atypical duration inside the window, but any positive
 // domain-specific measure works (Section II-A).
 type Severity float64
+
+// Valid reports whether s is finite and positive: zero, negative, NaN and
+// ±Inf all fail. Every record and feature entry that enters the system must
+// pass it; cluster integration's exact skips rest on it (Properties 2–3).
+func (s Severity) Valid() bool { return s > 0 && s <= math.MaxFloat64 }
 
 // Record is one atypical record (s, t, f(s, t)).
 type Record struct {

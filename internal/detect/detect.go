@@ -30,9 +30,9 @@ const (
 )
 
 // SeverityFromSpeed maps a speed reading to an atypical severity in minutes.
-// Readings at or above the threshold yield zero.
+// Readings at or above the threshold, and NaN readings, yield zero.
 func SeverityFromSpeed(mph float64) cps.Severity {
-	if mph >= ThresholdMPH {
+	if !(mph < ThresholdMPH) {
 		return 0
 	}
 	sev := (ThresholdMPH - mph) / SevSlopeMPH
@@ -64,17 +64,19 @@ type Detector struct {
 	scanned int64
 }
 
-// Observe consumes one reading, retaining it if atypical.
+// Observe consumes one reading, retaining it if atypical. A NaN reading is
+// not atypical: no comparison with it holds, so it yields no record rather
+// than a NaN severity.
 func (d *Detector) Observe(r cps.Reading) {
 	d.scanned++
 	th := d.Threshold
 	if th == 0 {
 		th = ThresholdMPH
 	}
-	if r.Value >= th {
-		return
-	}
 	sev := (th - r.Value) / SevSlopeMPH
+	if !(sev > 0) {
+		return // at or above the threshold, NaN, or below it by an underflowing margin
+	}
 	if sev > MaxSeverityMinutes {
 		sev = MaxSeverityMinutes
 	}

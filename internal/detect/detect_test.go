@@ -71,6 +71,25 @@ func TestDetectorObserve(t *testing.T) {
 	}
 }
 
+// A NaN reading compares false against every threshold; it is not
+// atypical, so it yields no record (it used to yield a NaN severity).
+// Infinite readings are free flow and the severity cap.
+func TestDetectorNonFiniteReadings(t *testing.T) {
+	for _, th := range []float64{0, 30} {
+		d := Detector{Threshold: th}
+		d.Observe(cps.Reading{Sensor: 1, Window: 0, Value: math.NaN()})
+		d.Observe(cps.Reading{Sensor: 2, Window: 0, Value: math.Inf(1)})
+		d.Observe(cps.Reading{Sensor: 3, Window: 0, Value: math.Inf(-1)})
+		recs := d.Result().Records()
+		if len(recs) != 1 || recs[0].Sensor != 3 || recs[0].Severity != MaxSeverityMinutes {
+			t.Errorf("threshold %v: records %v, want only sensor 3 at the cap", th, recs)
+		}
+	}
+	if got := SeverityFromSpeed(math.NaN()); got != 0 {
+		t.Errorf("SeverityFromSpeed(NaN) = %v, want 0", got)
+	}
+}
+
 func TestDetectorCustomThreshold(t *testing.T) {
 	d := Detector{Threshold: 30}
 	d.Observe(cps.Reading{Sensor: 1, Window: 0, Value: 45}) // normal under custom threshold

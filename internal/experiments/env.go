@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"github.com/cpskit/atypical/internal/cluster"
@@ -171,6 +172,16 @@ func (e *Env) QueryStack() *query.Engine {
 		sev.Add(e.Dataset(m).Atypical.Records())
 	}
 	return &query.Engine{Net: e.Net, Forest: f, Severity: sev, Gen: &e.idgen}
+}
+
+// mustRun answers q under s. Experiments run a local engine with a
+// background context over the defined strategies, so RunCtx cannot fail.
+func mustRun(engine *query.Engine, q query.Query, s query.Strategy) *query.Result {
+	res, err := engine.RunCtx(context.Background(), q, s)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // QueryRanges are the Fig. 17–18 time ranges in days, truncated to the

@@ -60,7 +60,10 @@ func ExtStream(e *Env) []*Table {
 			return []*Table{t}
 		}
 	}
-	proc.Flush()
+	if err := proc.Flush(); err != nil {
+		t.Notes = append(t.Notes, "stream error: "+err.Error())
+		return []*Table{t}
+	}
 	streamMS := float64(time.Since(start).Microseconds()) / 1000
 	t.AddRow("stream", streamCount, float64(streamSev), streamMS, float64(len(recs))/streamMS*1000)
 	t.Notes = append(t.Notes,

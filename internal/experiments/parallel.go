@@ -61,7 +61,7 @@ func (e *Env) queryMetrics() map[string]float64 {
 	engine.Obs = query.NewMetrics(reg)
 	q := query.CityQuery(e.Net, e.Spec, 0, min(7, e.Cfg.QueryMonths*e.Cfg.DaysPerMonth), e.Cfg.DeltaS)
 	for s := query.All; s <= query.Gui; s++ {
-		engine.Run(q, s)
+		mustRun(engine, q, s)
 	}
 	return reg.Snapshot().Flatten()
 }

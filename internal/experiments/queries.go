@@ -30,7 +30,7 @@ func Fig17(e *Env) []*Table {
 		inputs := make([]int, len(strategies))
 		for i, s := range strategies {
 			q := query.CityQuery(e.Net, e.Spec, 0, days, e.Cfg.DeltaS)
-			res := engine.Run(q, s)
+			res := mustRun(engine, q, s)
 			times[i] = res.Elapsed.Seconds()
 			inputs[i] = res.InputMicros
 		}
@@ -99,7 +99,7 @@ func Fig19(e *Env) []*Table {
 func scoreStrategies(e *Env, engine *query.Engine, q query.Query) []eval.PR {
 	results := make([]*query.Result, len(strategies))
 	for i, s := range strategies {
-		results[i] = engine.Run(q, s)
+		results[i] = mustRun(engine, q, s)
 	}
 	truth := results[0].Significant // All prunes nothing: its significant set is ground truth
 	out := make([]eval.PR, len(strategies))

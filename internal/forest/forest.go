@@ -114,8 +114,10 @@ func (f *Forest) Spec() cps.WindowSpec { return f.spec }
 
 // SetWorkers selects how higher levels integrate: n == 0 keeps the serial
 // path, n > 0 uses the parallel merge tree on n goroutines, n < 0 on one per
-// CPU. The parallel result is independent of n (see cluster.IntegrateParallel),
-// so this knob trades only wall-clock time.
+// CPU. The parallel result is the same for every n != 0 (see
+// cluster.IntegrateParallel), but its merge order differs from the serial
+// path's, so switching between 0 and n != 0 may change macro-clusters, IDs
+// and low-order severity bits, not only wall-clock time.
 func (f *Forest) SetWorkers(n int) { f.workers.Store(int32(n)) }
 
 // integrate runs the configured integration path.

@@ -109,11 +109,11 @@ func TestEngineCacheInvalidatedBySeverityChange(t *testing.T) {
 	e.Cache = NewAnswerCache(8)
 	q := CityQuery(e.Net, spec, 0, 3, 0.02)
 
-	first := e.Run(q, Gui)
+	first := run(t, e, q, Gui)
 	if hits, misses, _ := e.Cache.Stats(); hits != 0 || misses != 1 {
 		t.Fatalf("first run stats = %d hits/%d misses, want 0/1", hits, misses)
 	}
-	second := e.Run(q, Gui)
+	second := run(t, e, q, Gui)
 	if hits, _, _ := e.Cache.Stats(); hits != 1 {
 		t.Fatal("repeat run did not hit the cache")
 	}
@@ -124,7 +124,7 @@ func TestEngineCacheInvalidatedBySeverityChange(t *testing.T) {
 	// Severity changes, forest version does not: the cached Guided answer
 	// must be retired, not replayed.
 	e.Severity.Add([]cps.Record{{Sensor: 0, Window: 0, Severity: 1}})
-	e.Run(q, Gui)
+	run(t, e, q, Gui)
 	hits, misses, evictions := e.Cache.Stats()
 	if hits != 1 || misses != 2 || evictions != 1 {
 		t.Fatalf("post-severity-change stats = %d/%d/%d, want 1 hit, 2 misses, 1 eviction", hits, misses, evictions)

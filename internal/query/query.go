@@ -155,19 +155,6 @@ type Engine struct {
 	Cache *AnswerCache
 }
 
-// Run executes q under the given strategy.
-func (e *Engine) Run(q Query, s Strategy) *Result {
-	res, err := e.RunCtx(context.Background(), q, s)
-	if err != nil {
-		// A background context cannot cancel, so the reachable errors are
-		// ErrUnknownStrategy (a programming bug worth a loud stop) and,
-		// with a Scatterer over remote backends, a whole-fan-out failure;
-		// sharded callers wanting a soft failure path use RunCtx.
-		panic(err)
-	}
-	return res
-}
-
 // RunCtx executes q under the given strategy with cooperative cancellation:
 // the context is honored between pipeline stages and inside the parallel
 // filter and integration loops. Every run — success or error — is recorded

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -83,10 +85,20 @@ func TestBoxQuery(t *testing.T) {
 	}
 }
 
+// run answers q under s with a background context, failing t on error.
+func run(t testing.TB, e *Engine, q Query, s Strategy) *Result {
+	t.Helper()
+	res, err := e.RunCtx(context.Background(), q, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunAllBasics(t *testing.T) {
 	e, spec := pipeline(t, 250, 7)
 	q := CityQuery(e.Net, spec, 0, 7, 0.01)
-	res := e.Run(q, All)
+	res := run(t, e, q, All)
 	if res.InputMicros != res.CandidateMicros {
 		t.Errorf("All must integrate every candidate: %d vs %d", res.InputMicros, res.CandidateMicros)
 	}
@@ -135,8 +147,8 @@ func TestRunAllBasics(t *testing.T) {
 func TestRunPruReducesInputs(t *testing.T) {
 	e, spec := pipeline(t, 250, 7)
 	q := CityQuery(e.Net, spec, 0, 7, 0.01)
-	all := e.Run(q, All)
-	pru := e.Run(q, Pru)
+	all := run(t, e, q, All)
+	pru := run(t, e, q, Pru)
 	if pru.InputMicros > all.InputMicros {
 		t.Errorf("Pru inputs %d > All inputs %d", pru.InputMicros, all.InputMicros)
 	}
@@ -148,8 +160,8 @@ func TestRunPruReducesInputs(t *testing.T) {
 func TestRunGuiPrunesAndKeepsSignificant(t *testing.T) {
 	e, spec := pipeline(t, 250, 7)
 	q := CityQuery(e.Net, spec, 0, 7, 0.01)
-	all := e.Run(q, All)
-	gui := e.Run(q, Gui)
+	all := run(t, e, q, All)
+	gui := run(t, e, q, Gui)
 	if gui.InputMicros > all.InputMicros {
 		t.Errorf("Gui inputs %d > All inputs %d", gui.InputMicros, all.InputMicros)
 	}
@@ -178,8 +190,8 @@ func TestRunSubRegionQuery(t *testing.T) {
 	half := e.Net.Grid.Box
 	half.Max.Lat = (half.Min.Lat + half.Max.Lat) / 2
 	q := BoxQuery(e.Net, spec, half, 0, 7, 0.01)
-	resCity := e.Run(city, All)
-	res := e.Run(q, All)
+	resCity := run(t, e, city, All)
+	res := run(t, e, q, All)
 	if res.CandidateMicros > resCity.CandidateMicros {
 		t.Errorf("sub-region candidates %d > city candidates %d", res.CandidateMicros, resCity.CandidateMicros)
 	}
@@ -187,8 +199,8 @@ func TestRunSubRegionQuery(t *testing.T) {
 
 func TestRunTimeSubrangeMonotone(t *testing.T) {
 	e, spec := pipeline(t, 250, 7)
-	short := e.Run(CityQuery(e.Net, spec, 0, 2, 0.01), All)
-	long := e.Run(CityQuery(e.Net, spec, 0, 7, 0.01), All)
+	short := run(t, e, CityQuery(e.Net, spec, 0, 2, 0.01), All)
+	long := run(t, e, CityQuery(e.Net, spec, 0, 7, 0.01), All)
 	if short.CandidateMicros > long.CandidateMicros {
 		t.Errorf("2-day candidates %d > 7-day candidates %d", short.CandidateMicros, long.CandidateMicros)
 	}
@@ -197,19 +209,16 @@ func TestRunTimeSubrangeMonotone(t *testing.T) {
 	}
 }
 
-func TestRunUnknownStrategyPanics(t *testing.T) {
+func TestRunUnknownStrategy(t *testing.T) {
 	e, spec := pipeline(t, 200, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.Run(CityQuery(e.Net, spec, 0, 1, 0.05), Strategy(42))
+	if _, err := e.RunCtx(context.Background(), CityQuery(e.Net, spec, 0, 1, 0.05), Strategy(42)); !errors.Is(err, ErrUnknownStrategy) {
+		t.Errorf("RunCtx(Strategy(42)) = %v, want ErrUnknownStrategy", err)
+	}
 }
 
 func TestEmptyRangeQuery(t *testing.T) {
 	e, spec := pipeline(t, 200, 2)
-	res := e.Run(CityQuery(e.Net, spec, 40, 5, 0.05), All) // beyond data
+	res := run(t, e, CityQuery(e.Net, spec, 40, 5, 0.05), All) // beyond data
 	if res.CandidateMicros != 0 || len(res.Macros) != 0 {
 		t.Errorf("out-of-range query returned data: %+v", res)
 	}

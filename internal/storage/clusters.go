@@ -49,9 +49,9 @@ func WriteClustersExact(w io.Writer, cs []*cluster.Cluster) (int64, error) {
 }
 
 // ReadClustersExact decodes clusters written by WriteClustersExact, verifying
-// the length/CRC frame. Any integrity failure returns an error wrapping
-// ErrCorrupt (or ErrBadMagic) — never partial data. The returned clusters
-// are hydrated.
+// the length/CRC frame and that every feature passes cluster.Feature.Valid.
+// Any integrity failure returns an error wrapping ErrCorrupt (or
+// ErrBadMagic) — never partial data. The returned clusters are hydrated.
 func ReadClustersExact(r io.Reader) ([]*cluster.Cluster, error) {
 	br := bufio.NewReader(r)
 	magic, err := readMagic(br)
@@ -99,13 +99,25 @@ func putFeature[K cluster.Key](e *encoder, f cluster.Feature[K]) {
 	}
 }
 
-// getFeature decodes a feature written by putFeature.
+// getFeature decodes a feature written by putFeature, holding it to
+// cluster.Feature.Valid: after the first key, a zero delta or one that
+// wraps the key type breaks strict key order, and a severity must be
+// finite and positive. Either is corruption.
 func getFeature[K cluster.Key](d *decoder) cluster.Feature[K] {
 	f := make(cluster.Feature[K], d.count())
 	var prev K
 	for i := range f {
-		prev += K(d.uvarint())
-		f[i] = cluster.Entry[K]{Key: prev, Sev: d.float64bits()}
+		delta := d.uvarint()
+		key := prev + K(delta)
+		if uint64(K(delta)) != delta || i > 0 && key <= prev {
+			d.fail("key delta %d after key %d breaks key order", delta, prev)
+		}
+		sev := d.float64bits()
+		if !sev.Valid() {
+			d.fail("severity %v is not finite and positive", sev)
+		}
+		f[i] = cluster.Entry[K]{Key: key, Sev: sev}
+		prev = key
 	}
 	return f
 }

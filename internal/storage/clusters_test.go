@@ -117,3 +117,66 @@ func TestClustersExactRejectsCorruption(t *testing.T) {
 		}
 	})
 }
+
+// invalidFeatureFrames returns CRC-valid cluster files, written by
+// WriteClustersExact, whose features fail cluster.Feature.Valid: a decoder
+// that loaded them would hand integration NaN, infinite, non-positive or
+// out-of-order entries.
+func invalidFeatureFrames(t testing.TB) map[string][]byte {
+	t.Helper()
+	sf := func(es ...cluster.Entry[cps.SensorID]) cluster.SpatialFeature { return es }
+	e := func(k cps.SensorID, sev float64) cluster.Entry[cps.SensorID] {
+		return cluster.Entry[cps.SensorID]{Key: k, Sev: cps.Severity(sev)}
+	}
+	tf := cluster.TemporalFeature{{Key: 7, Sev: 1}}
+	cases := map[string]*cluster.Cluster{
+		"nan":          {ID: 1, Micros: 1, SF: sf(e(2, math.NaN())), TF: tf},
+		"+inf":         {ID: 1, Micros: 1, SF: sf(e(2, math.Inf(1))), TF: tf},
+		"-inf":         {ID: 1, Micros: 1, SF: sf(e(2, math.Inf(-1))), TF: tf},
+		"negative":     {ID: 1, Micros: 1, SF: sf(e(2, 1), e(3, -1)), TF: tf},
+		"zero":         {ID: 1, Micros: 1, SF: sf(e(2, 0)), TF: tf},
+		"repeated key": {ID: 1, Micros: 1, SF: sf(e(2, 1), e(2, 3)), TF: tf},
+		// The delta 2-5 wraps uint32 back to key 2.
+		"wrapped delta": {ID: 1, Micros: 1, SF: sf(e(5, 1), e(2, 3)), TF: tf},
+		// NaN, a negative severity and a repeated key at once, with an
+		// infinite temporal entry.
+		"mixed": {ID: 1, Micros: 1, SF: sf(e(5, math.NaN()), e(2, -1), e(2, 3)),
+			TF: cluster.TemporalFeature{{Key: 7, Sev: cps.Severity(math.Inf(1))}}},
+	}
+	out := make(map[string][]byte, len(cases))
+	for name, c := range cases {
+		var buf bytes.Buffer
+		if _, err := WriteClustersExact(&buf, []*cluster.Cluster{c}); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
+}
+
+// Every feature the decoder accepts passes cluster.Feature.Valid; a
+// CRC-valid file holding one that does not is corrupt. The extremes of the
+// rule — subnormal and MaxFloat64 severities, key 0, the largest sensor,
+// negative windows — still round-trip.
+func TestClustersExactRejectsInvalidFeatures(t *testing.T) {
+	for name, frame := range invalidFeatureFrames(t) {
+		if cs, err := ReadClustersExact(bytes.NewReader(frame)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, %v; want ErrCorrupt", name, cs, err)
+		}
+	}
+	edge := &cluster.Cluster{ID: 9, Micros: 2,
+		SF: cluster.SpatialFeature{{Key: 0, Sev: math.SmallestNonzeroFloat64}, {Key: math.MaxUint32, Sev: math.MaxFloat64}},
+		TF: cluster.TemporalFeature{{Key: math.MinInt64, Sev: 1}, {Key: -1, Sev: 2}, {Key: math.MaxInt64, Sev: 3}},
+	}
+	var buf bytes.Buffer
+	if _, err := WriteClustersExact(&buf, []*cluster.Cluster{edge}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadClustersExact(&buf)
+	if err != nil {
+		t.Fatalf("valid extremes rejected: %v", err)
+	}
+	if d := clusterSetDiff(got, []*cluster.Cluster{edge}); d != "" {
+		t.Fatalf("valid extremes decode differently: %s", d)
+	}
+}

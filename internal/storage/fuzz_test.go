@@ -240,6 +240,9 @@ func FuzzReadClusters(f *testing.F) {
 		e.uvarint(v)
 	}
 	f.Add(append(retired[0][:8:8], e.b...))
+	for _, frame := range invalidFeatureFrames(f) {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadClustersExact(bytes.NewReader(data))
@@ -251,6 +254,11 @@ func FuzzReadClusters(f *testing.F) {
 				t.Fatalf("unclassified rejection: %v", err)
 			}
 			return
+		}
+		for _, c := range got {
+			if !c.Valid() {
+				t.Fatalf("accepted cluster %d fails Valid: SF %v TF %v", c.ID, c.SF, c.TF)
+			}
 		}
 		var buf bytes.Buffer
 		if _, err := WriteClustersExact(&buf, got); err != nil {

@@ -16,6 +16,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -173,13 +174,21 @@ func (p *Processor) OpenEvents() int {
 }
 
 // Observe consumes one record. Records must arrive in canonical (window,
-// sensor) order; out-of-order records are rejected.
+// sensor) order with a finite, positive severity; other records are
+// rejected and leave the processor unchanged. An event the record's window
+// closes whose micro-cluster fails cluster.Cluster.Valid (its records sum a
+// feature entry to +Inf) is dropped and reported as the error; the record
+// itself is still consumed.
 func (p *Processor) Observe(r cps.Record) error {
 	if p.started && r.Window < p.window {
 		return fmt.Errorf("stream: record window %d before current window %d", r.Window, p.window)
 	}
+	if !r.Severity.Valid() {
+		return fmt.Errorf("stream: record %v: severity must be finite and positive", r)
+	}
+	var err error
 	if !p.started || r.Window > p.window {
-		p.advance(r.Window)
+		err = p.advance(r.Window)
 	}
 	p.observed.Add(1)
 	if m := p.obsm.Load(); m != nil {
@@ -241,12 +250,13 @@ func (p *Processor) Observe(r cps.Record) error {
 		b.window = r.Window
 		b.sensors = append(b.sensors, r.Sensor)
 	}
-	return nil
+	return err
 }
 
 // ObserveAll consumes a batch of canonical records, polling ctx between
 // window boundaries: cancellation stops mid-batch with the context error,
 // leaving already-consumed records' events open (Flush still closes them).
+// An Observe error stops it the same way.
 func (p *Processor) ObserveAll(ctx context.Context, recs []cps.Record) error {
 	for i, r := range recs {
 		if i == 0 || r.Window != recs[i-1].Window {
@@ -263,18 +273,20 @@ func (p *Processor) ObserveAll(ctx context.Context, recs []cps.Record) error {
 
 // advance moves the stream clock to w, closing events that can no longer
 // gain records (last record more than MaxGap windows in the past) and
-// clearing recent refs that can no longer satisfy join.
-func (p *Processor) advance(w cps.Window) {
+// clearing recent refs that can no longer satisfy join. It returns the
+// emit errors of the events it closed.
+func (p *Processor) advance(w cps.Window) error {
 	p.expire(w)
 	p.window = w
 	p.started = true
+	var err error
 	live := p.open[:0]
 	for _, e := range p.open {
 		if e.forward != nil {
 			continue // merged away
 		}
 		if w-e.last > cps.Window(p.cfg.MaxGap) {
-			p.emit(e)
+			err = errors.Join(err, p.emit(e))
 			continue
 		}
 		live = append(live, e)
@@ -291,6 +303,7 @@ func (p *Processor) advance(w cps.Window) {
 		// callers, where open may hold forwarded entries between advances.
 		m.open.Set(float64(len(live)))
 	}
+	return err
 }
 
 // expire clears the refs of the windows that fall more than MaxGap behind
@@ -330,11 +343,14 @@ func ringSlot(w cps.Window, n int) int {
 	return int(k)
 }
 
-// Flush closes every open event; call at end of stream.
-func (p *Processor) Flush() {
+// Flush closes every open event; call at end of stream. Like Observe, it
+// drops each event whose micro-cluster fails cluster.Cluster.Valid and
+// returns their errors after closing the rest.
+func (p *Processor) Flush() error {
+	var err error
 	for _, e := range p.open {
 		if e.forward == nil {
-			p.emit(e)
+			err = errors.Join(err, p.emit(e))
 		}
 	}
 	clear(p.open) // drop the event refs the backing array would pin
@@ -348,14 +364,24 @@ func (p *Processor) Flush() {
 	if m := p.obsm.Load(); m != nil {
 		m.open.Set(0)
 	}
+	return err
 }
 
-func (p *Processor) emit(e *event) {
+// emit hands the event's micro-cluster to Config.Emit. Every record passed
+// Observe's severity check, but their sums can still overflow, so a
+// cluster failing Valid is dropped with an error and draws no ID.
+func (p *Processor) emit(e *event) error {
 	// Records joined out of canonical order during merges; FromRecords
 	// canonicalizes features regardless, so no sort is needed here.
+	c := cluster.FromRecords(0, e.records)
+	if !c.Valid() {
+		return fmt.Errorf("stream: event of %d records dropped: a feature severity sums to +Inf", len(e.records))
+	}
+	c.ID = p.gen.Next()
 	p.emitted.Add(1)
 	if m := p.obsm.Load(); m != nil {
 		m.emitted.Inc()
 	}
-	p.cfg.Emit(cluster.FromRecords(p.gen.Next(), e.records))
+	p.cfg.Emit(c)
+	return nil
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -47,7 +48,9 @@ func feed(t testing.TB, p *Processor, recs []cps.Record) {
 			t.Fatalf("Observe(%v): %v", r, err)
 		}
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -67,6 +70,67 @@ func TestRejectsOutOfOrder(t *testing.T) {
 	}
 	if err := p.Observe(cps.Record{Sensor: 0, Window: 4, Severity: 1}); err == nil {
 		t.Error("out-of-order record accepted")
+	}
+}
+
+// A record whose severity is not finite and positive is rejected like an
+// out-of-order one: it opens no event and moves no clock.
+func TestRejectsInvalidSeverity(t *testing.T) {
+	p, out := newProc(t, lineLocs(3, 1), 1.5, 2)
+	for _, sev := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := p.Observe(cps.Record{Sensor: 1, Window: 9, Severity: cps.Severity(sev)}); err == nil {
+			t.Errorf("severity %v accepted", sev)
+		}
+	}
+	if p.Observed() != 0 || p.OpenEvents() != 0 {
+		t.Fatalf("rejected records changed the processor: observed %d, open %d", p.Observed(), p.OpenEvents())
+	}
+	feed(t, p, []cps.Record{{Sensor: 0, Window: 5, Severity: 1}})
+	if len(*out) != 1 {
+		t.Fatalf("emitted %d clusters after the rejections, want 1", len(*out))
+	}
+}
+
+// Records that are each finite can sum to +Inf in one feature entry. Such
+// an event is dropped and reported — by the Observe whose window closes it,
+// or by Flush — and the events around it still emit.
+func TestOverflowingEventDropped(t *testing.T) {
+	huge := cps.Severity(math.MaxFloat64)
+	for _, tc := range []struct {
+		viaFlush bool
+		want     int // the event before, and with Observe the one after
+	}{{false, 2}, {true, 1}} {
+		viaFlush := tc.viaFlush
+		p, out := newProc(t, lineLocs(3, 1), 1.5, 2)
+		for _, r := range []cps.Record{
+			{Sensor: 2, Window: 0, Severity: 1},
+			{Sensor: 0, Window: 10, Severity: huge},
+			{Sensor: 0, Window: 11, Severity: huge},
+		} {
+			if err := p.Observe(r); err != nil {
+				t.Fatalf("Observe(%v): %v", r, err)
+			}
+		}
+		var err error
+		if viaFlush {
+			err = p.Flush()
+		} else {
+			err = p.Observe(cps.Record{Sensor: 2, Window: 20, Severity: 1})
+			if ferr := p.Flush(); ferr != nil {
+				t.Fatalf("Flush after the drop: %v", ferr)
+			}
+		}
+		if err == nil {
+			t.Errorf("viaFlush=%v: overflowing event not reported", viaFlush)
+		}
+		for _, c := range *out {
+			if !c.Valid() {
+				t.Fatalf("viaFlush=%v: emitted invalid cluster %v", viaFlush, c)
+			}
+		}
+		if len(*out) != tc.want || p.Emitted() != int64(tc.want) {
+			t.Errorf("viaFlush=%v: emitted %d clusters (counter %d), want %d", viaFlush, len(*out), p.Emitted(), tc.want)
+		}
 	}
 }
 
@@ -105,7 +169,9 @@ func TestEventClosesAfterGap(t *testing.T) {
 	if p.OpenEvents() != 1 {
 		t.Errorf("open events = %d, want 1", p.OpenEvents())
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if len(*out) != 2 {
 		t.Errorf("after flush emitted = %d", len(*out))
 	}
@@ -233,7 +299,9 @@ func TestConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		p.Flush()
+		if p.Flush() != nil {
+			return false
+		}
 		d := float64(total - got)
 		return d < 1e-6 && d > -1e-6 && p.Observed() == int64(len(canonical))
 	}
@@ -311,7 +379,9 @@ func TestObserveAllMatchesObserveLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	batch.Flush()
+	if err := batch.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	if len(*batchOut) != len(*loopOut) {
 		t.Fatalf("ObserveAll emitted %d clusters, loop %d", len(*batchOut), len(*loopOut))
@@ -426,7 +496,9 @@ func TestCompactionClearsTailSlots(t *testing.T) {
 			t.Fatalf("backing-array slot %d still pins an emitted event", i)
 		}
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	tail = p.open[:cap(p.open)]
 	for i, e := range tail {
 		if e != nil {
@@ -469,7 +541,9 @@ func TestSensorPastNeighborLists(t *testing.T) {
 	if !hasRef(p, 9) || liveRefs(p) != 2 {
 		t.Fatalf("refs = %d (sensor 9 held: %v), want sensors 0 and 9", liveRefs(p), hasRef(p, 9))
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if liveRefs(p) != 0 || len(p.expiry) != 0 {
 		t.Errorf("after Flush: %d refs, %d buckets; want none", liveRefs(p), len(p.expiry))
 	}

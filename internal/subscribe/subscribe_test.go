@@ -1,6 +1,7 @@
 package subscribe
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -132,7 +133,9 @@ func checkEquivalence(t testing.TB, e *env, recs []cps.Record, days int, deltaS 
 			t.Fatal(err)
 		}
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if sub.Dropped() != 0 {
 		t.Fatalf("equivalence harness dropped %d pushes; grow the buffer", sub.Dropped())
 	}
@@ -157,7 +160,10 @@ func checkEquivalence(t testing.TB, e *env, recs []cps.Record, days int, deltaS 
 		Severity: cube.NewSeverityIndex(e.net, e.spec),
 		Gen:      &idgen2,
 	}
-	res := engine.Run(q, strat)
+	res, err := engine.RunCtx(context.Background(), q, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rep := NewReplay()
 	for _, push := range drain(sub) {
@@ -222,7 +228,9 @@ func TestStandingQueryRegionScope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	var idgen2 cluster.IDGen
 	fst := forest.New(e.spec, &idgen2, e.opts, 30)
@@ -233,7 +241,10 @@ func TestStandingQueryRegionScope(t *testing.T) {
 	}
 	cps.ForEachDay(byDay, func(day int, cs []*cluster.Cluster) { fst.AppendDay(day, cs) })
 	engine := &query.Engine{Net: e.net, Forest: fst, Severity: cube.NewSeverityIndex(e.net, e.spec), Gen: &idgen2}
-	res := engine.Run(q, query.All)
+	res, err := engine.RunCtx(context.Background(), q, query.All)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rep := NewReplay()
 	for _, push := range drain(sub) {

@@ -3,6 +3,7 @@ package atypical
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/cpskit/atypical/internal/cps"
@@ -74,7 +75,8 @@ type RunResult struct {
 //
 //   - Regions and Box are mutually exclusive spatial scopes;
 //   - Days must be positive unless Window overrides the time period;
-//   - DeltaS must not be negative (zero selects the configured default);
+//   - DeltaS must be finite and not negative (zero selects the configured
+//     default);
 //   - Window, when set, must satisfy 0 <= From <= To.
 //
 // Run calls Validate on every request; calling it directly is useful for
@@ -87,8 +89,8 @@ func (r QueryRequest) Validate() error {
 	if r.Window == nil && r.Days <= 0 {
 		return fmt.Errorf("%w: Days must be positive (got %d) unless Window is set", ErrInvalidRequest, r.Days)
 	}
-	if r.DeltaS < 0 {
-		return fmt.Errorf("%w: DeltaS must not be negative (got %v); zero selects the configured default", ErrInvalidRequest, r.DeltaS)
+	if !(r.DeltaS >= 0 && r.DeltaS <= math.MaxFloat64) {
+		return fmt.Errorf("%w: DeltaS must be finite and not negative (got %v); zero selects the configured default", ErrInvalidRequest, r.DeltaS)
 	}
 	if w := r.Window; w != nil && (w.From < 0 || w.To < w.From) {
 		return fmt.Errorf("%w: Window [%d, %d) must satisfy 0 <= From <= To", ErrInvalidRequest, w.From, w.To)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -64,6 +65,8 @@ func TestQueryRequestValidate(t *testing.T) {
 		"negative days":       {Days: -2},
 		"regions plus box":    {Regions: []RegionID{1}, Box: &box, Days: 7},
 		"negative deltaS":     {Days: 7, DeltaS: -0.01},
+		"NaN deltaS":          {Days: 7, DeltaS: math.NaN()},
+		"infinite deltaS":     {Days: 7, DeltaS: math.Inf(1)},
 		"negative window":     {Window: &negWin},
 		"inverted window":     {Window: &invWin},
 		"days zero no window": {FirstDay: 3},

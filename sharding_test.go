@@ -1,16 +1,20 @@
 package atypical
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/shard"
+	"github.com/cpskit/atypical/internal/storage"
 )
 
 // renderRuns serializes every user-facing query surface of a system — the
@@ -156,6 +160,39 @@ func TestShardedPartialFailure(t *testing.T) {
 	allDead := buildSystem(t, WithShardServers(dead, dead))
 	if _, err := allDead.Run(context.Background(), QueryRequest{Days: 7, AllowPartial: true}); !errors.Is(err, shard.ErrAllShardsFailed) {
 		t.Fatalf("all shards dead = %v, want ErrAllShardsFailed", err)
+	}
+}
+
+// A shard answering with a CRC-valid frame whose cluster breaks
+// cluster.Feature.Valid (NaN, negative, repeated key, +Inf) is a failed
+// shard, like a dead one: the answer is partial, or ErrPartialResult
+// without AllowPartial, and never carries a NaN severity.
+func TestShardedInvalidFrame(t *testing.T) {
+	var frame bytes.Buffer
+	bad := &cluster.Cluster{ID: 1, Micros: 1,
+		SF: cluster.SpatialFeature{{Key: 5, Sev: Severity(math.NaN())}, {Key: 2, Sev: -1}, {Key: 2, Sev: 3}},
+		TF: cluster.TemporalFeature{{Key: 7, Sev: Severity(math.Inf(1))}},
+	}
+	if _, err := storage.WriteClustersExact(&frame, []*cluster.Cluster{bad}); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc(ShardQueryPath, func(w http.ResponseWriter, _ *http.Request) { w.Write(frame.Bytes()) })
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	sys := buildSystem(t, WithShardServers(shardServers(t, buildSystem(t), 2)[0], srv.URL))
+
+	rep := mustRun(t, sys, QueryRequest{Days: 7, AllowPartial: true})
+	if !rep.Partial || len(rep.FailedShards) != 1 || rep.FailedShards[0] != "shard1" {
+		t.Fatalf("Partial = %v, FailedShards = %v; want the invalid shard failed", rep.Partial, rep.FailedShards)
+	}
+	for _, c := range rep.Macros {
+		if sev := c.Severity(); !sev.Valid() {
+			t.Fatalf("answer holds severity %v", sev)
+		}
+	}
+	if _, err := sys.Run(context.Background(), QueryRequest{Days: 7}); !errors.Is(err, ErrPartialResult) {
+		t.Fatalf("Run without AllowPartial = %v, want ErrPartialResult", err)
 	}
 }
 

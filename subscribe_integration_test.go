@@ -73,12 +73,16 @@ func TestSubscribeMatchesRunAfterFlush(t *testing.T) {
 		if err := p.ObserveAll(context.Background(), recs); err != nil {
 			t.Fatal(err)
 		}
-		p.Flush()
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if sub.Dropped() != 0 {
 			t.Fatalf("equivalence harness dropped %d pushes; grow the buffer", sub.Dropped())
 		}
 
-		sys.IngestClusters(emitted)
+		if err := sys.IngestClusters(emitted); err != nil {
+			t.Fatal(err)
+		}
 		res, err := sys.Run(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -165,7 +169,9 @@ func TestSubscribeUnsubscribeRaceDuringStream(t *testing.T) {
 	if err := p.ObserveAll(context.Background(), recs); err != nil {
 		t.Fatal(err)
 	}
-	p.Flush()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	close(done)
 	wg.Wait()
 	if n := sys.ActiveSubscriptions(); n != 0 {
