@@ -83,11 +83,9 @@ type Config struct {
 	// SimThreshold is the integration similarity threshold δsim.
 	SimThreshold float64
 	// Workers bounds the goroutines used for parallel offline construction:
-	// 0 keeps every path serial (byte-compatible with historical output),
-	// n > 0 uses up to n goroutines, n < 0 one per CPU. Results are the same
-	// for every n != 0, but integrated levels may differ from the serial
-	// path's; see WithWorkers. Query serving stays on the serial path unless
-	// WithQueryWorkers opts in.
+	// 0 keeps every path serial, n > 0 uses up to n goroutines, n < 0 one
+	// per CPU. Results do not depend on it; see WithWorkers. Query serving
+	// stays serial unless WithQueryWorkers opts in.
 	Workers int
 }
 
@@ -118,27 +116,20 @@ type systemOptions struct {
 }
 
 // WithWorkers bounds the goroutines used for offline construction (per-day
-// extraction, severity sharding, level integration). n > 0 means up to n
-// goroutines, n < 0 one per CPU, 0 the serial legacy path. Every parallel
-// path is deterministic: the produced forests, indexes and reports are
-// identical for every n != 0. Extraction and severity also match the serial
-// path bit for bit; level integration does not, because it uses the fixed
-// merge tree of cluster.IntegrateParallel, whose merge order differs from
-// the serial kernel's (see WithQueryWorkers). Query serving is NOT affected
-// — see WithQueryWorkers.
+// extraction and severity sharding). n > 0 means up to n goroutines, n < 0
+// one per CPU, 0 the serial path. The produced forests, indexes and reports
+// are byte-identical to the serial path's for every n; week, month and path
+// levels always integrate serially. Query serving is NOT affected — see
+// WithQueryWorkers.
 func WithWorkers(n int) Option {
 	return func(o *systemOptions) { o.workers = n; o.workersSet = true }
 }
 
-// WithQueryWorkers opts online query serving into the parallel engine with
-// n workers (semantics of n match WithWorkers). It is a separate, explicit
-// opt-in rather than inherited from WithWorkers because it changes answers:
-// parallel query integration uses the fixed merge tree of
-// cluster.IntegrateParallel, whose macro-clusters are independent of the
-// worker count and GOMAXPROCS but may differ from the serial engine's on
-// order-sensitive similarity chains (both are valid integration fixpoints).
-// Without this option queries always take the serial byte-compatible path,
-// no matter what WithWorkers or Config.Workers say.
+// WithQueryWorkers fans each query's candidate region filtering out over n
+// workers (semantics of n match WithWorkers). Integration stays the serial
+// kernel, so answers render byte-identically to serial for every n. Without
+// this option queries filter serially, no matter what WithWorkers or
+// Config.Workers say.
 func WithQueryWorkers(n int) Option {
 	return func(o *systemOptions) { o.queryWorkers = n; o.queryWorkersSet = true }
 }
@@ -320,7 +311,6 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 		Period: cps.Window(spec.PerDay()),
 	}
 	s.forest = forest.New(spec, &s.idgen, opts, cfg.DaysPerMonth)
-	s.forest.SetWorkers(workers)
 	s.sev = cube.NewSeverityIndex(net, spec)
 
 	// Observability: nil registry/exporter keep every hook a no-op.

@@ -374,26 +374,6 @@ func BenchmarkIntegrateNaive(b *testing.B) {
 	}
 }
 
-// IntegrateParallel against the serial posting-list Integrate on the same
-// inputs: the tree reduction costs one extra leaf pass, so it only wins once
-// chunks run on real cores.
-func BenchmarkIntegrateParallel(b *testing.B) {
-	f := benchFixture(b)
-	micros := f.micros
-	if len(micros) > 400 {
-		micros = micros[:400]
-	}
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var idgen cluster.IDGen
-				cluster.IntegrateParallel(&idgen, micros, f.opts, workers)
-			}
-		})
-	}
-}
-
 // The day-sharded severity build against the serial accumulate loop.
 func BenchmarkSeverityAddDays(b *testing.B) {
 	f := benchFixture(b)

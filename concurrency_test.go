@@ -5,8 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"github.com/cpskit/atypical/internal/cluster"
+	"github.com/cpskit/atypical/internal/forest"
 )
 
 // buildSystem constructs a system with the given options and ingests the
@@ -32,11 +37,36 @@ func mustRun(t *testing.T, sys *System, req QueryRequest) *Report {
 	return res.Report
 }
 
-// Parallel ingestion must be byte-identical to the legacy serial pipeline:
+// renderLevels renders the forest levels above days — the month and the
+// weekday/weekend path — with IDs and micro counts, for byte comparison.
+func renderLevels(sys *System) string {
+	var b strings.Builder
+	describe := func(label string, cs []*cluster.Cluster) {
+		for _, c := range cs {
+			fmt.Fprintf(&b, "%s id=%d micros=%d %s\n", label, c.ID, c.Micros, sys.Describe(c))
+		}
+	}
+	f := sys.Forest()
+	describe("month0", f.Month(0))
+	paths := f.IntegratePath(forest.WeekdayWeekendPath)
+	buckets := make([]int, 0, len(paths))
+	for bucket := range paths {
+		buckets = append(buckets, bucket)
+	}
+	slices.Sort(buckets)
+	for _, bucket := range buckets {
+		describe(fmt.Sprintf("path%d", bucket), paths[bucket])
+	}
+	return b.String()
+}
+
+// Parallel ingestion must be byte-identical to the serial pipeline:
 // block-reserved cluster IDs and day-sharded severity accumulation make the
-// worker fan-out invisible, down to rendered report text.
+// worker fan-out invisible, down to rendered report text, and the levels
+// above days integrate with the one serial kernel for every worker count.
 func TestParallelIngestByteIdenticalToSerial(t *testing.T) {
-	want := renderRuns(t, buildSystem(t, WithWorkers(0)), nil)
+	serial := buildSystem(t, WithWorkers(0))
+	want := renderRuns(t, serial, nil) + renderLevels(serial)
 	if want == "" {
 		t.Fatal("serial system rendered nothing; byte-identity check is vacuous")
 	}
@@ -44,22 +74,23 @@ func TestParallelIngestByteIdenticalToSerial(t *testing.T) {
 		// WithWorkers alone must suffice: queries stay on the serial path
 		// unless WithQueryWorkers opts in, so only ingestion parallelism
 		// varies here.
-		got := renderRuns(t, buildSystem(t, WithWorkers(workers)), nil)
+		sys := buildSystem(t, WithWorkers(workers))
+		got := renderRuns(t, sys, nil) + renderLevels(sys)
 		if got != want {
 			t.Fatalf("workers=%d ingest diverged from serial:\n%s", workers, diffAt(got, want))
 		}
 	}
 }
 
-// The parallel query path's output must not depend on the worker count: the
-// merge tree's shape is fixed, so every worker count (including the
-// GOMAXPROCS-derived one) renders the same bytes.
+// Query workers only fan out candidate filtering; integration is the serial
+// kernel, so every worker count (including the GOMAXPROCS-derived one)
+// renders the serial engine's bytes.
 func TestParallelQueryWorkerCountIndependent(t *testing.T) {
-	want := renderRuns(t, buildSystem(t, WithWorkers(4), WithQueryWorkers(1)), nil)
-	for _, qw := range []int{2, 8, -1} {
+	want := renderRuns(t, buildSystem(t, WithWorkers(4), WithQueryWorkers(0)), nil)
+	for _, qw := range []int{1, 2, 8, -1} {
 		got := renderRuns(t, buildSystem(t, WithWorkers(4), WithQueryWorkers(qw)), nil)
 		if got != want {
-			t.Fatalf("query workers=%d diverged from 1 worker:\n%s", qw, diffAt(got, want))
+			t.Fatalf("query workers=%d diverged from serial:\n%s", qw, diffAt(got, want))
 		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // ParStage holds one construction run's per-stage wall-clock seconds: the
-// three offline phases the parallel pipeline shards (micro-cluster
-// extraction, month-level integration, severity-index build).
+// three offline phases (micro-cluster extraction and the severity-index
+// build, which the parallel pipeline shards, and the serial month-level
+// integration).
 type ParStage struct {
 	Extract   float64 `json:"extract_s"`
 	Integrate float64 `json:"integrate_s"`
@@ -67,7 +68,8 @@ func (e *Env) queryMetrics() map[string]float64 {
 }
 
 // parStage runs one full offline construction of month 0. workers == 0 takes
-// the legacy serial path; workers > 0 the sharded one.
+// the serial path; workers > 0 shards extraction and the severity build.
+// Integration is the serial kernel on both sides.
 func (e *Env) parStage(workers int) ParStage {
 	ds := e.Dataset(0)
 	byDay := ds.Atypical.SplitByDay(e.Spec)
@@ -101,11 +103,7 @@ func (e *Env) parStage(workers int) ParStage {
 		micros = append(micros, cs...)
 	}
 	start = time.Now()
-	if workers == 0 {
-		cluster.Integrate(&idgen, micros, e.IntegrateOptions())
-	} else {
-		cluster.IntegrateParallel(&idgen, micros, e.IntegrateOptions(), workers)
-	}
+	cluster.Integrate(&idgen, micros, e.IntegrateOptions())
 	s.Integrate = time.Since(start).Seconds()
 
 	sev := cube.NewSeverityIndex(e.Net, e.Spec)
@@ -189,6 +187,6 @@ func ParConstruct(e *Env) []*Table {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("GOMAXPROCS=%d; speedup = serial total / parallel total on this host", runtime.GOMAXPROCS(0)),
-		"extraction and severity are byte-identical to serial; integration is worker-count independent")
+		"extraction and severity are byte-identical to serial; integration is the serial kernel in every row")
 	return []*Table{t}
 }

@@ -97,43 +97,3 @@ func TestAppendDayCopyOnWrite(t *testing.T) {
 		t.Fatalf("day 0 after append = %d clusters, want %d", got, wantLen+1)
 	}
 }
-
-// The parallel integration path (SetWorkers > 0) preserves the level
-// algebra: same cluster count, conserved severity and micro totals as the
-// serial path, for every worker count.
-func TestForestWorkersEquivalence(t *testing.T) {
-	build := func(workers int) *Forest {
-		var g cluster.IDGen
-		spec := cps.DefaultSpec()
-		f := New(spec, &g, cluster.IntegrateOptions{SimThreshold: 0.4, Balance: cluster.Arithmetic}, 14)
-		f.SetWorkers(workers)
-		for d := 0; d < 14; d++ {
-			f.AddDay(d, []*cluster.Cluster{
-				dayMicro(&g, spec, d, 0, 5),
-				dayMicro(&g, spec, d, 1000, 5),
-			})
-		}
-		return f
-	}
-	summarize := func(f *Forest) (weeks, months int, sev cps.Severity, micros int) {
-		for w := 0; w < 2; w++ {
-			weeks += len(f.Week(w))
-		}
-		for _, c := range f.Month(0) {
-			months++
-			sev += c.Severity()
-			micros += c.Micros
-		}
-		return
-	}
-	w0, m0, s0, mi0 := summarize(build(0))
-	for _, workers := range []int{1, 4} {
-		w, m, s, mi := summarize(build(workers))
-		if w != w0 || m != m0 || mi != mi0 {
-			t.Fatalf("workers=%d: weeks=%d months=%d micros=%d; serial %d/%d/%d", workers, w, m, mi, w0, m0, mi0)
-		}
-		if df := float64(s - s0); df > 1e-6 || df < -1e-6 {
-			t.Fatalf("workers=%d: severity %v, serial %v", workers, s, s0)
-		}
-	}
-}

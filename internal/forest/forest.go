@@ -42,11 +42,6 @@ type Forest struct {
 	// daysPerMonth fixes the month bucket arithmetic (generated datasets
 	// use fixed-length months).
 	daysPerMonth int
-	// workers selects the integration path for higher levels: 0 means the
-	// serial cluster.Integrate (byte-compatible with historical output),
-	// anything positive the merge-tree cluster.IntegrateParallel on that
-	// many goroutines.
-	workers atomic.Int32
 
 	mu      sync.RWMutex
 	version uint64 // bumped by every write
@@ -111,22 +106,6 @@ func (f *Forest) Options() cluster.IntegrateOptions { return f.opts }
 
 // Spec returns the forest's window spec.
 func (f *Forest) Spec() cps.WindowSpec { return f.spec }
-
-// SetWorkers selects how higher levels integrate: n == 0 keeps the serial
-// path, n > 0 uses the parallel merge tree on n goroutines, n < 0 on one per
-// CPU. The parallel result is the same for every n != 0 (see
-// cluster.IntegrateParallel), but its merge order differs from the serial
-// path's, so switching between 0 and n != 0 may change macro-clusters, IDs
-// and low-order severity bits, not only wall-clock time.
-func (f *Forest) SetWorkers(n int) { f.workers.Store(int32(n)) }
-
-// integrate runs the configured integration path.
-func (f *Forest) integrate(leaves []*cluster.Cluster) []*cluster.Cluster {
-	if w := int(f.workers.Load()); w != 0 {
-		return cluster.IntegrateParallel(f.gen, leaves, f.opts, w)
-	}
-	return cluster.Integrate(f.gen, leaves, f.opts)
-}
 
 // AddDay stores the micro-clusters of one day (leaves of every tree),
 // replacing any previous slice.
@@ -222,7 +201,7 @@ func (f *Forest) Week(w int) []*cluster.Cluster {
 	f.mu.RLock()
 	leaves := f.leavesLocked(w*DaysPerWeek, (w+1)*DaysPerWeek)
 	f.mu.RUnlock()
-	return f.integrate(leaves)
+	return cluster.Integrate(f.gen, leaves, f.opts)
 }
 
 // Month integrates the macro-clusters of month m, days [m·dpm, (m+1)·dpm),
@@ -239,9 +218,9 @@ func (f *Forest) Month(m int) []*cluster.Cluster {
 	f.mu.RUnlock()
 	var leaves []*cluster.Cluster
 	for _, week := range weeks {
-		leaves = append(leaves, f.integrate(week)...)
+		leaves = append(leaves, cluster.Integrate(f.gen, week, f.opts)...)
 	}
-	return f.integrate(leaves)
+	return cluster.Integrate(f.gen, leaves, f.opts)
 }
 
 // leavesLocked concatenates the micro-clusters of days [from, to). Callers
@@ -297,7 +276,7 @@ func (f *Forest) IntegratePath(path PathFunc) map[int][]*cluster.Cluster {
 	}
 	f.mu.RUnlock()
 	for _, b := range order {
-		buckets[b] = f.integrate(buckets[b])
+		buckets[b] = cluster.Integrate(f.gen, buckets[b], f.opts)
 	}
 	return buckets
 }

@@ -128,18 +128,11 @@ type ExplainForest struct {
 	Version uint64 `json:"version"`
 }
 
-// ExplainMergeTree is the integration shape: the serial pairwise scan or
-// the fixed chunked reduction tree of cluster.IntegrateParallel.
+// ExplainMergeTree is the integration shape: always the serial pairwise
+// scan of cluster.Integrate, from Inputs micro-clusters to Macros.
 type ExplainMergeTree struct {
-	Parallel bool `json:"parallel"`
-	Workers  int  `json:"workers,omitempty"`
-	// ChunkSize is the fixed leaf width (parallel only).
-	ChunkSize int `json:"chunk_size,omitempty"`
-	// Levels is the node count per reduction level, leaves first (parallel
-	// only; nil when the input short-circuits).
-	Levels []int `json:"levels,omitempty"`
-	Inputs int   `json:"inputs"`
-	Macros int   `json:"macros"`
+	Inputs int `json:"inputs"`
+	Macros int `json:"macros"`
 }
 
 // ExplainVerdict is the significance filter applied to one macro-cluster.
@@ -227,11 +220,6 @@ func (e *Explain) fill(r *recorder, res *Result, elapsed time.Duration) {
 		e.Scatter = sc
 	}
 	e.MergeTree = ExplainMergeTree{Inputs: res.InputMicros, Macros: len(res.Macros)}
-	if w := r.e.Workers; w != 0 {
-		e.MergeTree.Parallel, e.MergeTree.Workers = true, w
-		e.MergeTree.ChunkSize = cluster.IntegrateChunkSize
-		e.MergeTree.Levels = cluster.MergeTreeWidths(res.InputMicros)
-	}
 	sig := &e.Significance
 	sig.Macros, sig.Significant = len(res.Macros), len(res.Significant)
 	sig.Truncated = len(res.Macros) > explainVerdictCap
@@ -315,13 +303,8 @@ func (e *Explain) Text() string {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "  forest       version %d\n", e.Forest.Version)
-	if e.MergeTree.Parallel {
-		fmt.Fprintf(&b, "  merge tree   parallel ×%d workers, chunk %d, levels %v: %d inputs → %d macros\n",
-			e.MergeTree.Workers, e.MergeTree.ChunkSize, e.MergeTree.Levels, e.MergeTree.Inputs, e.MergeTree.Macros)
-	} else {
-		fmt.Fprintf(&b, "  merge tree   serial pairwise scan: %d inputs → %d macros\n",
-			e.MergeTree.Inputs, e.MergeTree.Macros)
-	}
+	fmt.Fprintf(&b, "  merge tree   serial pairwise scan: %d inputs → %d macros\n",
+		e.MergeTree.Inputs, e.MergeTree.Macros)
 	fmt.Fprintf(&b, "  significance %d of %d macros pass bound %.3f\n",
 		e.Significance.Significant, e.Significance.Macros, e.Significance.Bound)
 	for _, v := range e.Significance.Verdicts {

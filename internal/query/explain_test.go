@@ -12,28 +12,28 @@ import (
 
 // TestExplainDeterminism is the golden check of the EXPLAIN contract: two
 // identical queries over the same forest state produce byte-identical
-// canonical Explain JSON, for every strategy and for both worker modes.
+// canonical Explain JSON, for every strategy, and every worker count gives
+// the serial run's bytes.
 func TestExplainDeterminism(t *testing.T) {
 	e, spec := pipeline(t, 200, 14)
 	q := CityQuery(e.Net, spec, 0, 14, 0.05)
-	for _, workers := range []int{0, 4} {
-		e.Workers = workers
-		for _, s := range []Strategy{All, Pru, Gui} {
-			var payloads [][]byte
-			for run := 0; run < 2; run++ {
-				ctx, exp := WithExplain(context.Background())
-				if _, err := e.RunCtx(ctx, q, s); err != nil {
-					t.Fatal(err)
-				}
-				data, err := exp.Canonical().JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				payloads = append(payloads, data)
+	for _, s := range []Strategy{All, Pru, Gui} {
+		var serial []byte
+		for _, workers := range []int{0, 0, 4} {
+			e.Workers = workers
+			ctx, exp := WithExplain(context.Background())
+			if _, err := e.RunCtx(ctx, q, s); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(payloads[0], payloads[1]) {
-				t.Errorf("workers=%d %v: canonical Explain JSON differs between identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
-					workers, s, payloads[0], payloads[1])
+			data, err := exp.Canonical().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial == nil {
+				serial = data
+			} else if !bytes.Equal(data, serial) {
+				t.Errorf("workers=%d %v: canonical Explain JSON differs from the first serial run:\n--- serial ---\n%s\n--- this run ---\n%s",
+					workers, s, serial, data)
 			}
 		}
 	}
@@ -70,13 +70,8 @@ func TestExplainContents(t *testing.T) {
 	if exp.RedZones == nil || exp.RedZones.Count != res.RedZones {
 		t.Errorf("red zones = %+v, want count %d", exp.RedZones, res.RedZones)
 	}
-	if !exp.MergeTree.Parallel || exp.MergeTree.Workers != 4 ||
-		exp.MergeTree.ChunkSize != cluster.IntegrateChunkSize ||
-		exp.MergeTree.Inputs != res.InputMicros || exp.MergeTree.Macros != len(res.Macros) {
+	if exp.MergeTree.Inputs != res.InputMicros || exp.MergeTree.Macros != len(res.Macros) {
 		t.Errorf("merge tree = %+v", exp.MergeTree)
-	}
-	if want := cluster.MergeTreeWidths(res.InputMicros); len(want) != len(exp.MergeTree.Levels) {
-		t.Errorf("merge tree levels = %v, want %v", exp.MergeTree.Levels, want)
 	}
 	if exp.Significance.Macros != len(res.Macros) || exp.Significance.Significant != len(res.Significant) {
 		t.Errorf("significance = %+v vs result macros=%d significant=%d",

@@ -127,11 +127,10 @@ type Engine struct {
 	Severity *cube.SeverityIndex
 	// Gen supplies IDs for online merges.
 	Gen *cluster.IDGen
-	// Workers selects the execution path of a single run: 0 keeps the
-	// serial pipeline (byte-compatible with historical output), anything
-	// else fans candidate filtering and integration out over that many
-	// goroutines (< 0 means one per CPU). The parallel path's output does
-	// not depend on the worker count.
+	// Workers fans the region touch tests of candidate filtering out over
+	// that many goroutines (< 0 means one per CPU, 0 filters serially).
+	// Integration is always the serial cluster.Integrate, so the answer
+	// does not depend on Workers.
 	Workers int
 	// Obs carries the engine's pre-resolved metric handles (NewMetrics).
 	// nil — the default — disables instrumentation at the cost of one nil
@@ -264,15 +263,10 @@ func (e *Engine) candidates(ctx context.Context, rec *recorder, q Query, res *Re
 // bound, removing false positives.
 func (e *Engine) integrateSignificant(ctx context.Context, rec *recorder, res *Result, inputs []*cluster.Cluster) error {
 	res.InputMicros = len(inputs)
-	var err error
-	if e.Workers != 0 {
-		res.Macros, err = cluster.IntegrateParallelCtx(ctx, e.Gen, inputs, e.Forest.Options(), e.Workers)
-	} else if err = ctx.Err(); err == nil {
-		res.Macros = cluster.Integrate(e.Gen, inputs, e.Forest.Options())
-	}
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
+	res.Macros = cluster.Integrate(e.Gen, inputs, e.Forest.Options())
 	rec.stage("integrate", len(inputs), len(res.Macros))
 	for _, c := range res.Macros {
 		if c.Significant(res.Bound) {

@@ -31,7 +31,7 @@ func TestNewSystemOptions(t *testing.T) {
 	}
 
 	// Worker plumbing: Config.Workers and WithWorkers drive construction
-	// only; the query pool stays serial unless WithQueryWorkers opts in.
+	// only; query filtering stays serial unless WithQueryWorkers opts in.
 	if sys := mk(nil); sys.workers != 0 || sys.queryWorkers != 0 {
 		t.Errorf("default workers = %d/%d, want 0/0 (serial)", sys.workers, sys.queryWorkers)
 	}
@@ -48,8 +48,8 @@ func TestNewSystemOptions(t *testing.T) {
 	if sys.engine.Workers != 2 {
 		t.Errorf("engine workers = %d, want 2", sys.engine.Workers)
 	}
-	// WithQueryWorkers(0) keeps queries on the byte-compatible serial path
-	// while ingestion fans out.
+	// WithQueryWorkers(0) keeps query filtering serial while ingestion fans
+	// out.
 	if sys := mk(nil, WithWorkers(5), WithQueryWorkers(0)); sys.engine.Workers != 0 {
 		t.Errorf("WithQueryWorkers(0) gave engine workers %d", sys.engine.Workers)
 	}
