@@ -1,7 +1,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-CLUSTER_FUZZ = FuzzMergeCommutativity FuzzMergeAssociativity FuzzMicroVsRawAgreement FuzzParallelIntegrateEquivalence FuzzFoldTemporalStable FuzzNewFeatureOrder FuzzIntegrateKernelEquivalence FuzzExtractEventsEquivalence FuzzClosureIntegrateEquivalence
+CLUSTER_FUZZ = FuzzMergeCommutativity FuzzMergeAssociativity FuzzMicroVsRawAgreement FuzzFoldTemporalStable FuzzNewFeatureOrder FuzzIntegrateKernelEquivalence FuzzExtractEventsEquivalence FuzzClosureIntegrateEquivalence
 CUBE_FUZZ    = FuzzCubeDeterminism FuzzColumnarSeverityEquivalence
 OBS_FUZZ     = FuzzParseSeries FuzzHistogramMerge
 QUERY_FUZZ   = FuzzCanonicalKeyCollisionFree

@@ -107,9 +107,12 @@ func FromRecords(id ID, recs []cps.Record) *Cluster {
 	return c
 }
 
-// Valid reports whether both features pass Feature.Valid, the condition
-// every cluster must meet before it is stored or integrated.
-func (c *Cluster) Valid() bool { return c.SF.Valid() && c.TF.Valid() }
+// Valid reports whether the cluster summarizes at least one micro-cluster
+// and both features pass Feature.Valid, the condition every cluster must
+// meet before it is stored or integrated. Every constructor sets Micros to
+// 1 and merges sum it, so only a cluster built field by field can fail the
+// count.
+func (c *Cluster) Valid() bool { return c.Micros >= 1 && c.SF.Valid() && c.TF.Valid() }
 
 // Severity returns the cluster's total severity Σμ = Σν (Definition 5).
 // Every constructor in this package precomputes the cache; clusters built

@@ -138,6 +138,22 @@ func TestFeatureValid(t *testing.T) {
 	}
 }
 
+// Cluster.Valid adds the micro count to the feature rule: a cluster
+// summarizes at least one micro-cluster, and merges keep that.
+func TestClusterValidMicros(t *testing.T) {
+	var g IDGen
+	a := FromRecords(g.Next(), []cps.Record{{Sensor: 1, Window: 2, Severity: 1}})
+	b := FromRecords(g.Next(), []cps.Record{{Sensor: 1, Window: 3, Severity: 2}})
+	if ab := Merge(&g, a, b); !a.Valid() || !ab.Valid() || ab.Micros != 2 {
+		t.Fatalf("micro and merge: valid %v/%v, merged micros %d", a.Valid(), ab.Valid(), ab.Micros)
+	}
+	for _, n := range []int{0, -1, math.MinInt} {
+		if c := (&Cluster{ID: a.ID, Micros: n, SF: a.SF, TF: a.TF}); c.Valid() {
+			t.Errorf("micro count %d accepted", n)
+		}
+	}
+}
+
 func featureFromSeeds(xs []uint16) SpatialFeature {
 	entries := make([]Entry[cps.SensorID], 0, len(xs))
 	for _, x := range xs {

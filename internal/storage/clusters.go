@@ -3,6 +3,7 @@ package storage
 import (
 	"bufio"
 	"io"
+	"math"
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
@@ -74,7 +75,7 @@ func ReadClustersExact(r io.Reader) ([]*cluster.Cluster, error) {
 		// Fields decode in the literal's lexical order, which is the wire order.
 		c := &cluster.Cluster{
 			ID:     cluster.ID(d.uvarint()),
-			Micros: int(d.uvarint()),
+			Micros: getMicros(&d),
 			SF:     getFeature[cps.SensorID](&d),
 			TF:     getFeature[cps.Window](&d),
 		}
@@ -97,6 +98,17 @@ func putFeature[K cluster.Key](e *encoder, f cluster.Feature[K]) {
 		e.float64bits(en.Sev)
 		prev = en.Key
 	}
+}
+
+// getMicros decodes a micro count, holding it to cluster.Cluster.Valid: a
+// cluster summarizes at least one micro-cluster, and a count that does not
+// fit in int would wrap negative. Either is corruption.
+func getMicros(d *decoder) int {
+	n := d.uvarint()
+	if n < 1 || n > math.MaxInt {
+		d.fail("micro count %d out of range", n)
+	}
+	return int(n)
 }
 
 // getFeature decodes a feature written by putFeature, holding it to

@@ -118,11 +118,11 @@ func TestClustersExactRejectsCorruption(t *testing.T) {
 	})
 }
 
-// invalidFeatureFrames returns CRC-valid cluster files, written by
-// WriteClustersExact, whose features fail cluster.Feature.Valid: a decoder
+// invalidClusterFrames returns CRC-valid cluster files, written by
+// WriteClustersExact, whose clusters fail cluster.Cluster.Valid: a decoder
 // that loaded them would hand integration NaN, infinite, non-positive or
-// out-of-order entries.
-func invalidFeatureFrames(t testing.TB) map[string][]byte {
+// out-of-order entries, or a micro count below one.
+func invalidClusterFrames(t testing.TB) map[string][]byte {
 	t.Helper()
 	sf := func(es ...cluster.Entry[cps.SensorID]) cluster.SpatialFeature { return es }
 	e := func(k cps.SensorID, sev float64) cluster.Entry[cps.SensorID] {
@@ -142,6 +142,11 @@ func invalidFeatureFrames(t testing.TB) map[string][]byte {
 		// infinite temporal entry.
 		"mixed": {ID: 1, Micros: 1, SF: sf(e(5, math.NaN()), e(2, -1), e(2, 3)),
 			TF: cluster.TemporalFeature{{Key: 7, Sev: cps.Severity(math.Inf(1))}}},
+		"zero micros": {ID: 1, Micros: 0, SF: sf(e(2, 1)), TF: tf},
+		// Negative counts are written as their uint64 bits: 2^63 and
+		// 2^64-1, neither of which fits in int.
+		"micros 2^63":   {ID: 1, Micros: math.MinInt, SF: sf(e(2, 1)), TF: tf},
+		"micros 2^64-1": {ID: 1, Micros: -1, SF: sf(e(2, 1)), TF: tf},
 	}
 	out := make(map[string][]byte, len(cases))
 	for name, c := range cases {
@@ -154,12 +159,12 @@ func invalidFeatureFrames(t testing.TB) map[string][]byte {
 	return out
 }
 
-// Every feature the decoder accepts passes cluster.Feature.Valid; a
+// Every cluster the decoder accepts passes cluster.Cluster.Valid; a
 // CRC-valid file holding one that does not is corrupt. The extremes of the
 // rule — subnormal and MaxFloat64 severities, key 0, the largest sensor,
 // negative windows — still round-trip.
 func TestClustersExactRejectsInvalidFeatures(t *testing.T) {
-	for name, frame := range invalidFeatureFrames(t) {
+	for name, frame := range invalidClusterFrames(t) {
 		if cs, err := ReadClustersExact(bytes.NewReader(frame)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, %v; want ErrCorrupt", name, cs, err)
 		}

@@ -97,9 +97,10 @@ type encoder struct{ b []byte }
 
 func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-// quantized writes s as a count of SeverityQuantum (the record encoding).
+// quantized writes Quantize(s) as a count of SeverityQuantum (the record
+// encoding). The division is exact: the quantum is a power of two.
 func (e *encoder) quantized(s cps.Severity) {
-	e.uvarint(uint64(math.Round(float64(s) / SeverityQuantum)))
+	e.uvarint(uint64(Quantize(s) / SeverityQuantum))
 }
 
 // float64bits writes s as its raw IEEE-754 bits (the cluster encoding).

@@ -240,7 +240,7 @@ func FuzzReadClusters(f *testing.F) {
 		e.uvarint(v)
 	}
 	f.Add(append(retired[0][:8:8], e.b...))
-	for _, frame := range invalidFeatureFrames(f) {
+	for _, frame := range invalidClusterFrames(f) {
 		f.Add(frame)
 	}
 
@@ -257,7 +257,7 @@ func FuzzReadClusters(f *testing.F) {
 		}
 		for _, c := range got {
 			if !c.Valid() {
-				t.Fatalf("accepted cluster %d fails Valid: SF %v TF %v", c.ID, c.SF, c.TF)
+				t.Fatalf("accepted cluster %d fails Valid: micros %d SF %v TF %v", c.ID, c.Micros, c.SF, c.TF)
 			}
 		}
 		var buf bytes.Buffer

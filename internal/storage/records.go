@@ -22,7 +22,7 @@
 //	  uvarint windowDelta (vs previous record)
 //	  uvarint sensorValue (delta vs previous sensor when windowDelta == 0,
 //	                       absolute otherwise)
-//	  uvarint round(severity / SeverityQuantum)
+//	  uvarint Quantize(severity) / SeverityQuantum
 //
 // Severities are quantized to SeverityQuantum on write; Quantize gives the
 // value a round trip returns. At 1/1024 minute (~60 ms of atypical duration)
@@ -43,9 +43,16 @@ import (
 // (minutes for the default measure).
 const SeverityQuantum = 1.0 / 1024
 
-// Quantize returns the severity value that survives a write/read round trip.
+// Quantize returns the severity value that survives a write/read round trip:
+// s rounded to the nearest multiple of SeverityQuantum, except that a
+// positive severity never rounds to 0 but to one quantum, so a severity
+// passing cps.Severity.Valid still passes it after the round trip.
 func Quantize(s cps.Severity) cps.Severity {
-	return cps.Severity(math.Round(float64(s)/SeverityQuantum) * SeverityQuantum)
+	q := math.Round(float64(s) / SeverityQuantum)
+	if q == 0 && s > 0 {
+		q = 1
+	}
+	return cps.Severity(q * SeverityQuantum)
 }
 
 var recordMagic = [8]byte{'A', 'T', 'Y', 'P', 'R', 'E', 'C', '1'}
