@@ -91,7 +91,10 @@ crash-matrix:
 ## bench-quick: one serial-vs-parallel construction measurement, written to
 ## BENCH_parallel.json alongside a flattened metrics snapshot from an
 ## instrumented query pass (the observability smoke test). The -maxregress
-## gate (default 25%) applies only against a previous artifact measured on
+## gate (default 25%) compares each construction time in units of a fixed
+## calibration workload timed in the same process, and the sharded query in
+## units of the unsharded one, so host speed drifting between processes
+## cancels out. It applies only against a previous artifact measured on
 ## the same host facts (GOMAXPROCS, CPU count, Go version); a baseline from
 ## another host is reported, not gated. Speedup is only
 ## meaningful on multi-core hosts; on a single core the two pipelines tie

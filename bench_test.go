@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/cube"
@@ -320,6 +321,42 @@ func BenchmarkFig21IntegrateGeo(b *testing.B) { benchIntegrateBalance(b, cluster
 // is not shown monotone in floating point), so this row prices the kernel
 // with that skip off.
 func BenchmarkFig21IntegrateHar(b *testing.B) { benchIntegrateBalance(b, cluster.Harmonic) }
+
+// --- Integration over long windows ---
+
+var (
+	longOnce sync.Once
+	longSys  *atypical.System
+)
+
+// benchIntegrateLong integrates the city-wide candidate set of the first
+// days of three generated months of the default deployment (seed 1) — the
+// inputs an All query over that range integrates. Windows spanning months
+// grow the longest merge chains: one group holds most of the candidates.
+func benchIntegrateLong(b *testing.B, days int) {
+	longOnce.Do(func() {
+		cfg := atypical.DefaultConfig()
+		cfg.Seed = 1
+		sys, err := atypical.NewSystem(cfg)
+		if err != nil {
+			panic(err)
+		}
+		sys.IngestMonths(3)
+		longSys = sys
+	})
+	micros := longSys.Forest().MicrosInRange(cps.DayRange(longSys.Spec(), 0, days))
+	opts := longSys.Forest().Options()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var idgen cluster.IDGen
+		cluster.Integrate(&idgen, micros, opts)
+	}
+	b.ReportMetric(float64(len(micros)), "inputs")
+}
+
+func BenchmarkIntegrateAll28Days(b *testing.B) { benchIntegrateLong(b, 28) }
+func BenchmarkIntegrateAll84Days(b *testing.B) { benchIntegrateLong(b, 84) }
 
 // --- Ablations (DESIGN.md §5) ---
 

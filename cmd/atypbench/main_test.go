@@ -46,10 +46,10 @@ func TestReadPrevious(t *testing.T) {
 }
 
 func TestRegressionGate(t *testing.T) {
-	prev := &experiments.ParResult{}
+	prev := &experiments.ParResult{Calib: 0.01}
 	prev.Serial.Total = 2.0
 	prev.Parallel.Total = 1.0
-	cur := &experiments.ParResult{}
+	cur := &experiments.ParResult{Calib: 0.01}
 
 	// Within budget: 20% slower with 25% allowed.
 	cur.Serial.Total, cur.Parallel.Total = 2.4, 1.2
@@ -71,11 +71,37 @@ func TestRegressionGate(t *testing.T) {
 	if msg := regression(prev, cur, 0.25); msg != "" {
 		t.Errorf("improvement flagged: %s", msg)
 	}
+	// Times compare in calibration units: a host 60 % slower throughout,
+	// its calibration included, is not a regression; code 30 % slower on
+	// a host 20 % faster is.
+	cur.Calib = 0.016
+	cur.Serial.Total, cur.Parallel.Total = 3.2, 1.6
+	if msg := regression(prev, cur, 0.25); msg != "" {
+		t.Errorf("slower host flagged: %s", msg)
+	}
+	cur.Calib = 0.008
+	cur.Serial.Total, cur.Parallel.Total = 2.08, 0.8
+	if msg := regression(prev, cur, 0.25); msg == "" {
+		t.Error("serial regression on a faster host not flagged")
+	}
+	// The sharded query is held in units of the unsharded one: both 60 %
+	// slower is not a regression, the sharded alone 30 % slower is.
+	prev.ShardQuery = &experiments.ShardQueryBench{UnshardedS: 0.001, ShardedS: 0.0012}
+	cur.ShardQuery = &experiments.ShardQueryBench{UnshardedS: 0.0016, ShardedS: 0.00192}
+	cur.Calib = 0.01
+	cur.Serial.Total, cur.Parallel.Total = 2.0, 1.0
+	if msg := regression(prev, cur, 0.25); msg != "" {
+		t.Errorf("uniformly slower queries flagged: %s", msg)
+	}
+	cur.ShardQuery = &experiments.ShardQueryBench{UnshardedS: 0.001, ShardedS: 0.00156}
+	if msg := regression(prev, cur, 0.25); msg == "" {
+		t.Error("sharded query regression not flagged")
+	}
 }
 
 func TestGateOnlyComparesLikeHosts(t *testing.T) {
 	host := func(total float64) *experiments.ParResult {
-		r := &experiments.ParResult{GOMAXPROCS: 4, NumCPU: 4, GoVersion: "go1.24.0"}
+		r := &experiments.ParResult{GOMAXPROCS: 4, NumCPU: 4, GoVersion: "go1.24.0", Calib: 0.01}
 		r.Serial.Total, r.Parallel.Total = total, total/2
 		return r
 	}
@@ -95,6 +121,7 @@ func TestGateOnlyComparesLikeHosts(t *testing.T) {
 		"num_cpu":    func(r *experiments.ParResult) { r.NumCPU = 2 },
 		"go_version": func(r *experiments.ParResult) { r.GoVersion = "go1.23.0" },
 		"pre-facts":  func(r *experiments.ParResult) { r.NumCPU, r.GoVersion = 0, "" },
+		"pre-calib":  func(r *experiments.ParResult) { r.Calib = 0 },
 	} {
 		other := host(2.0)
 		mutate(other)

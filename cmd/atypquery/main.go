@@ -22,7 +22,8 @@
 //
 // -explain prints the run's EXPLAIN table after the report: strategy,
 // significance bound arithmetic, per-stage timings, pruning and red-zone
-// accounting, merge-tree shape, and per-macro significance verdicts.
+// accounting, integration input and macro counts, and per-macro
+// significance verdicts.
 // -explainjson prints the same record as indented JSON instead.
 package main
 

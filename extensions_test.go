@@ -35,11 +35,12 @@ func TestIngestRejectsInvalidSeverities(t *testing.T) {
 	var g cluster.IDGen
 	good := cluster.FromRecords(g.Next(), []Record{{Sensor: 1, Window: 3, Severity: 1}})
 	for name, bad := range map[string]*Cluster{
-		"nil":       nil,
-		"nan":       {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: Severity(math.NaN())}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
-		"zero":      {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 0}}},
-		"unsorted":  {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 2, Sev: 1}, {Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 2}}},
-		"no micros": {ID: g.Next(), SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
+		"nil":            nil,
+		"nan":            {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: Severity(math.NaN())}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
+		"zero":           {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 0}}},
+		"unsorted":       {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 2, Sev: 1}, {Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 2}}},
+		"no micros":      {ID: g.Next(), SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
+		"max int micros": {ID: g.Next(), Micros: math.MaxInt, SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
 	} {
 		if err := sys.IngestClusters([]*Cluster{good, bad}); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("%s cluster: IngestClusters = %v, want ErrInvalidConfig", name, err)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -107,12 +108,19 @@ func FromRecords(id ID, recs []cps.Record) *Cluster {
 	return c
 }
 
-// Valid reports whether the cluster summarizes at least one micro-cluster
-// and both features pass Feature.Valid, the condition every cluster must
-// meet before it is stored or integrated. Every constructor sets Micros to
-// 1 and merges sum it, so only a cluster built field by field can fail the
-// count.
-func (c *Cluster) Valid() bool { return c.Micros >= 1 && c.SF.Valid() && c.TF.Valid() }
+// MaxMicros bounds the micro count of a cluster that enters the system.
+// Integration addresses its inputs by int32 position, so it sums fewer than
+// 2^31 counts of at most 2^31-1 each, and a merged count cannot overflow.
+const MaxMicros = math.MaxInt32
+
+// Valid reports whether the cluster summarizes between 1 and MaxMicros
+// micro-clusters and both features pass Feature.Valid, the condition every
+// cluster must meet before it is stored or integrated. Every constructor
+// sets Micros to 1 and merges sum it, so only a cluster built field by
+// field, or a merge of more than MaxMicros micros, can fail the count.
+func (c *Cluster) Valid() bool {
+	return c.Micros >= 1 && c.Micros <= MaxMicros && c.SF.Valid() && c.TF.Valid()
+}
 
 // Severity returns the cluster's total severity Σμ = Σν (Definition 5).
 // Every constructor in this package precomputes the cache; clusters built
@@ -175,15 +183,8 @@ func (c *Cluster) PeakWindow() (cps.Window, cps.Severity) {
 // a new ID is assigned. The inputs are not modified. The operation is
 // commutative and associative (paper Property 3); see the property tests.
 func Merge(gen *IDGen, a, b *Cluster) *Cluster {
-	return mergeAs(gen.Next(), a, b)
-}
-
-// mergeAs is Merge with an explicit ID. Parallel integration merges under
-// the sentinel ID 0 and renumbers the surviving macro-clusters afterwards,
-// so concurrent merge scheduling cannot leak into the ID sequence.
-func mergeAs(id ID, a, b *Cluster) *Cluster {
 	out := &Cluster{
-		ID:     id,
+		ID:     gen.Next(),
 		SF:     MergeFeature(a.SF, b.SF),
 		TF:     MergeFeature(a.TF, b.TF),
 		Micros: a.Micros + b.Micros,

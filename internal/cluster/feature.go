@@ -162,6 +162,12 @@ func overlapFractions[K Key](a, b Feature[K], totalA, totalB cps.Severity) (p1, 
 			}
 		}
 	}
+	return fractions(common1, common2, totalA, totalB)
+}
+
+// fractions returns the common sums' shares of their features' totals, zero
+// for an empty feature.
+func fractions(common1, common2, totalA, totalB cps.Severity) (p1, p2 float64) {
 	if totalA > 0 {
 		p1 = float64(common1 / totalA)
 	}

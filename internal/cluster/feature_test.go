@@ -147,10 +147,20 @@ func TestClusterValidMicros(t *testing.T) {
 	if ab := Merge(&g, a, b); !a.Valid() || !ab.Valid() || ab.Micros != 2 {
 		t.Fatalf("micro and merge: valid %v/%v, merged micros %d", a.Valid(), ab.Valid(), ab.Micros)
 	}
-	for _, n := range []int{0, -1, math.MinInt} {
+	for _, n := range []int{0, -1, math.MinInt, MaxMicros + 1, math.MaxInt} {
 		if c := (&Cluster{ID: a.ID, Micros: n, SF: a.SF, TF: a.TF}); c.Valid() {
 			t.Errorf("micro count %d accepted", n)
 		}
+	}
+	// The largest valid counts integrate without wrapping.
+	x := &Cluster{ID: a.ID, Micros: MaxMicros, SF: a.SF, TF: a.TF, sev: a.sev}
+	y := &Cluster{ID: b.ID, Micros: MaxMicros, SF: b.SF, TF: b.TF, sev: b.sev}
+	if !x.Valid() {
+		t.Fatal("MaxMicros rejected")
+	}
+	out := Integrate(&g, []*Cluster{x, y}, IntegrateOptions{SimThreshold: 0.3, Balance: Arithmetic})
+	if len(out) != 1 || out[0].Micros != 2*MaxMicros {
+		t.Fatalf("integrated %v, want one cluster of %d micros", out, 2*MaxMicros)
 	}
 }
 

@@ -2,10 +2,12 @@ package cluster
 
 // The integration kernel's oracle: the gather-then-evaluate loop that
 // integrateCore replaced. It walks every posting list of a cluster before
-// evaluating any candidate, and computes similarity from a plain linear
-// merge-join over features folded by definition (floorMod on every entry, a
-// stable sort, coalescing). Integrate must reproduce it bit for bit — IDs,
-// micro counts, feature keys and severity bits, and merge-tree shape.
+// evaluating any candidate, builds every merged cluster with Merge, and
+// computes similarity from a plain linear merge-join over features folded by
+// definition (floorMod on every entry, a stable sort, coalescing). Integrate
+// must reproduce it bit for bit — IDs, micro counts, feature keys and
+// severity bits — and every summary it caches on a merged cluster must be
+// the one summaryAt would compute.
 
 import (
 	"math"
@@ -17,7 +19,7 @@ import (
 
 // integrateGatherAll is integrateCore as it was before candidates were
 // evaluated during the posting-list walk.
-func integrateGatherAll(micros []*Cluster, opts IntegrateOptions, mkID func() ID) []*Cluster {
+func integrateGatherAll(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Cluster {
 	if opts.SimThreshold <= 0 {
 		panic("cluster: IntegrateOptions.SimThreshold must be positive")
 	}
@@ -91,7 +93,7 @@ func integrateGatherAll(micros []*Cluster, opts IntegrateOptions, mkID func() ID
 	repeat:
 		for _, cand := range candidates(pos) {
 			if similarity(active[pos], active[cand]) > opts.SimThreshold {
-				merged := mergeAs(mkID(), active[pos], active[cand])
+				merged := Merge(gen, active[pos], active[cand])
 				alive[pos] = false
 				alive[cand] = false
 				active = append(active, merged)
@@ -165,7 +167,13 @@ func foldLinear(tf TemporalFeature, period cps.Window) TemporalFeature {
 //     reverse, and a chain's rejections are often revisited;
 //   - 4: mode 3's keys with extreme valid severities — subnormal and
 //     MaxFloat64, whose sums overflow to +Inf in merges — mixed with
-//     ordinary ones.
+//     ordinary ones;
+//   - 5: long multi-day chains — four sensors, windows over 32 days in 8
+//     buckets of a 288-window period, severities across six orders of
+//     magnitude so that reassociating a sum changes its bits, and small
+//     clusters as in mode 3. At odd size the days lie 2^24 periods apart,
+//     so windows span far more than the entries (ranked window slots at
+//     period 0).
 //
 // A micro failing Valid (MaxFloat64 records summing to +Inf in one entry)
 // is dropped, as ingest rejects it: kernel inputs always pass Valid.
@@ -182,7 +190,7 @@ func fuzzKernelMicros(data []byte, mode, size uint8, g *IDGen) []*Cluster {
 			recs = recs[:0]
 		}
 	}
-	switch mode % 5 {
+	switch mode % 6 {
 	case 1:
 		// The giant: overlapRatio·small ± a few keys, spread over a day.
 		n := int(size)%(4*overlapRatio) + 1
@@ -198,7 +206,15 @@ func fuzzKernelMicros(data []byte, mode, size uint8, g *IDGen) []*Cluster {
 		}
 		sev := cps.Severity(1+int(data[3])%40) / 10
 		r := cps.Record{Severity: sev}
-		switch mode % 5 {
+		switch mode % 6 {
+		case 5:
+			day := cps.Window(data[2] % 32)
+			if size%2 == 1 {
+				day <<= 24
+			}
+			r.Sensor = cps.SensorID(data[1] % 4)
+			r.Window = day*288 + 100 + cps.Window(data[3]%8)
+			r.Severity = cps.Severity(1+int(data[3]>>3)%9) * cps.Severity(math.Pow10(int(data[1]>>2)%6-3))
 		case 4:
 			r.Severity = extremeSeverity(data[3], sev)
 			fallthrough
@@ -216,7 +232,7 @@ func fuzzKernelMicros(data []byte, mode, size uint8, g *IDGen) []*Cluster {
 			r.Window = cps.Window(data[3]%4)*144 + cps.Window(data[2])
 		}
 		recs = append(recs, r)
-		if mode%5 >= 3 && data[0]%4 == 0 {
+		if mode%6 >= 3 && data[0]%4 == 0 {
 			flush()
 		}
 	}
@@ -236,9 +252,11 @@ func extremeSeverity(b uint8, sev cps.Severity) cps.Severity {
 	return sev
 }
 
-// Integrate equals the gather-then-evaluate oracle bit for bit, merge trees
-// included, at absolute windows and at a day's period, at δsim on both sides
-// of 0.5 and exactly at it, and on extreme valid severities.
+// Integrate equals the gather-then-evaluate oracle bit for bit, merge order
+// and IDs included, at absolute windows and at a day's period, at δsim on
+// both sides of 0.5 and exactly at it, on extreme valid severities and on
+// long chains whose sums change bits when reassociated; and every summary
+// it cached on an output cluster equals a fresh fold of that cluster.
 func FuzzIntegrateKernelEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 1, 3, 3, 5, 0, 0, 0, 0, 1, 2, 4, 4, 1, 5, 3, 9}, uint8(0), uint8(0), uint8(0), uint8(1))
 	f.Add([]byte{1, 1, 1, 1, 0, 0, 0, 0, 1, 2, 2, 2, 0, 1, 1, 1, 1, 3, 3, 3}, uint8(1), uint8(overlapRatio-1), uint8(1), uint8(0))
@@ -268,6 +286,16 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 	// At δsim 0.4, micros sharing a window and no sensor score 0.5 and
 	// merge, met only in the window lists.
 	f.Add([]byte{4, 1, 1, 9, 4, 2, 1, 9}, uint8(3), uint8(0), uint8(12), uint8(3))
+	// Found by fuzzing a copy whose rejection memory ignored shared
+	// sensors: the chain re-meets a rejected candidate after absorbing a
+	// cluster that shares a sensor with it (δsim 0.3, Geometric).
+	f.Add([]byte("00000200\x000000100"), uint8(1), uint8(5), uint8(99), uint8(77))
+	// Long chains (mode 5) at δsim 0.5 and 0.4 at a day's period, the second
+	// under Harmonic; and at period 0 with days 2^24 periods apart, where
+	// the window slots are ranked.
+	f.Add(longChainSeed(), uint8(5), uint8(0), uint8(5), uint8(3))
+	f.Add(longChainSeed(), uint8(5), uint8(0), uint8(13), uint8(1))
+	f.Add(longChainSeed(), uint8(5), uint8(1), uint8(12), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, mode, size, periodSel, balSel uint8) {
 		if len(data) > 4096 {
 			return
@@ -286,12 +314,38 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 		gb.next.Store(g.next.Load())
 		// Every merge draws the next ID from its side's generator, so equal
 		// IDs on the survivors pin the merge order as well as the result.
-		got := integrateCore(cloneMicros(micros), opts, ga.Next)
-		want := integrateGatherAll(cloneMicros(micros), opts, gb.Next)
+		got := integrateCore(cloneMicros(micros), opts, &ga)
+		want := integrateGatherAll(cloneMicros(micros), opts, &gb)
 		if !clustersBitEq(got, want) {
 			t.Fatalf("Integrate %v\noracle    %v", got, want)
 		}
+		for _, c := range got {
+			if s := c.summary.Load(); s != nil && !summaryFresh(c, s) {
+				t.Fatalf("cluster %v: cached summary %+v differs from a fresh fold", c, *s)
+			}
+		}
 	})
+}
+
+// longChainSeed is mode-5 input for a long chain: single-record micros on
+// the four sensors, cycling through 32 days, all 8 buckets and six
+// severity magnitudes, in an order that is not ascending by day, so merges
+// add windows before, between and after the chain's windows in a bucket.
+func longChainSeed() []byte {
+	var data []byte
+	for i := 0; i < 96; i++ {
+		day := uint8(i*13) % 32
+		data = append(data, 4, uint8(i%4)|uint8(i%6)<<2, day, uint8(i%8)|uint8(i*5%9)<<3)
+	}
+	return data
+}
+
+// summaryFresh reports whether s has the bits of the summary summaryAt
+// computes for c from scratch.
+func summaryFresh(c *Cluster, s *summary) bool {
+	tf := FoldTemporal(c.TF, s.period)
+	same := func(a, b cps.Severity) bool { return math.Float64bits(float64(a)) == math.Float64bits(float64(b)) }
+	return featuresBitEq(s.tf, tf) && same(s.sfTotal, c.SF.Total()) && same(s.tfTotal, tf.Total())
 }
 
 // clustersBitEq is clustersExactEq comparing severity bits, so NaN
@@ -339,8 +393,8 @@ func TestRejectionMemoryWindowOnlyDirty(t *testing.T) {
 		var ga, gb IDGen
 		ga.next.Store(g.next.Load())
 		gb.next.Store(g.next.Load())
-		got := integrateCore(cloneMicros(micros), opts, ga.Next)
-		want := integrateGatherAll(cloneMicros(micros), opts, gb.Next)
+		got := integrateCore(cloneMicros(micros), opts, &ga)
+		want := integrateGatherAll(cloneMicros(micros), opts, &gb)
 		if !clustersBitEq(got, want) {
 			t.Fatalf("period %d: Integrate %v\noracle    %v", period, got, want)
 		}

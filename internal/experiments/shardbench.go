@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"math"
-	"slices"
+	"runtime"
 	"time"
 
 	"github.com/cpskit/atypical/internal/query"
@@ -41,10 +41,9 @@ func MeasureShardedQuery(e *Env, n int) *ShardQueryBench {
 	}
 	q := query.CityQuery(e.Net, e.Spec, 0, min(7, e.Cfg.QueryMonths*e.Cfg.DaysPerMonth), e.Cfg.DeltaS)
 
-	base, unshardedS := medianRun(eng, q)
 	sharded := *eng
 	sharded.Scatterer = shard.NewCoordinator(set.Backends(), nil)
-	shr, shardedS := medianRun(&sharded, q)
+	base, shr, unshardedS, shardedS := fastestRuns(eng, &sharded, q)
 	res := &ShardQueryBench{Shards: n, UnshardedS: unshardedS, ShardedS: shardedS, Significant: len(shr.Significant)}
 
 	res.Identical = base.CandidateMicros == shr.CandidateMicros &&
@@ -63,16 +62,27 @@ func MeasureShardedQuery(e *Env, n int) *ShardQueryBench {
 	return res
 }
 
-// medianRun answers q with Gui benchReps times and returns the last answer
-// with the median wall time in seconds.
-func medianRun(eng *query.Engine, q query.Query) (*query.Result, float64) {
-	var res *query.Result
-	secs := make([]float64, benchReps)
-	for i := range secs {
+// queryReps is how many times fastestRuns answers its query on each
+// engine: a query takes about a millisecond, so it repeats more often than
+// a construction.
+const queryReps = 5 * benchReps
+
+// fastestRuns answers q with Gui queryReps times on each engine,
+// alternating between them after a collection, and returns each engine's
+// last answer and smallest wall time in seconds.
+func fastestRuns(a, b *query.Engine, q query.Query) (resA, resB *query.Result, secsA, secsB float64) {
+	timed := func(eng *query.Engine) (*query.Result, float64) {
 		start := time.Now()
-		res = mustRun(eng, q, query.Gui)
-		secs[i] = time.Since(start).Seconds()
+		res := mustRun(eng, q, query.Gui)
+		return res, time.Since(start).Seconds()
 	}
-	slices.Sort(secs)
-	return res, secs[benchReps/2]
+	secsA, secsB = math.Inf(1), math.Inf(1)
+	runtime.GC()
+	for range queryReps {
+		var sa, sb float64
+		resA, sa = timed(a)
+		resB, sb = timed(b)
+		secsA, secsB = min(secsA, sa), min(secsB, sb)
+	}
+	return resA, resB, secsA, secsB
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"bufio"
 	"io"
-	"math"
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
@@ -101,11 +100,12 @@ func putFeature[K cluster.Key](e *encoder, f cluster.Feature[K]) {
 }
 
 // getMicros decodes a micro count, holding it to cluster.Cluster.Valid: a
-// cluster summarizes at least one micro-cluster, and a count that does not
-// fit in int would wrap negative. Either is corruption.
+// cluster summarizes at least one and at most cluster.MaxMicros
+// micro-clusters, so integration can sum the counts without overflow.
+// Anything else is corruption.
 func getMicros(d *decoder) int {
 	n := d.uvarint()
-	if n < 1 || n > math.MaxInt {
+	if n < 1 || n > cluster.MaxMicros {
 		d.fail("micro count %d out of range", n)
 	}
 	return int(n)

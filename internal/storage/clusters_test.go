@@ -121,7 +121,8 @@ func TestClustersExactRejectsCorruption(t *testing.T) {
 // invalidClusterFrames returns CRC-valid cluster files, written by
 // WriteClustersExact, whose clusters fail cluster.Cluster.Valid: a decoder
 // that loaded them would hand integration NaN, infinite, non-positive or
-// out-of-order entries, or a micro count below one.
+// out-of-order entries, or a micro count below one or above
+// cluster.MaxMicros.
 func invalidClusterFrames(t testing.TB) map[string][]byte {
 	t.Helper()
 	sf := func(es ...cluster.Entry[cps.SensorID]) cluster.SpatialFeature { return es }
@@ -147,6 +148,10 @@ func invalidClusterFrames(t testing.TB) map[string][]byte {
 		// 2^64-1, neither of which fits in int.
 		"micros 2^63":   {ID: 1, Micros: math.MinInt, SF: sf(e(2, 1)), TF: tf},
 		"micros 2^64-1": {ID: 1, Micros: -1, SF: sf(e(2, 1)), TF: tf},
+		// Counts that fit in int but could overflow once merges sum them:
+		// MaxInt merged with any cluster wrapped to MinInt.
+		"micros MaxMicros+1": {ID: 1, Micros: cluster.MaxMicros + 1, SF: sf(e(2, 1)), TF: tf},
+		"micros MaxInt":      {ID: 1, Micros: math.MaxInt, SF: sf(e(2, 1)), TF: tf},
 	}
 	out := make(map[string][]byte, len(cases))
 	for name, c := range cases {

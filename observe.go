@@ -102,7 +102,8 @@ func NewTraceRing(n int) *TraceRing { return obs.NewTraceRing(n) }
 // Explain is the structured EXPLAIN record of one query run: strategy,
 // significance bound arithmetic, per-stage timings and cardinalities,
 // pruning and red-zone accounting, the forest version read, the
-// integration merge-tree shape, and per-macro significance verdicts.
+// integration's input and macro counts, and per-macro significance
+// verdicts.
 type Explain = query.Explain
 
 // SLOTarget is a per-strategy latency objective; see WithQuerySLO.
