@@ -117,13 +117,14 @@ load-smoke:
 		-maxregress 0 -minimprove $(LOADIMPROVE)
 
 ## shard-matrix: the tentpole equivalence gate — sharded answers (1/2/8
-## shards, in-process and HTTP backends) must render byte-identically to the
-## unsharded system, and shard loss must surface as an explicitly partial
-## answer. -count=1 defeats the test cache
-## so the matrix really runs on every invocation.
+## shards, in-process and HTTP backends, fresh or loaded from disk, cached
+## across an IngestClusters) must render byte-identically to the unsharded
+## system, and shard loss must surface as an explicitly partial answer.
+## -count=1 defeats the test cache so the matrix really runs on every
+## invocation.
 shard-matrix:
 	$(GO) test . ./internal/shard/ \
-		-run 'TestShardedQueryByteIdentical|TestBypassShardsByteIdentical|TestShardMatrix|TestShardedPartialFailure|TestCoordinatorGatherEqualsUnshardedCandidates|TestHTTPBackendRoundTripAndFailure' \
+		-run 'TestShardedQueryByteIdentical|TestBypassShardsByteIdentical|TestShardMatrix|TestShardedPartialFailure|TestShardedLoadForestByteIdentical|TestShardedCacheFreshAfterIngestClusters|TestViewsPartitionByHomeShard|TestCoordinatorGatherEqualsUnshardedCandidates|TestHTTPBackendRoundTripAndFailure' \
 		-count=1
 
 ## trace-stitch: the observability smoke — an in-process 2-shard atypserve

@@ -221,13 +221,9 @@ type System struct {
 	obs      *systemObs
 	exporter obs.SpanExporter
 
-	// Sharding wiring (nil when WithShards/WithShardServers are not used):
-	// the deterministic shard map, the in-process per-shard forests fed by
-	// ingest (local sharding only), and the scatter-gather coordinator the
-	// engine queries through. See sharding.go.
-	shardMap *shard.Map
-	shardSet *shard.Set
-	coord    *shard.Coordinator
+	// coord is the scatter-gather coordinator the engine queries through
+	// (nil when WithShards/WithShardServers are not used). See sharding.go.
+	coord *shard.Coordinator
 
 	// cache is the optional canonical-keyed answer cache (WithQueryCache);
 	// nil when caching is off. The pointer is fixed at construction — forest
@@ -330,7 +326,7 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 	for _, slo := range o.slos {
 		s.engine.Obs.SetSLO(slo.strat, slo.target)
 	}
-	if err := s.wireShards(&o, opts); err != nil {
+	if err := s.wireShards(&o); err != nil {
 		return nil, err
 	}
 
@@ -459,12 +455,6 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	slices := make([][]cps.Record, len(days))
 	for i, d := range days {
 		fst.AppendDay(d.Day, perDay[i])
-		if s.shardSet != nil {
-			// Local sharding: route the day's micro-clusters (in canonical
-			// extraction order) to their home shards as well. The shard
-			// forests share the cluster values with the global forest.
-			s.shardSet.AppendDay(d.Day, perDay[i])
-		}
 		micros += len(perDay[i])
 		slices[i] = d.Records
 	}

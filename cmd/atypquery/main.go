@@ -11,9 +11,10 @@
 //	          [-shards 0] [-shardpeers url,url] [-explain] [-explainjson]
 //
 // -shards n answers the query scatter-gather across n in-process shards
-// (the loaded forest is partitioned by home region) instead of one pass
-// over the whole forest; the answer is byte-identical either way, so the
-// flag exists to exercise and time the sharded path from the CLI.
+// (home-filtered views over the loaded forest, each keeping the micros whose
+// home region it owns) instead of one pass over the whole forest; the answer
+// is byte-identical either way, so the flag exists to exercise and time the
+// sharded path from the CLI.
 // -shardpeers scatters to remote shard servers instead (atypserve
 // -shardserve processes over the same deployment configuration); the run
 // executes under a root span whose traceparent is injected on every shard
@@ -118,15 +119,11 @@ func main() {
 		}
 		engine.Scatterer = shard.NewCoordinator(backends, nil)
 	case *shards > 0:
-		m, err := shard.NewMap(net.Grid, *shards)
+		views, err := shard.NewLocalViews(net, func() *forest.Forest { return f }, *shards)
 		if err != nil {
 			fatal(err)
 		}
-		set := shard.NewSet(m, net, spec, &idgen, opts, 28)
-		for _, day := range f.Days() {
-			set.AppendDay(day, f.Day(day))
-		}
-		engine.Scatterer = shard.NewCoordinator(set.Backends(), nil)
+		engine.Scatterer = shard.NewCoordinator(views, nil)
 	}
 	var q query.Query
 	if *maxLat != 0 || *maxLon != 0 {

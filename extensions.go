@@ -50,8 +50,8 @@ func (s *System) NewStreamProcessor(emit func(*Cluster)) (*StreamProcessor, erro
 }
 
 // IngestClusters adds externally produced micro-clusters (e.g. from a
-// StreamProcessor) to the forest under their first record's day, routing
-// them to their home shards as well when local sharding is enabled. If any
+// StreamProcessor) to the forest under their first record's day; in-process
+// shards are views over that forest and see them with the same append. If any
 // cluster is nil or fails Cluster.Valid it returns an error wrapping
 // ErrInvalidConfig and ingests nothing.
 func (s *System) IngestClusters(micros []*Cluster) error {
@@ -70,12 +70,7 @@ func (s *System) IngestClusters(micros []*Cluster) error {
 		byDay[day] = append(byDay[day], c)
 	}
 	fst := s.Forest()
-	cps.ForEachDay(byDay, func(day int, cs []*Cluster) {
-		fst.AppendDay(day, cs)
-		if s.shardSet != nil {
-			s.shardSet.AppendDay(day, cs)
-		}
-	})
+	cps.ForEachDay(byDay, fst.AppendDay)
 	return nil
 }
 
@@ -185,20 +180,14 @@ func (s *System) LoadForestRecover(dir string) (ForestRecovery, error) {
 // installForestLocked swaps in a freshly loaded forest, resetting the
 // severity index (not persisted, hence stale) and rebuilding the engine so
 // queries already snapshotted against the old forest finish against it.
-// With local sharding enabled, the per-shard forests are rebuilt from the
-// loaded forest's days (remote shard servers are independent processes and
-// reload on their own; an HTTP coordinator's load only swaps its local
-// copy). Callers hold s.mu.
+// In-process shards are views that resolve the system's forest per call, so
+// they follow the swap with no re-feed; remote shard servers are independent
+// processes and reload on their own (an HTTP coordinator's load only swaps
+// its local copy). Callers hold s.mu.
 func (s *System) installForestLocked(f *forest.Forest) {
 	s.forest = f
 	s.sev.Reset()
 	s.sevStale = true
-	if s.shardSet != nil {
-		s.shardSet.Reset()
-		for _, day := range f.Days() {
-			s.shardSet.AppendDay(day, f.Day(day))
-		}
-	}
 	// The answer cache cannot rely on version stamps across a forest swap
 	// (a freshly loaded forest restarts its version counter), so it is
 	// cleared outright and carried into the new engine.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/cpskit/atypical/internal/forest"
 	"github.com/cpskit/atypical/internal/query"
 	"github.com/cpskit/atypical/internal/shard"
 )
@@ -24,25 +25,21 @@ type ShardQueryBench struct {
 	Identical   bool    `json:"identical"`
 }
 
-// MeasureShardedQuery partitions the environment's query forest across n
-// shards and times the unsharded versus the scatter-gathered answer to the
-// same query. Macro-cluster IDs differ between the two runs (the shared
-// generator keeps counting), so equivalence is checked on counts and
-// bit-exact severities rather than raw bytes.
+// MeasureShardedQuery serves the environment's query forest through n
+// home-filtered shard views and times the unsharded versus the
+// scatter-gathered answer to the same query. Macro-cluster IDs differ
+// between the two runs (the shared generator keeps counting), so equivalence
+// is checked on counts and bit-exact severities rather than raw bytes.
 func MeasureShardedQuery(e *Env, n int) *ShardQueryBench {
 	eng := e.QueryStack()
-	m, err := shard.NewMap(e.Net.Grid, n)
+	views, err := shard.NewLocalViews(e.Net, func() *forest.Forest { return eng.Forest }, n)
 	if err != nil {
 		panic(err) // n >= 1 is the caller's contract
-	}
-	set := shard.NewSet(m, e.Net, e.Spec, eng.Gen, e.IntegrateOptions(), e.Cfg.DaysPerMonth)
-	for _, day := range eng.Forest.Days() {
-		set.AppendDay(day, eng.Forest.Day(day))
 	}
 	q := query.CityQuery(e.Net, e.Spec, 0, min(7, e.Cfg.QueryMonths*e.Cfg.DaysPerMonth), e.Cfg.DeltaS)
 
 	sharded := *eng
-	sharded.Scatterer = shard.NewCoordinator(set.Backends(), nil)
+	sharded.Scatterer = shard.NewCoordinator(views, nil)
 	base, shr, unshardedS, shardedS := fastestRuns(eng, &sharded, q)
 	res := &ShardQueryBench{Shards: n, UnshardedS: unshardedS, ShardedS: shardedS, Significant: len(shr.Significant)}
 

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
@@ -27,34 +26,38 @@ type Backend interface {
 	Ready(ctx context.Context) error
 }
 
-// Local serves one shard from an in-process forest: either a dedicated
-// per-shard forest (Set) holding exactly this shard's micro-clusters, or a
-// home-filtered view over a full forest (NewLocalView) — the shape an HTTP
-// shard server uses, since it ingests the whole deterministic stream and
-// owns its slice by predicate rather than by physical partition.
+// Local serves one shard in-process as a home-filtered view over a full
+// forest: it owns its slice by predicate (HomeShard) rather than by physical
+// partition, so every shard of a system reads the same forest the unsharded
+// path does. HTTP shard servers serve their slice through the same view.
 type Local struct {
 	name string
 	net  *traffic.Network
 	// fst resolves the forest per call, so views follow facade-level forest
 	// swaps (LoadForest) without rewiring.
-	fst  func() *forest.Forest
-	keep func(*cluster.Cluster) bool // nil keeps everything
-}
-
-// NewLocal returns a backend over a dedicated per-shard forest.
-func NewLocal(name string, net *traffic.Network, fst func() *forest.Forest) *Local {
-	return &Local{name: name, net: net, fst: fst}
+	fst   func() *forest.Forest
+	m     *Map
+	shard int
 }
 
 // NewLocalView returns a backend serving shard s of m as a home-filtered
 // view over a full forest.
 func NewLocalView(name string, net *traffic.Network, fst func() *forest.Forest, m *Map, s int) *Local {
-	return &Local{
-		name: name,
-		net:  net,
-		fst:  fst,
-		keep: func(c *cluster.Cluster) bool { return m.HomeShard(net, c) == s },
+	return &Local{name: name, net: net, fst: fst, m: m, shard: s}
+}
+
+// NewLocalViews returns n backends, named shard0..shardN-1, each a
+// home-filtered view over fst under the n-shard map of net's grid.
+func NewLocalViews(net *traffic.Network, fst func() *forest.Forest, n int) ([]Backend, error) {
+	m, err := NewMap(net.Grid, n)
+	if err != nil {
+		return nil, err
 	}
+	out := make([]Backend, n)
+	for i := range out {
+		out[i] = NewLocalView(fmt.Sprintf("shard%d", i), net, fst, m, i)
+	}
+	return out, nil
 }
 
 // Name implements Backend.
@@ -73,10 +76,7 @@ func (l *Local) Candidates(ctx context.Context, tr cps.TimeRange, regions []geo.
 	}
 	var out []*cluster.Cluster
 	for _, c := range l.fst().MicrosInRange(tr) {
-		if l.keep != nil && !l.keep(c) {
-			continue
-		}
-		if query.Touches(l.net, c, inRegion) {
+		if l.m.HomeShard(l.net, c) == l.shard && query.Touches(l.net, c, inRegion) {
 			out = append(out, c)
 		}
 	}
@@ -85,84 +85,3 @@ func (l *Local) Candidates(ctx context.Context, tr cps.TimeRange, regions []geo.
 
 // Ready implements Backend: an in-process forest is always ready.
 func (l *Local) Ready(ctx context.Context) error { return ctx.Err() }
-
-// Set is the in-process sharded forest: one dedicated forest per shard, fed
-// during ingest by routing each day's extracted micro-clusters to their home
-// shard. Routing preserves extraction order, so each shard's forest stores
-// its slice in the same relative order the global forest does — the
-// invariant the coordinator's (day, ID) merge relies on. The per-shard
-// forests share the stored *cluster.Cluster values with the global forest
-// (clusters are immutable once built), so the split costs slice headers, not
-// copies.
-type Set struct {
-	m            *Map
-	net          *traffic.Network
-	spec         cps.WindowSpec
-	gen          *cluster.IDGen
-	opts         cluster.IntegrateOptions
-	daysPerMonth int
-
-	mu      sync.RWMutex // guards the forests slice (Reset swaps it mid-flight)
-	forests []*forest.Forest
-}
-
-// NewSet builds an empty sharded forest over m.
-func NewSet(m *Map, net *traffic.Network, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.IntegrateOptions, daysPerMonth int) *Set {
-	s := &Set{m: m, net: net, spec: spec, gen: gen, opts: opts, daysPerMonth: daysPerMonth}
-	s.forests = s.freshForests()
-	return s
-}
-
-func (s *Set) freshForests() []*forest.Forest {
-	fs := make([]*forest.Forest, s.m.NumShards())
-	for i := range fs {
-		fs[i] = forest.New(s.spec, s.gen, s.opts, s.daysPerMonth)
-	}
-	return fs
-}
-
-// Map returns the set's shard map.
-func (s *Set) Map() *Map { return s.m }
-
-// AppendDay routes one day's micro-clusters (in canonical extraction order)
-// to their home shards, preserving relative order within each shard.
-func (s *Set) AppendDay(day int, micros []*cluster.Cluster) {
-	perShard := make([][]*cluster.Cluster, s.m.NumShards())
-	for _, c := range micros {
-		h := s.m.HomeShard(s.net, c)
-		perShard[h] = append(perShard[h], c)
-	}
-	for i, cs := range perShard {
-		if len(cs) > 0 {
-			s.Forest(i).AppendDay(day, cs)
-		}
-	}
-}
-
-// Reset discards every shard's contents (after a facade-level forest swap;
-// the caller re-feeds via AppendDay).
-func (s *Set) Reset() {
-	fresh := s.freshForests()
-	s.mu.Lock()
-	s.forests = fresh
-	s.mu.Unlock()
-}
-
-// Forest returns shard i's current forest (the forests themselves are safe
-// for concurrent use; the indirection survives Reset).
-func (s *Set) Forest(i int) *forest.Forest {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.forests[i]
-}
-
-// Backends returns one Local backend per shard, named shard0..shardN-1.
-func (s *Set) Backends() []Backend {
-	n := s.m.NumShards()
-	out := make([]Backend, n)
-	for i := 0; i < n; i++ {
-		i := i
-		out[i] = NewLocal(fmt.Sprintf("shard%d", i), s.net, func() *forest.Forest { return s.Forest(i) })
-	}
-	return out
-}

@@ -10,10 +10,11 @@
 // equivalent: integration sees exactly the same inputs in exactly the same
 // order.
 //
-// Two backends serve a shard: Local (an in-process forest slice, or a
-// home-filtered view over a full forest) and HTTP (a process-separated shard
+// Two backends serve a shard, both reading one full forest: Local (an
+// in-process, home-filtered view over the system's forest) and HTTP (a
+// process-separated shard server serving the same view of its own forest
 // behind the hardened atypserve serve path, speaking the exact wire codec of
-// internal/storage).
+// internal/storage). No shard stores a copy of its slice.
 package shard
 
 import (
@@ -46,10 +47,7 @@ import (
 // scatters to every shard and re-sorts the union — so the policy is free to
 // chase locality.
 type Map struct {
-	n        int
-	hashed   bool
 	byRegion []int // region ID → shard
-	regions  [][]geo.RegionID
 }
 
 // ErrBadConfig reports an invalid sharding parameter (count, index).
@@ -61,15 +59,10 @@ func NewMap(grid *geo.Grid, n int) (*Map, error) {
 		return nil, fmt.Errorf("%w: shard count %d < 1", ErrBadConfig, n)
 	}
 	d := grid.NumDistricts()
-	m := &Map{
-		n:        n,
-		hashed:   n > d,
-		byRegion: make([]int, grid.NumRegions()),
-		regions:  make([][]geo.RegionID, n),
-	}
+	m := &Map{byRegion: make([]int, grid.NumRegions())}
 	for dist := 0; dist < d; dist++ {
 		s := dist * n / d
-		if m.hashed {
+		if n > d {
 			h := fnv.New32a()
 			var b [4]byte
 			b[0], b[1], b[2], b[3] = byte(dist), byte(dist>>8), byte(dist>>16), byte(dist>>24)
@@ -78,17 +71,10 @@ func NewMap(grid *geo.Grid, n int) (*Map, error) {
 		}
 		for _, r := range grid.DistrictRegions(dist) {
 			m.byRegion[r] = s
-			m.regions[s] = append(m.regions[s], r)
 		}
 	}
 	return m, nil
 }
-
-// NumShards returns the shard count n.
-func (m *Map) NumShards() int { return m.n }
-
-// Hashed reports whether the hash fallback was selected (n > districts).
-func (m *Map) Hashed() bool { return m.hashed }
 
 // ShardOf returns the shard owning region r. The out-of-grid sentinel
 // NoRegion — sensors outside every region — maps to shard 0, so every
@@ -99,9 +85,6 @@ func (m *Map) ShardOf(r geo.RegionID) int {
 	}
 	return m.byRegion[r]
 }
-
-// Regions returns the regions owned by shard s, ascending by ID.
-func (m *Map) Regions(s int) []geo.RegionID { return m.regions[s] }
 
 // HomeShard returns the shard owning micro-cluster c: the shard of the
 // region of c's lowest sensor ID (SF is sorted ascending, so the choice is

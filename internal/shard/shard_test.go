@@ -23,16 +23,13 @@ import (
 	"github.com/cpskit/atypical/internal/traffic"
 )
 
-// stack is the offline pipeline state the shard tests partition: a global
-// forest over a deterministic synthetic month, plus everything needed to
-// build per-shard forests of the same stream.
+// stack is the offline pipeline state the shard tests partition: a forest
+// over a deterministic synthetic month, which every shard view reads.
 type stack struct {
-	net   *traffic.Network
-	spec  cps.WindowSpec
-	f     *forest.Forest
-	idgen *cluster.IDGen
-	opts  cluster.IntegrateOptions
-	days  int
+	net  *traffic.Network
+	spec cps.WindowSpec
+	f    *forest.Forest
+	days int
 }
 
 // buildStack extracts a deterministic month of micro-clusters into a global
@@ -62,7 +59,7 @@ func buildStack(t testing.TB, sensors, days int) *stack {
 	cps.ForEachDay(ds.Atypical.SplitByDay(spec), func(day int, recs []cps.Record) {
 		f.AddDay(day, cluster.ExtractMicroClusters(idgen, recs, neighbors, maxGap))
 	})
-	return &stack{net: net, spec: spec, f: f, idgen: idgen, opts: opts, days: days}
+	return &stack{net: net, spec: spec, f: f, days: days}
 }
 
 // cityQuery returns the whole-grid, whole-range query the scatter tests use.
@@ -70,53 +67,58 @@ func (s *stack) cityQuery() query.Query {
 	return query.CityQuery(s.net, s.spec, 0, s.days, 0.05)
 }
 
-// newSet builds an n-shard Set fed with the stack's full stream.
-func (s *stack) newSet(t testing.TB, n int) (*shard.Map, *shard.Set) {
+// views serves the stack's forest as n home-filtered shard views.
+func (s *stack) views(t testing.TB, n int) []shard.Backend {
 	t.Helper()
-	m, err := shard.NewMap(s.net.Grid, n)
+	vs, err := shard.NewLocalViews(s.net, func() *forest.Forest { return s.f }, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := shard.NewSet(m, s.net, s.spec, s.idgen, s.opts, s.days)
-	for _, day := range s.f.Days() {
-		set.AppendDay(day, s.f.Day(day))
-	}
-	return m, set
+	return vs
 }
 
+// The map is a pure function of (grid, n) that gives every region exactly
+// one shard in [0, n), district-granular: the contiguous geo split while
+// n <= districts (every shard non-empty), the hash fallback beyond.
 func TestMapDeterministicCoveringDisjoint(t *testing.T) {
 	grid := traffic.GenerateNetwork(traffic.ScaledConfig(150)).Grid
 	d := grid.NumDistricts()
+	inDistricts := 0
+	for dist := 0; dist < d; dist++ {
+		inDistricts += len(grid.DistrictRegions(dist))
+	}
+	if inDistricts != grid.NumRegions() {
+		t.Fatalf("districts hold %d regions, grid %d: ShardOf cannot cover the grid", inDistricts, grid.NumRegions())
+	}
 	for _, n := range []int{1, 2, 3, 8, d, d + 5, 64} {
 		m1, err := shard.NewMap(grid, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		m2, _ := shard.NewMap(grid, n)
-		if m1.NumShards() != n {
-			t.Fatalf("n=%d: NumShards=%d", n, m1.NumShards())
-		}
-		if want := n > d; m1.Hashed() != want {
-			t.Errorf("n=%d (districts=%d): Hashed=%v, want %v", n, d, m1.Hashed(), want)
-		}
-		seen := make([]bool, grid.NumRegions())
-		for s := 0; s < n; s++ {
-			for _, r := range m1.Regions(s) {
-				if seen[r] {
-					t.Fatalf("n=%d: region %d assigned twice", n, r)
+		used := make([]bool, n)
+		for dist := 0; dist < d; dist++ {
+			regions := grid.DistrictRegions(dist)
+			want := m1.ShardOf(regions[0])
+			if n <= d && want != dist*n/d {
+				t.Fatalf("n=%d (districts=%d): district %d on shard %d, geo split puts it on %d", n, d, dist, want, dist*n/d)
+			}
+			if want < 0 || want >= n {
+				t.Fatalf("n=%d: district %d on shard %d, outside [0, %d)", n, dist, want, n)
+			}
+			used[want] = true
+			for _, r := range regions {
+				if m1.ShardOf(r) != want {
+					t.Fatalf("n=%d: district %d split across shards %d and %d", n, dist, want, m1.ShardOf(r))
 				}
-				seen[r] = true
-				if m1.ShardOf(r) != s {
-					t.Fatalf("n=%d: Regions(%d) and ShardOf(%d) disagree", n, s, r)
+				if m2.ShardOf(r) != want {
+					t.Fatalf("n=%d: two maps over the same grid disagree on region %d", n, r)
 				}
 			}
 		}
-		for r, ok := range seen {
-			if !ok {
-				t.Fatalf("n=%d: region %d unassigned", n, r)
-			}
-			if m1.ShardOf(geo.RegionID(r)) != m2.ShardOf(geo.RegionID(r)) {
-				t.Fatalf("n=%d: two maps over the same grid disagree on region %d", n, r)
+		for s, ok := range used {
+			if n <= d && !ok {
+				t.Fatalf("n=%d (districts=%d): geo split left shard %d empty", n, d, s)
 			}
 		}
 	}
@@ -139,22 +141,41 @@ func TestMapNoRegionAndOutOfRange(t *testing.T) {
 	}
 }
 
-func TestSetRoutesEverythingToItsHomeShard(t *testing.T) {
+// The views partition the forest: every micro in range is a candidate of
+// exactly one view, the one its HomeShard names.
+func TestViewsPartitionByHomeShard(t *testing.T) {
 	st := buildStack(t, 150, 3)
-	m, set := st.newSet(t, 3)
 	q := st.cityQuery()
-	total := 0
-	for i := 0; i < m.NumShards(); i++ {
-		for _, c := range set.Forest(i).MicrosInRange(q.Time) {
-			total++
-			if h := m.HomeShard(st.net, c); h != i {
-				t.Fatalf("cluster %d stored on shard %d, home %d", c.ID, i, h)
+	all := st.f.MicrosInRange(q.Time)
+	if len(all) == 0 {
+		t.Fatal("no micros in range; partition check is vacuous")
+	}
+	for _, n := range []int{1, 2, 3, 8, st.net.Grid.NumDistricts() + 5} {
+		m, err := shard.NewMap(st.net.Grid, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := make(map[*cluster.Cluster]int, len(all))
+		for i, v := range st.views(t, n) {
+			cs, err := v.Candidates(context.Background(), q.Time, q.Regions)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			for _, c := range cs {
+				if prev, dup := owner[c]; dup {
+					t.Fatalf("n=%d: cluster %d served by views %d and %d", n, c.ID, prev, i)
+				}
+				owner[c] = i
+				if h := m.HomeShard(st.net, c); h != i {
+					t.Fatalf("n=%d: cluster %d served by view %d, home %d", n, c.ID, i, h)
+				}
 			}
 		}
-	}
-	want := len(st.f.MicrosInRange(q.Time))
-	if total != want || want == 0 {
-		t.Fatalf("shards hold %d micros, global forest %d", total, want)
+		for _, c := range all {
+			if _, ok := owner[c]; !ok {
+				t.Fatalf("n=%d: cluster %d in range served by no view", n, c.ID)
+			}
+		}
 	}
 }
 
@@ -183,8 +204,7 @@ func TestCoordinatorGatherEqualsUnshardedCandidates(t *testing.T) {
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
 	for _, n := range []int{1, 2, 8} {
-		_, set := st.newSet(t, n)
-		coord := shard.NewCoordinator(set.Backends(), nil)
+		coord := shard.NewCoordinator(st.views(t, n), nil)
 		results, info, err := coord.Scatter(context.Background(), q.Time, q.Regions)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -201,8 +221,8 @@ func TestCoordinatorGatherEqualsUnshardedCandidates(t *testing.T) {
 			t.Fatalf("n=%d: gathered %d candidates, want %d", n, len(got), len(want))
 		}
 		for i := range got {
-			// Local backends share pointers with the forest: identity, not
-			// just equality.
+			// Views serve the forest's own pointers: identity, not just
+			// equality.
 			if got[i] != want[i] {
 				t.Fatalf("n=%d: candidate %d differs", n, i)
 			}

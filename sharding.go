@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/shard"
 )
 
@@ -22,11 +21,11 @@ import (
 // and WithShardServers coordinators POST to.
 const ShardQueryPath = shard.QueryPath
 
-// WithShards partitions query serving across n in-process shards: ingest
-// routes every micro-cluster to a per-shard forest by home region, and
-// queries scatter-gather across the shard forests. The global forest keeps
-// its full copy (Save, materialized queries, and BypassShards runs read it),
-// sharing cluster values with the shards.
+// WithShards partitions query serving across n in-process shards. Each shard
+// is a home-filtered view over the system's one forest — the same view a
+// ShardHandler serves — so sharding stores nothing per shard: queries
+// scatter the candidates stage across the views and gather it back in the
+// canonical order.
 func WithShards(n int) Option {
 	return func(o *systemOptions) { o.shards = n }
 }
@@ -50,10 +49,9 @@ func WithShardClient(c *http.Client) Option {
 	return func(o *systemOptions) { o.shardClient = c }
 }
 
-// wireShards applies the shard options during NewSystem: builds the shard
-// map, the local shard set or HTTP backends, the coordinator, and hooks it
-// into the engine.
-func (s *System) wireShards(o *systemOptions, opts cluster.IntegrateOptions) error {
+// wireShards applies the shard options during NewSystem: builds the local
+// views or HTTP backends, the coordinator, and hooks it into the engine.
+func (s *System) wireShards(o *systemOptions) error {
 	if o.shards == 0 && len(o.shardURLs) == 0 {
 		return nil
 	}
@@ -67,15 +65,13 @@ func (s *System) wireShards(o *systemOptions, opts cluster.IntegrateOptions) err
 	if n < 1 {
 		return fmt.Errorf("%w: shard count must be at least 1, got %d", ErrInvalidConfig, n)
 	}
-	m, err := shard.NewMap(s.net.Grid, n)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	s.shardMap = m
 	var backends []shard.Backend
 	if o.shards != 0 {
-		s.shardSet = shard.NewSet(m, s.net, s.spec, &s.idgen, opts, s.cfg.DaysPerMonth)
-		backends = s.shardSet.Backends()
+		views, err := shard.NewLocalViews(s.net, s.Forest, n)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		}
+		backends = views
 	} else {
 		for i, u := range o.shardURLs {
 			backends = append(backends, shard.NewHTTP(fmt.Sprintf("shard%d", i), u, o.shardClient))

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -197,7 +198,7 @@ func TestShardedInvalidFrame(t *testing.T) {
 }
 
 // Scatter-gather under the race detector: concurrent sharded queries across
-// strategies while the per-shard forests serve them.
+// strategies while the shard views serve them.
 func TestShardedQueryRaceHammer(t *testing.T) {
 	sys := buildSystem(t, WithShards(4), WithQueryWorkers(2))
 	want := mustRun(t, sys, QueryRequest{Days: 7, AllowPartial: true}).CandidateMicros
@@ -221,6 +222,106 @@ func TestShardedQueryRaceHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// In-process shards read the system's one forest, so sharding a system that
+// loads its forest from disk needs no re-feed: the views follow the swap and
+// answer byte-identically to the unsharded loaded system.
+func TestShardedLoadForestByteIdentical(t *testing.T) {
+	saved := buildSystem(t)
+	dir := t.TempDir()
+	if err := saved.SaveForest(dir); err != nil {
+		t.Fatal(err)
+	}
+	recs := saved.GenerateMonth(0).Atypical
+	load := func(options ...Option) *System {
+		sys, err := NewSystem(testConfig(), options...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadForestAndRebuild(context.Background(), dir, recs); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	want := renderRuns(t, load(), nil)
+	if want == "" {
+		t.Fatal("unsharded loaded system rendered nothing; byte-identity check is vacuous")
+	}
+	for _, n := range []int{1, 2, 8} {
+		if got := renderRuns(t, load(WithShards(n)), nil); got != want {
+			t.Fatalf("loaded shards=%d diverged from unsharded:\n%s", n, diffAt(got, want))
+		}
+	}
+}
+
+// streamMonth runs month m of the system's deployment through a stream
+// processor and returns the emitted micro-clusters, for IngestClusters.
+func streamMonth(t *testing.T, sys *System, m int) []*Cluster {
+	t.Helper()
+	var out []*Cluster
+	p, err := sys.NewStreamProcessor(func(c *Cluster) { out = append(out, c) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sys.GenerateMonth(m).Atypical.Records() {
+		if err := p.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// clusterIDs matches the minted cluster ID in a rendered description.
+var clusterIDs = regexp.MustCompile(`cluster \d+:`)
+
+// A cached sharded answer computed while IngestClusters appends must not
+// outlive the append: every shard reads the forest whose version stamps the
+// run, so once IngestClusters returns the system answers like an unsharded
+// system that ingested the same clusters. Macro IDs are masked — the queries
+// racing the ingest mint IDs the reference system never draws.
+func TestShardedCacheFreshAfterIngestClusters(t *testing.T) {
+	secondWeek := func(req *QueryRequest) { req.FirstDay = 7 }
+	ref := buildSystem(t)
+	if err := ref.IngestClusters(streamMonth(t, ref, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := clusterIDs.ReplaceAllString(renderRuns(t, ref, secondWeek), "cluster #:")
+
+	sys := buildSystem(t, WithShards(2), WithQueryCache(8))
+	micros := streamMonth(t, sys, 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				strat := []Strategy{IntegrateAll, Pruned, Guided}[(g+i)%3]
+				if _, err := sys.Run(context.Background(), QueryRequest{FirstDay: 7, Days: 7, Strategy: strat, AllowPartial: true}); err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	err := sys.IngestClusters(micros)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := clusterIDs.ReplaceAllString(renderRuns(t, sys, secondWeek), "cluster #:"); got != want {
+		t.Fatalf("sharded cached answer after IngestClusters diverged from the unsharded reference:\n%s", diffAt(got, want))
+	}
 }
 
 // fuzzConfig is deliberately tiny: the fuzzer builds two full systems per
