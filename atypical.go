@@ -224,6 +224,10 @@ type System struct {
 	// coord is the scatter-gather coordinator the engine queries through
 	// (nil when WithShards/WithShardServers are not used). See sharding.go.
 	coord *shard.Coordinator
+	// remote is set by WithShardServers: the shard servers hold the
+	// micro-clusters, so this system's forest keeps only its version
+	// counter (see storeDay).
+	remote bool
 
 	// cache is the optional canonical-keyed answer cache (WithQueryCache);
 	// nil when caching is off. The pointer is fixed at construction — forest
@@ -370,7 +374,9 @@ func (s *System) Network() *traffic.Network { return s.net }
 // Spec returns the time window spec.
 func (s *System) Spec() cps.WindowSpec { return s.spec }
 
-// Forest returns the atypical forest built so far.
+// Forest returns the atypical forest built so far. On a WithShardServers
+// coordinator it stores no micro-clusters (Stats reports 0); its Version
+// still advances with every ingest.
 func (s *System) Forest() *forest.Forest {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -451,10 +457,11 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 
 	_, spApp := obs.Start(ctx, "ingest.append")
 	t = s.obs.now()
+	store := s.storeDay(fst)
 	micros := 0
 	slices := make([][]cps.Record, len(days))
 	for i, d := range days {
-		fst.AppendDay(d.Day, perDay[i])
+		store(d.Day, perDay[i])
 		micros += len(perDay[i])
 		slices[i] = d.Records
 	}
@@ -471,6 +478,17 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	s.obs.severityDone(t)
 	s.obs.ingested(int64(rs.Len()), int64(len(days)), int64(micros))
 	return nil
+}
+
+// storeDay is the store step of every ingest path: fst.AppendDay, or on a
+// WithShardServers coordinator, whose queries read micro-clusters from the
+// shard servers only, fst.Touch, which advances the version as the append
+// would and keeps nothing.
+func (s *System) storeDay(fst *forest.Forest) func(day int, micros []*cluster.Cluster) {
+	if s.remote {
+		return fst.Touch
+	}
+	return fst.AppendDay
 }
 
 // IngestMonths generates and ingests months [0, n), returning the generated

@@ -13,14 +13,21 @@
 // Without -exp, all experiments run in presentation order. Fig. 15 also
 // emits Fig. 16 (they share a sweep).
 //
-// In -parjson mode the serial and the parallel construction each run seven
+// In -parjson mode the measurement runs in three child processes, one after
+// another. In each, the serial and the parallel construction run seven
 // times, each run after a collection and after timing a fixed calibration
-// workload; the artifact keeps the fastest run and the median calibration
-// time as calib_s. The previous result at the target
+// workload; the process reports, per construction, the run whose total over
+// its own calibration time (the calibrated value) is the median, with that
+// calibration time as the stage's calib_s, and the median calibration time
+// as the top-level calib_s. The artifact keeps, per figure, the process
+// with the fastest calibrated value; the top-level calib_s, host facts and
+// metrics come from the process with the fastest serial construction.
+// -parjson - is one such child: it measures in-process and writes the JSON
+// to stdout, ungated. The previous result at the target
 // path (if any) is preserved as <path minus .json>.prev.json and compared
 // against the fresh run: a delta section reports the serial/parallel
 // construction time and speedup movement, and the run exits non-zero when
-// either construction total, divided by its own run's calib_s, regressed by
+// either construction's calibrated value regressed by
 // more than -maxregress (fraction; 0 disables the gate) — the CI perf gate.
 // Dividing by the calibration time takes out the host's speed, which drifts
 // between processes on a shared VM, and leaves the code's. The gate applies
@@ -31,15 +38,19 @@
 // scatter-gathered across that many in-process shards, alternating, 35
 // times each (equivalence-checked; a mismatch fails the run), and holds the
 // ratio of their fastest times — the scatter-gather overhead, measured in
-// one process — to the same -maxregress budget; artifacts from before the
-// field existed simply skip the comparison.
+// one process; the artifact keeps the smallest ratio of the three — to the
+// same -maxregress budget; artifacts from before the field existed simply
+// skip the comparison.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"slices"
 	"time"
 
 	"github.com/cpskit/atypical/internal/cluster"
@@ -88,12 +99,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	out := os.Stdout
-	fmt.Fprintf(out, "# deployment: %d sensors, %d highways, %d regions; seed %d\n\n",
-		env.Net.NumSensors(), len(env.Net.Highways), env.Net.Grid.NumRegions(), cfg.Seed)
-
-	if *parJSON != "" {
-		prev, prevData := readPrevious(*parJSON)
+	if *parJSON == "-" {
 		res := experiments.MeasureParallelConstruction(env, *workers)
 		if *benchShards > 0 {
 			res.ShardQuery = experiments.MeasureShardedQuery(env, *benchShards)
@@ -101,6 +107,22 @@ func main() {
 				fatal(fmt.Errorf("sharded query (%d shards) diverged from the unsharded answer", *benchShards))
 			}
 		}
+		if err := json.NewEncoder(os.Stdout).Encode(res); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	out := os.Stdout
+	fmt.Fprintf(out, "# deployment: %d sensors, %d highways, %d regions; seed %d\n\n",
+		env.Net.NumSensors(), len(env.Net.Highways), env.Net.Grid.NumRegions(), cfg.Seed)
+
+	if *parJSON != "" {
+		prev, prevData := readPrevious(*parJSON)
+		runs, err := measureInProcesses(parProcs)
+		if err != nil {
+			fatal(err)
+		}
+		res := fastest(runs)
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -109,8 +131,8 @@ func main() {
 		if err := faultfs.WriteFileAtomic(faultfs.OS{}, *parJSON, data, 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(out, "# parallel construction: %d workers, %.2fx speedup (serial %.3fs, parallel %.3fs) -> %s\n",
-			res.Workers, res.Speedup, res.Serial.Total, res.Parallel.Total, *parJSON)
+		fmt.Fprintf(out, "# parallel construction: %d workers, %.2fx speedup (serial %.3fs, parallel %.3fs; fastest of %d processes) -> %s\n",
+			res.Workers, res.Speedup, res.Serial.Total, res.Parallel.Total, len(runs), *parJSON)
 		if sq := res.ShardQuery; sq != nil {
 			fmt.Fprintf(out, "# sharded query: %d shards, unsharded %.3fs vs sharded %.3fs, answers identical\n",
 				sq.Shards, sq.UnshardedS, sq.ShardedS)
@@ -134,10 +156,11 @@ func main() {
 				prev.Parallel.Total, res.Parallel.Total, deltaPct(prev.Parallel.Total, res.Parallel.Total))
 			fmt.Fprintf(out, "#   speedup   %.2fx -> %.2fx\n", prev.Speedup, res.Speedup)
 			if prev.Calib > 0 {
+				ps, cs := prev.Serial.Units(prev.Calib), res.Serial.Units(res.Calib)
+				pp, cp := prev.Parallel.Units(prev.Calib), res.Parallel.Units(res.Calib)
 				fmt.Fprintf(out, "#   calib     %.4fs -> %.4fs  (%+.1f%%)\n", prev.Calib, res.Calib, deltaPct(prev.Calib, res.Calib))
 				fmt.Fprintf(out, "#   in calib units: serial %.2f -> %.2f (%+.1f%%), parallel %.2f -> %.2f (%+.1f%%)\n",
-					prev.Serial.Total/prev.Calib, res.Serial.Total/res.Calib, deltaPct(prev.Serial.Total/prev.Calib, res.Serial.Total/res.Calib),
-					prev.Parallel.Total/prev.Calib, res.Parallel.Total/res.Calib, deltaPct(prev.Parallel.Total/prev.Calib, res.Parallel.Total/res.Calib))
+					ps, cs, deltaPct(ps, cs), pp, cp, deltaPct(pp, cp))
 			}
 			if p, c := prev.ShardQuery, res.ShardQuery; p != nil && c != nil && p.UnshardedS > 0 && c.UnshardedS > 0 {
 				fmt.Fprintf(out, "#   sharded / unsharded query: %.2fx -> %.2fx (%+.1f%%)\n",
@@ -171,6 +194,69 @@ func main() {
 		}
 		fmt.Fprintf(out, "# %s completed in %s\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// parProcs is how many child processes a -parjson run measures in. One
+// process's calibrated construction time spreads by about a quarter between
+// processes on a 2-vCPU VM, as wide as the regression budget, so a single
+// process can land a baseline or a check at either end; the fastest of
+// three rarely lands at the slow end.
+const parProcs = 3
+
+// measureInProcesses runs the -parjson measurement in n child processes of
+// this binary, one after another (-parjson - with the other flags as
+// given), and returns their results.
+func measureInProcesses(n int) ([]experiments.ParResult, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	var args []string
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "parjson" {
+			args = append(args, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	args = append(args, "-parjson=-")
+	runs := make([]experiments.ParResult, n)
+	for i := range runs {
+		cmd := exec.Command(exe, args...)
+		cmd.Stderr = os.Stderr
+		data, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("measurement process %d of %d: %w", i+1, n, err)
+		}
+		if err := json.Unmarshal(data, &runs[i]); err != nil {
+			return nil, fmt.Errorf("measurement process %d of %d: %w", i+1, n, err)
+		}
+	}
+	return runs, nil
+}
+
+// fastest combines the measurement processes' results per figure, keeping
+// the smallest calibrated value: each construction stage (with its own
+// calibration run) from the process where it took the fewest calibration
+// units, and the sharded query from the process with the smallest
+// sharded/unsharded ratio. Host facts, calib_s and metrics come from the
+// process with the fastest serial construction; the speedup is the ratio of
+// the kept stages in calibration units.
+func fastest(runs []experiments.ParResult) experiments.ParResult {
+	res := slices.MinFunc(runs, func(a, b experiments.ParResult) int {
+		return cmp.Compare(a.Serial.Units(0), b.Serial.Units(0))
+	})
+	res.Parallel = slices.MinFunc(runs, func(a, b experiments.ParResult) int {
+		return cmp.Compare(a.Parallel.Units(0), b.Parallel.Units(0))
+	}).Parallel
+	res.Speedup = 0
+	if p := res.Parallel.Units(0); p > 0 {
+		res.Speedup = res.Serial.Units(0) / p
+	}
+	if res.ShardQuery != nil {
+		res.ShardQuery = slices.MinFunc(runs, func(a, b experiments.ParResult) int {
+			return cmp.Compare(a.ShardQuery.ShardedS/a.ShardQuery.UnshardedS, b.ShardQuery.ShardedS/b.ShardQuery.UnshardedS)
+		}).ShardQuery
+	}
+	return res
 }
 
 // readPrevious loads the prior -parjson result at path; a missing or
@@ -221,20 +307,20 @@ func gate(prev, cur *experiments.ParResult, allowed float64) string {
 
 // regression names the first measure that grew by more than the allowed
 // fraction, or "" when all are within budget. The measures are each
-// construction total in units of its own artifact's calibration time, and
-// the sharded query's time in units of the unsharded query's.
+// construction total in units of its calibration run, and the
+// sharded query's time in units of the unsharded query's.
 func regression(prev *experiments.ParResult, cur *experiments.ParResult, allowed float64) string {
-	construction := func(what string, was, is float64) string {
-		if is/cur.Calib <= was/prev.Calib*(1+allowed) {
+	construction := func(what string, was, is experiments.ParStage) string {
+		w, i := was.Units(prev.Calib), is.Units(cur.Calib)
+		if i <= w*(1+allowed) {
 			return ""
 		}
-		return fmt.Sprintf("%s %.3fs -> %.3fs (%.2f -> %.2f calib units; calib %.4fs -> %.4fs)",
-			what, was, is, was/prev.Calib, is/cur.Calib, prev.Calib, cur.Calib)
+		return fmt.Sprintf("%s %.3fs -> %.3fs (%.2f -> %.2f calib units)", what, was.Total, is.Total, w, i)
 	}
-	if msg := construction("serial construction", prev.Serial.Total, cur.Serial.Total); msg != "" {
+	if msg := construction("serial construction", prev.Serial, cur.Serial); msg != "" {
 		return msg
 	}
-	if msg := construction("parallel construction", prev.Parallel.Total, cur.Parallel.Total); msg != "" {
+	if msg := construction("parallel construction", prev.Parallel, cur.Parallel); msg != "" {
 		return msg
 	}
 	// Artifacts written before the sharded-query benchmark existed (or runs

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,5 +129,48 @@ func TestGateOnlyComparesLikeHosts(t *testing.T) {
 		if msg := gate(other, cur, 0.25); msg != "" {
 			t.Errorf("%s mismatch gated a cross-host baseline: %s", name, msg)
 		}
+	}
+}
+
+// fastest keeps, per figure, the process with the smallest calibrated
+// value, not the smallest raw time: a process on a slow moment has slow
+// calibration and construction alike.
+func TestFastestPerCalibratedFigure(t *testing.T) {
+	run := func(calib, serial, parallel, sharded float64) experiments.ParResult {
+		r := experiments.ParResult{Calib: calib, Metrics: map[string]float64{"calib": calib}}
+		r.Serial.Total, r.Parallel.Total = serial, parallel
+		r.Serial.Calib, r.Parallel.Calib = calib, calib
+		r.ShardQuery = &experiments.ShardQueryBench{UnshardedS: 0.001, ShardedS: sharded}
+		return r
+	}
+	runs := []experiments.ParResult{
+		run(0.010, 0.012, 0.008, 0.0013), // serial 1.2 units, parallel 0.8
+		run(0.020, 0.020, 0.018, 0.0011), // serial 1.0 units (slowest raw), parallel 0.9
+		run(0.010, 0.011, 0.007, 0.0012), // serial 1.1 units, parallel 0.7
+	}
+	res := fastest(runs)
+	if res.Serial.Total != 0.020 || res.Serial.Calib != 0.020 || res.Calib != 0.020 || res.Metrics["calib"] != 0.020 {
+		t.Errorf("serial from the wrong process: %+v, calib %v", res.Serial, res.Calib)
+	}
+	if res.Parallel.Total != 0.007 || res.Parallel.Calib != 0.010 {
+		t.Errorf("parallel from the wrong process: %+v", res.Parallel)
+	}
+	if res.ShardQuery.ShardedS != 0.0011 {
+		t.Errorf("sharded query from the wrong process: %+v", res.ShardQuery)
+	}
+	if want := 1.0 / 0.7; math.Abs(res.Speedup-want) > 1e-9 {
+		t.Errorf("speedup = %v, want %v (calibrated units)", res.Speedup, want)
+	}
+
+	// The gate reads each stage in its own calibration's units: the
+	// parallel stage at 0.7 units against a baseline of 0.9 passes,
+	// although its raw time over the artifact's calib_s would read 0.35.
+	prev := run(0.010, 0.010, 0.009, 0.0011)
+	if msg := regression(&prev, &res, 0.25); msg != "" {
+		t.Errorf("combined artifact flagged: %s", msg)
+	}
+	res.Parallel.Total = 0.012 // 1.2 units against 0.9
+	if msg := regression(&prev, &res, 0.25); msg == "" {
+		t.Error("parallel regression in stage units not flagged")
 	}
 }

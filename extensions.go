@@ -51,9 +51,10 @@ func (s *System) NewStreamProcessor(emit func(*Cluster)) (*StreamProcessor, erro
 
 // IngestClusters adds externally produced micro-clusters (e.g. from a
 // StreamProcessor) to the forest under their first record's day; in-process
-// shards are views over that forest and see them with the same append. If any
-// cluster is nil or fails Cluster.Valid it returns an error wrapping
-// ErrInvalidConfig and ingests nothing.
+// shards are views over that forest and see them with the same append. A
+// WithShardServers coordinator only advances its forest version, as the
+// append would. If any cluster is nil or fails Cluster.Valid it returns an
+// error wrapping ErrInvalidConfig and ingests nothing.
 func (s *System) IngestClusters(micros []*Cluster) error {
 	for i, c := range micros {
 		if c == nil || !c.Valid() {
@@ -69,8 +70,7 @@ func (s *System) IngestClusters(micros []*Cluster) error {
 		day := int(c.TF[0].Key / perDay)
 		byDay[day] = append(byDay[day], c)
 	}
-	fst := s.Forest()
-	cps.ForEachDay(byDay, fst.AppendDay)
+	cps.ForEachDay(byDay, s.storeDay(s.Forest()))
 	return nil
 }
 
@@ -81,17 +81,30 @@ type PredictionModel = predict.Model
 // TrainPredictor integrates the micro-clusters of the day range
 // [firstDay, firstDay+days) and trains a prediction model on the resulting
 // macro-clusters (Section VII future work: event prediction). MinRecurrence
-// drops patterns striking on a smaller fraction of days.
+// drops patterns striking on a smaller fraction of days. The micro-clusters
+// come from the query engine's candidates stage over the whole deployment,
+// so a sharded system gathers them from its shards in the canonical order
+// and trains the unsharded system's model; a shard lost after retry fails
+// the call with ErrPartialResult.
 func (s *System) TrainPredictor(firstDay, days int, minRecurrence float64) (*PredictionModel, error) {
 	if days <= 0 {
 		return nil, fmt.Errorf("%w: training range must be positive, got %d days", ErrInvalidConfig, days)
 	}
-	fst := s.Forest()
-	micros := fst.MicrosInRange(cps.DayRange(s.spec, firstDay, days))
+	s.mu.RLock()
+	engine := s.engine
+	s.mu.RUnlock()
+	q := s.buildQuery(QueryRequest{FirstDay: firstDay, Days: days})
+	micros, failed, err := engine.Candidates(s.armSpans(context.Background()), q)
+	if err != nil {
+		return nil, err
+	}
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("atypical: shards %v failed after retry: %w", failed, ErrPartialResult)
+	}
 	if len(micros) == 0 {
 		return nil, fmt.Errorf("%w: no micro-clusters in days [%d, %d)", ErrNoData, firstDay, firstDay+days)
 	}
-	macros := cluster.Integrate(&s.idgen, micros, fst.Options())
+	macros := cluster.Integrate(&s.idgen, micros, engine.Forest.Options())
 	return predict.Train(macros, predict.Config{
 		TrainingDays:  days,
 		Period:        s.spec.PerDay(),
@@ -125,8 +138,14 @@ func (s *System) FilterUntrusted(rs *RecordSet, scores []TrustScore, minTrust fl
 }
 
 // SaveForest persists the forest's stored days to dir; higher levels are
-// derived and integrated on demand, so nothing else is written.
+// derived and integrated on demand, so nothing else is written. A
+// WithShardServers coordinator stores no micro-clusters, so it has nothing
+// to save and returns an error wrapping ErrInvalidConfig: save the shard
+// servers instead.
 func (s *System) SaveForest(dir string) error {
+	if s.remote {
+		return fmt.Errorf("%w: a WithShardServers coordinator stores no micro-clusters; save the shard servers' forests", ErrInvalidConfig)
+	}
 	return s.Forest().Save(dir)
 }
 
@@ -138,7 +157,9 @@ func (s *System) SaveForest(dir string) error {
 // make the degradation explicit even though the forest itself loaded fine.
 // Callers that only run All/Pruned queries may treat that error as
 // informational; callers needing Guided queries must RebuildSeverity with
-// the original records, or use LoadForestAndRebuild.
+// the original records, or use LoadForestAndRebuild. A WithShardServers
+// coordinator decodes and checks every file the same way and moves its ID
+// generator past the loaded IDs, but keeps none of the clusters.
 func (s *System) LoadForest(dir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,9 +203,15 @@ func (s *System) LoadForestRecover(dir string) (ForestRecovery, error) {
 // queries already snapshotted against the old forest finish against it.
 // In-process shards are views that resolve the system's forest per call, so
 // they follow the swap with no re-feed; remote shard servers are independent
-// processes and reload on their own (an HTTP coordinator's load only swaps
-// its local copy). Callers hold s.mu.
+// processes and reload on their own. A WithShardServers coordinator keeps
+// none of the loaded clusters: the load has already checked every file and
+// moved the ID generator past them, so it installs an empty forest. Callers
+// hold s.mu.
 func (s *System) installForestLocked(f *forest.Forest) {
+	if s.remote {
+		f = forest.New(s.spec, &s.idgen, f.Options(), s.cfg.DaysPerMonth)
+		f.SetObserver(s.registry)
+	}
 	s.forest = f
 	s.sev.Reset()
 	s.sevStale = true

@@ -24,6 +24,20 @@ type ParStage struct {
 	Integrate float64 `json:"integrate_s"`
 	Severity  float64 `json:"severity_s"`
 	Total     float64 `json:"total_s"`
+	// Calib is the wall time of the calibration run timed just before this
+	// run; zero in artifacts from before the field existed, which divide by
+	// ParResult.Calib instead.
+	Calib float64 `json:"calib_s,omitempty"`
+}
+
+// Units returns the stage's total in calibration units: divided by its own
+// calibration run, or by fallback (the artifact's calib_s) when the stage
+// carries none.
+func (s ParStage) Units(fallback float64) float64 {
+	if s.Calib > 0 {
+		return s.Total / s.Calib
+	}
+	return s.Total / fallback
 }
 
 // ParResult is the quick parallel-construction benchmark emitted by
@@ -128,22 +142,28 @@ func (e *Env) parStage(workers int) ParStage {
 }
 
 // benchReps is how many times the bench-quick artifact repeats each timed
-// stage. It reports the fastest run: a run's wall time is its cost plus
-// whatever the host and the collector add, so the minimum over the runs is
-// the estimate of the cost that such delays move least.
+// stage.
 const benchReps = 7
 
-// fastestStage runs the construction benchReps times, each run preceded by
-// a collection and by a calibrate run appended to calib, and returns the
-// run with the smallest total.
-func (e *Env) fastestStage(workers int, calib *[]float64) ParStage {
+// medianStage runs the construction benchReps times, each run preceded by a
+// collection and by a calibrate run (appended to calib, and kept as the
+// run's Calib), and returns the run whose time in calibration units is the
+// median. The host's speed drifts within one process by more than the 25 %
+// regression budget (serial construction spread 16–26 ms in one process on
+// a 2-vCPU VM); dividing each run by the calibration timed just before it
+// takes out part of that drift, and the median ignores the runs at either
+// end of what is left.
+func (e *Env) medianStage(workers int, calib *[]float64) ParStage {
 	runs := make([]ParStage, benchReps)
 	for i := range runs {
 		runtime.GC()
-		*calib = append(*calib, calibrate())
+		c := calibrate()
+		*calib = append(*calib, c)
 		runs[i] = e.parStage(workers)
+		runs[i].Calib = c
 	}
-	return slices.MinFunc(runs, func(a, b ParStage) int { return cmp.Compare(a.Total, b.Total) })
+	slices.SortFunc(runs, func(a, b ParStage) int { return cmp.Compare(a.Units(0), b.Units(0)) })
+	return runs[len(runs)/2]
 }
 
 // calibrate runs a fixed workload that does not depend on any code of this
@@ -169,8 +189,9 @@ func calibrate() float64 {
 }
 
 // MeasureParallelConstruction runs the serial and the workers-wide parallel
-// construction benchReps times each and reports the fastest runs, their
-// speedup and the median calibration time. workers <= 0 selects GOMAXPROCS.
+// construction benchReps times each and reports the median runs in
+// calibration units, their speedup in those units and the median
+// calibration time. workers <= 0 selects GOMAXPROCS.
 func MeasureParallelConstruction(e *Env, workers int) ParResult {
 	procs := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
@@ -184,13 +205,13 @@ func MeasureParallelConstruction(e *Env, workers int) ParResult {
 		Workers:    workers,
 		Sensors:    e.Net.NumSensors(),
 		Records:    e.Dataset(0).Atypical.Len(),
-		Serial:     e.fastestStage(0, &calib),
-		Parallel:   e.fastestStage(workers, &calib),
+		Serial:     e.medianStage(0, &calib),
+		Parallel:   e.medianStage(workers, &calib),
 	}
 	slices.Sort(calib)
 	res.Calib = calib[len(calib)/2]
-	if res.Parallel.Total > 0 {
-		res.Speedup = res.Serial.Total / res.Parallel.Total
+	if p := res.Parallel.Units(0); p > 0 {
+		res.Speedup = res.Serial.Units(0) / p
 	}
 	res.Metrics = e.queryMetrics()
 	return res

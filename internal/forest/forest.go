@@ -136,6 +136,20 @@ func (f *Forest) AppendDay(day int, micros []*cluster.Cluster) {
 	}
 }
 
+// Touch advances the version exactly as AppendDay(day, micros) would, without
+// storing the micros: a system whose micro-clusters live elsewhere (the
+// shard servers of a coordinator) keeps the version stamps its answer cache
+// and EXPLAIN read moving with its ingest. It takes AppendDay's arguments so
+// either can be the store step of one ingest body.
+func (f *Forest) Touch(_ int, micros []*cluster.Cluster) {
+	if len(micros) == 0 {
+		return
+	}
+	f.mu.Lock()
+	f.bumpLocked()
+	f.mu.Unlock()
+}
+
 // setDayLocked stores one day's slice, adding the day to the order when it
 // is new. Callers hold f.mu for writing.
 func (f *Forest) setDayLocked(day int, micros []*cluster.Cluster) {
@@ -234,7 +248,7 @@ func (f *Forest) leavesLocked(from, to int) []*cluster.Cluster {
 }
 
 // Version returns the forest's write-version counter — bumped by every
-// AddDay/AppendDay, and the join key EXPLAIN records use to tie an answer
+// AddDay/AppendDay/Touch, and the join key EXPLAIN records use to tie an answer
 // to a specific forest state.
 func (f *Forest) Version() uint64 {
 	f.mu.RLock()

@@ -230,6 +230,17 @@ func (e *Engine) runCtx(ctx context.Context, rec *recorder, q Query, s Strategy)
 	return res, nil
 }
 
+// Candidates runs the candidates stage of Run on its own: the micro-clusters
+// of q.Time touching q.Regions, in the canonical order integration consumes
+// — read from the forest, or scattered to the shards and gathered. failed
+// names the shards lost after retry, whose candidates are missing.
+func (e *Engine) Candidates(ctx context.Context, q Query) (cs []*cluster.Cluster, failed []string, err error) {
+	var rec recorder
+	var res Result
+	cs, err = e.candidates(ctx, &rec, q, &res)
+	return cs, res.FailedShards, err
+}
+
 // candidates returns the micro-clusters in the time range touching W —
 // served locally, or gathered from shards when a Scatterer is configured.
 func (e *Engine) candidates(ctx context.Context, rec *recorder, q Query, res *Result) ([]*cluster.Cluster, error) {

@@ -57,7 +57,8 @@ type QueryRequest struct {
 	// BypassShards serves this run from the coordinator's own forest even
 	// when sharding is configured — the shard hint for debugging and for
 	// equivalence checks (a sharded and a bypassed run must agree byte for
-	// byte).
+	// byte). A WithShardServers coordinator stores no micro-clusters, so
+	// there it fails with ErrInvalidRequest.
 	BypassShards bool
 }
 
@@ -187,6 +188,10 @@ func (s *System) runQuery(ctx context.Context, q query.Query, strat Strategy, by
 	if strat == Guided && stale {
 		s.obs.queryError()
 		return nil, fmt.Errorf("atypical: guided query on stale severity index: %w", ErrSeverityStale)
+	}
+	if bypassShards && s.remote {
+		s.obs.queryError()
+		return nil, fmt.Errorf("%w: BypassShards on a WithShardServers coordinator, which stores no micro-clusters", ErrInvalidRequest)
 	}
 	if bypassShards && engine.Scatterer != nil {
 		e := *engine

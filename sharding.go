@@ -33,12 +33,25 @@ func WithShards(n int) Option {
 // WithShardServers routes query serving to remote shard processes, one URL
 // per shard (e.g. "http://host:9001"), each serving shard.QueryPath behind
 // its hardened serve path — an atypserve started with -shardserve k/n over
-// the same Config. The local System still ingests everything (the identical
-// deterministic stream keeps cluster IDs aligned across processes, and Gui's
-// red zones plus the integration stages run at the coordinator); remote
-// shards answer only the candidates stage. A shard lost after one retry
-// makes the answer explicitly partial — see QueryRequest.AllowPartial and
-// the atyp_shard_failures_total metric.
+// the same Config. Remote shards answer the candidates stage; Gui's red
+// zones and the integration stages run at the coordinator.
+//
+// The coordinator must ingest the identical deterministic stream as the
+// shard servers, but it keeps only what its queries read: the severity
+// index (red zones), the ID generator's high-water mark (merge IDs stay
+// aligned with the shard servers) and the forest's version counter (answer
+// cache stamps, EXPLAIN). It stores no micro-clusters, on ingest or on a
+// LoadForest, so:
+//
+//   - Forest().Stats() reports 0 micros;
+//   - TrainPredictor gathers its micro-clusters from the shard servers, in
+//     the canonical order, so the model equals the unsharded one;
+//   - SaveForest, ShardHandler and QueryRequest.BypassShards have no local
+//     micro-clusters to work from and return errors (save and serve the
+//     shard servers' forests instead).
+//
+// A shard lost after one retry makes the answer explicitly partial — see
+// QueryRequest.AllowPartial and the atyp_shard_failures_total metric.
 func WithShardServers(urls ...string) Option {
 	return func(o *systemOptions) { o.shardURLs = append([]string(nil), urls...) }
 }
@@ -76,6 +89,7 @@ func (s *System) wireShards(o *systemOptions) error {
 		for i, u := range o.shardURLs {
 			backends = append(backends, shard.NewHTTP(fmt.Sprintf("shard%d", i), u, o.shardClient))
 		}
+		s.remote = true
 	}
 	s.coord = shard.NewCoordinator(backends, o.registry)
 	s.engine.Scatterer = s.coord
@@ -122,6 +136,9 @@ func (s *System) NumShards() int {
 func (s *System) ShardHandler(k, n int) (http.Handler, error) {
 	if k < 0 || n < 1 || k >= n {
 		return nil, fmt.Errorf("%w: shard index %d of %d", ErrInvalidConfig, k, n)
+	}
+	if s.remote {
+		return nil, fmt.Errorf("%w: a WithShardServers coordinator stores no micro-clusters to serve", ErrInvalidConfig)
 	}
 	m, err := shard.NewMap(s.net.Grid, n)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cluster"
+	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/shard"
 	"github.com/cpskit/atypical/internal/storage"
 )
@@ -75,23 +76,30 @@ func TestBypassShardsByteIdentical(t *testing.T) {
 }
 
 // shardServers starts one httptest server per shard, each serving the data
-// system's home-filtered view at ShardQueryPath plus a trivial /readyz.
+// system's home-filtered view.
 func shardServers(t *testing.T, data *System, n int) []string {
 	t.Helper()
 	urls := make([]string, n)
-	for k := 0; k < n; k++ {
-		h, err := data.ShardHandler(k, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle(ShardQueryPath, h)
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ready") })
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		urls[k] = srv.URL
+	for k := range urls {
+		urls[k] = serveShard(t, data, k, n)
 	}
 	return urls
+}
+
+// serveShard starts an httptest server serving shard k of n of sys at
+// ShardQueryPath plus a trivial /readyz, and returns its URL.
+func serveShard(t *testing.T, sys *System, k, n int) string {
+	t.Helper()
+	h, err := sys.ShardHandler(k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle(ShardQueryPath, h)
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "ready") })
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv.URL
 }
 
 // The shard matrix: every shard count × both backends must render the
@@ -112,6 +120,12 @@ func TestShardMatrix(t *testing.T) {
 			coord := buildSystem(t, WithShardServers(urls...))
 			if got := renderRuns(t, coord, nil); got != want {
 				t.Fatalf("http shards=%d diverged:\n%s", n, diffAt(got, want))
+			}
+			if micros := coord.Forest().Stats().MicroTotal; micros != 0 {
+				t.Errorf("coordinator holds %d micro-clusters, want 0", micros)
+			}
+			if got, want := coord.Forest().Version(), data.Forest().Version(); got != want {
+				t.Errorf("coordinator forest version %d, data system's %d", got, want)
 			}
 			sts := coord.ShardsReady(context.Background())
 			if len(sts) != n {
@@ -226,7 +240,9 @@ func TestShardedQueryRaceHammer(t *testing.T) {
 
 // In-process shards read the system's one forest, so sharding a system that
 // loads its forest from disk needs no re-feed: the views follow the swap and
-// answer byte-identically to the unsharded loaded system.
+// answer byte-identically to the unsharded loaded system. Over HTTP every
+// shard server and a fresh coordinator each load the saved forest; the
+// coordinator keeps none of its clusters and still answers the same bytes.
 func TestShardedLoadForestByteIdentical(t *testing.T) {
 	saved := buildSystem(t)
 	dir := t.TempDir()
@@ -251,6 +267,19 @@ func TestShardedLoadForestByteIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 8} {
 		if got := renderRuns(t, load(WithShards(n)), nil); got != want {
 			t.Fatalf("loaded shards=%d diverged from unsharded:\n%s", n, diffAt(got, want))
+		}
+	}
+	for _, n := range []int{1, 2, 8} {
+		urls := make([]string, n)
+		for k := range urls {
+			urls[k] = serveShard(t, load(), k, n)
+		}
+		coord := load(WithShardServers(urls...))
+		if got := renderRuns(t, coord, nil); got != want {
+			t.Fatalf("loaded http shards=%d diverged from unsharded:\n%s", n, diffAt(got, want))
+		}
+		if micros := coord.Forest().Stats().MicroTotal; micros != 0 {
+			t.Errorf("loaded coordinator (http shards=%d) holds %d micro-clusters, want 0", n, micros)
 		}
 	}
 }
@@ -321,6 +350,137 @@ func TestShardedCacheFreshAfterIngestClusters(t *testing.T) {
 	}
 	if got := clusterIDs.ReplaceAllString(renderRuns(t, sys, secondWeek), "cluster #:"); got != want {
 		t.Fatalf("sharded cached answer after IngestClusters diverged from the unsharded reference:\n%s", diffAt(got, want))
+	}
+}
+
+// A coordinator stores no micro-clusters, so what needs them locally
+// refuses instead of answering from an empty forest.
+func TestCoordinatorStoresNoMicros(t *testing.T) {
+	data := buildSystem(t)
+	coord := buildSystem(t, WithShardServers(shardServers(t, data, 2)...))
+	if st := coord.Forest().Stats(); st.MicroTotal != 0 || st.Days != 0 {
+		t.Fatalf("coordinator forest stats = %+v, want empty", st)
+	}
+	if err := coord.SaveForest(t.TempDir()); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("coordinator SaveForest = %v, want ErrInvalidConfig", err)
+	}
+	if _, err := coord.ShardHandler(0, 2); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("coordinator ShardHandler = %v, want ErrInvalidConfig", err)
+	}
+	if _, err := coord.Run(context.Background(), QueryRequest{Days: 7, BypassShards: true}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("coordinator BypassShards run = %v, want ErrInvalidRequest", err)
+	}
+}
+
+// renderModel serializes a prediction model: every pattern with its source
+// cluster's ID and micro count, and the top sensors.
+func renderModel(m *PredictionModel) string {
+	var b strings.Builder
+	for _, p := range m.Patterns() {
+		fmt.Fprintf(&b, "%d %d %v %v %v\n", p.Source.ID, p.Source.Micros, p.Recurrence, p.SF, p.TF)
+	}
+	fmt.Fprintf(&b, "top %v\n", m.TopSensors(20))
+	return b.String()
+}
+
+// A coordinator trains its predictor from micro-clusters gathered off the
+// shard servers in the canonical order, so the model — source IDs included —
+// equals the unsharded system's.
+func TestCoordinatorTrainPredictorEqualsUnsharded(t *testing.T) {
+	train := func(sys *System) string {
+		m, err := sys.TrainPredictor(0, 7, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderModel(m)
+	}
+	data := buildSystem(t)
+	want := train(data)
+	if want == "" {
+		t.Fatal("unsharded model rendered nothing; equality check is vacuous")
+	}
+	for _, n := range []int{1, 2} {
+		coord := buildSystem(t, WithShardServers(shardServers(t, buildSystem(t), n)...))
+		if got := train(coord); got != want {
+			t.Fatalf("http shards=%d model diverged from unsharded:\n%s", n, diffAt(got, want))
+		}
+	}
+}
+
+// A cached coordinator must retire a cached answer once a new day is
+// ingested, by IngestCtx or by IngestClusters, although it stores none of
+// the new micro-clusters: its forest version advances as the append would,
+// and the next run is a miss answering like the unsharded data system. Macro
+// IDs are masked — the coordinator's cached runs mint IDs the data system
+// never draws.
+func TestCoordinatorCacheRetiresOnIngest(t *testing.T) {
+	newDay := testConfig().DaysPerMonth
+	onNewDay := func(req *QueryRequest) { req.FirstDay, req.Days = newDay, 1 }
+	dayRecords := func(t *testing.T, sys *System) *RecordSet {
+		rs, err := cps.FromSorted(sys.GenerateMonth(1).Atypical.SplitByDay(sys.Spec())[newDay])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	streamDay := func(t *testing.T, sys *System) []*Cluster {
+		var out []*Cluster
+		p, err := sys.NewStreamProcessor(func(c *Cluster) { out = append(out, c) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range dayRecords(t, sys).Records() {
+			if err := p.Observe(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for name, ingest := range map[string]func(*testing.T, *System) error{
+		"IngestCtx": func(t *testing.T, sys *System) error {
+			return sys.IngestCtx(context.Background(), dayRecords(t, sys))
+		},
+		"IngestClusters": func(t *testing.T, sys *System) error {
+			return sys.IngestClusters(streamDay(t, sys))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			data := buildSystem(t)
+			coord := buildSystem(t, WithShardServers(shardServers(t, data, 2)...), WithQueryCache(8))
+			before := renderRuns(t, coord, onNewDay)
+			if again := renderRuns(t, coord, onNewDay); again != before {
+				t.Fatalf("cached rerun diverged:\n%s", diffAt(again, before))
+			}
+			hits, misses, _ := coord.QueryCacheStats()
+			if hits != 3 || misses != 3 {
+				t.Fatalf("cache hits/misses = %d/%d before ingest, want 3/3", hits, misses)
+			}
+			for _, sys := range []*System{data, coord} {
+				if err := ingest(t, sys); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := coord.Forest().Version(), data.Forest().Version(); got != want {
+				t.Fatalf("coordinator forest version %d after ingest, data system's %d", got, want)
+			}
+			if micros := coord.Forest().Stats().MicroTotal; micros != 0 {
+				t.Fatalf("coordinator holds %d micro-clusters after ingest, want 0", micros)
+			}
+			want := clusterIDs.ReplaceAllString(renderRuns(t, data, onNewDay), "cluster #:")
+			got := clusterIDs.ReplaceAllString(renderRuns(t, coord, onNewDay), "cluster #:")
+			if want == clusterIDs.ReplaceAllString(before, "cluster #:") {
+				t.Fatal("the new day changed no answer; the retirement check is vacuous")
+			}
+			if got != want {
+				t.Fatalf("coordinator answer after %s diverged from the data system:\n%s", name, diffAt(got, want))
+			}
+			if hits2, misses2, _ := coord.QueryCacheStats(); hits2 != hits || misses2 != misses+3 {
+				t.Fatalf("cache hits/misses = %d/%d after ingest, want %d/%d", hits2, misses2, hits, misses+3)
+			}
+		})
 	}
 }
 
