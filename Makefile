@@ -16,7 +16,7 @@ FUZZ_SETS = internal/cluster=CLUSTER_FUZZ internal/cube=CUBE_FUZZ internal/obs=O
 fuzz_dir  = $(firstword $(subst =, ,$(1)))
 fuzz_list = $($(lastword $(subst =, ,$(1))))
 
-.PHONY: all build test race lint lint-json fuzz-lists fuzz-smoke crash-matrix bench-quick shard-matrix load-smoke trace-stitch ci
+.PHONY: all build test race lint lint-json fuzz-lists fuzz-smoke crash-matrix bench-quick shard-matrix load-smoke trace-stitch loc ci
 
 all: build test lint
 
@@ -141,5 +141,11 @@ shard-matrix:
 ## flight-recorder wide event. -count=1 defeats the test cache.
 trace-stitch:
 	$(GO) test ./cmd/atypserve/ -run TestTraceStitch -count=1
+
+## loc: the code-size figure ROADMAP item 4 tracks — lines of non-test .go
+## files outside perfbench/ (analyzer testdata/ fixtures included; hidden
+## directories such as .git and .bench_build skipped). Diet PRs quote it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec cat {} + | wc -l
 
 ci: build lint race crash-matrix shard-matrix fuzz-smoke bench-quick load-smoke trace-stitch

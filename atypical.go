@@ -82,11 +82,6 @@ type Config struct {
 	DeltaS float64
 	// SimThreshold is the integration similarity threshold δsim.
 	SimThreshold float64
-	// Workers bounds the goroutines used for parallel offline construction:
-	// 0 keeps every path serial, n > 0 uses up to n goroutines, n < 0 one
-	// per CPU. Results do not depend on it; see WithWorkers. Query serving
-	// stays serial unless WithQueryWorkers opts in.
-	Workers int
 }
 
 // Option customizes a System beyond the plain Config — the context-aware
@@ -95,44 +90,37 @@ type Option func(*systemOptions)
 
 // systemOptions collects functional-option state before wiring.
 type systemOptions struct {
-	workers         int
-	workersSet      bool
-	queryWorkers    int
-	queryWorkersSet bool
-	balance         cluster.Balance
-	balanceSet      bool
-	registry        *obs.Registry
-	exporter        obs.SpanExporter
-	slos            []sloSpec
-	shards          int
-	shardURLs       []string
-	shardClient     *http.Client
-	queryCache      int
-	maxSubs         int
-	maxSubsSet      bool
-	subBuffer       int
-	querylog        flight.Config
-	querylogSet     bool
+	workers     int
+	balance     cluster.Balance
+	balanceSet  bool
+	registry    *obs.Registry
+	exporter    obs.SpanExporter
+	slos        []sloSpec
+	shards      int
+	shardURLs   []string
+	shardClient *http.Client
+	queryCache  int
+	maxSubs     int
+	maxSubsSet  bool
+	subBuffer   int
+	querylog    flight.Config
+	querylogSet bool
 }
 
 // WithWorkers bounds the goroutines used for offline construction (per-day
 // extraction and severity sharding). n > 0 means up to n goroutines, n < 0
-// one per CPU, 0 the serial path. The produced forests, indexes and reports
-// are byte-identical to the serial path's for every n; week, month and path
-// levels always integrate serially. Query serving is NOT affected — see
-// WithQueryWorkers.
+// one per CPU, 0 (the default) the serial path. The produced forests,
+// indexes and reports are byte-identical to the serial path's for every n;
+// week, month and path levels always integrate serially, and queries always
+// run serially.
 func WithWorkers(n int) Option {
-	return func(o *systemOptions) { o.workers = n; o.workersSet = true }
+	return func(o *systemOptions) { o.workers = n }
 }
 
-// WithQueryWorkers fans each query's candidate region filtering out over n
-// workers (semantics of n match WithWorkers). Integration stays the serial
-// kernel, so answers render byte-identically to serial for every n. Without
-// this option queries filter serially, no matter what WithWorkers or
-// Config.Workers say.
-func WithQueryWorkers(n int) Option {
-	return func(o *systemOptions) { o.queryWorkers = n; o.queryWorkersSet = true }
-}
+// WithQueryWorkers does nothing: queries always run serially.
+//
+// Deprecated: the region-filter fan-out it configured is gone; drop it.
+func WithQueryWorkers(int) Option { return func(*systemOptions) {} }
 
 // WithQueryCache enables the canonical-keyed answer cache with room for
 // `entries` finished queries (entries <= 0 leaves caching off). Cached
@@ -199,17 +187,16 @@ func DefaultConfig() Config {
 // query engine.
 //
 // A System is safe for concurrent use: queries (Run) may run alongside
-// each other and alongside ingestion. Construction parallelism is off by default; opt in with
-// WithWorkers or Config.Workers.
+// each other and alongside ingestion. Construction parallelism is off by
+// default; opt in with WithWorkers.
 type System struct {
-	cfg          Config
-	net          *traffic.Network
-	spec         cps.WindowSpec
-	balance      cluster.Balance
-	neighbors    [][]cps.SensorID
-	maxGap       int
-	workers      int
-	queryWorkers int
+	cfg       Config
+	net       *traffic.Network
+	spec      cps.WindowSpec
+	balance   cluster.Balance
+	neighbors [][]cps.SensorID
+	maxGap    int
+	workers   int
 
 	idgen cluster.IDGen
 	gen   *gen.Generator
@@ -276,14 +263,6 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 	if o.balanceSet {
 		bal = o.balance
 	}
-	workers := cfg.Workers
-	if o.workersSet {
-		workers = o.workers
-	}
-	queryWorkers := 0
-	if o.queryWorkersSet {
-		queryWorkers = o.queryWorkers
-	}
 	netCfg := traffic.ScaledConfig(cfg.Sensors)
 	netCfg.Seed = cfg.Seed
 	net := traffic.GenerateNetwork(netCfg)
@@ -294,14 +273,13 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 		locs[i] = s.Loc
 	}
 	s := &System{
-		cfg:          cfg,
-		net:          net,
-		spec:         spec,
-		balance:      bal,
-		neighbors:    index.NewNeighborIndex(locs, cfg.DeltaD).NeighborLists(),
-		maxGap:       cluster.MaxWindowGap(cfg.DeltaT, spec.Width),
-		workers:      workers,
-		queryWorkers: queryWorkers,
+		cfg:       cfg,
+		net:       net,
+		spec:      spec,
+		balance:   bal,
+		neighbors: index.NewNeighborIndex(locs, cfg.DeltaD).NeighborLists(),
+		maxGap:    cluster.MaxWindowGap(cfg.DeltaT, spec.Width),
+		workers:   o.workers,
 	}
 	opts := cluster.IntegrateOptions{
 		SimThreshold: cfg.SimThreshold,
@@ -323,16 +301,14 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 	if o.querylogSet {
 		s.qlog = flight.NewRecorder(o.querylog)
 	}
-	s.engine = &query.Engine{
-		Net: net, Forest: s.forest, Severity: s.sev, Gen: &s.idgen,
-		Workers: queryWorkers, Obs: query.NewMetrics(o.registry), Cache: s.cache,
-	}
+	metrics := query.NewMetrics(o.registry)
 	for _, slo := range o.slos {
-		s.engine.Obs.SetSLO(slo.strat, slo.target)
+		metrics.SetSLO(slo.strat, slo.target)
 	}
 	if err := s.wireShards(&o); err != nil {
 		return nil, err
 	}
+	s.engine = s.newEngine(s.forest, metrics)
 
 	maxSubs := DefaultMaxSubscribers
 	if o.maxSubsSet {
@@ -357,6 +333,16 @@ func NewSystem(cfg Config, options ...Option) (*System, error) {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 	return s, nil
+}
+
+// newEngine builds the query engine over f. NewSystem and every forest swap
+// build it here, so the two cannot wire the engine differently.
+func (s *System) newEngine(f *forest.Forest, m *query.Metrics) *query.Engine {
+	e := &query.Engine{Net: s.net, Forest: f, Severity: s.sev, Gen: &s.idgen, Obs: m, Cache: s.cache}
+	if s.coord != nil { // a nil *Coordinator would be a non-nil Scatterer
+		e.Scatterer = s.coord
+	}
+	return e
 }
 
 // armSpans attaches the system's configured span exporter to ctx unless the
@@ -395,7 +381,7 @@ func (s *System) GenerateMonth(m int) *gen.Dataset { return s.gen.Month(m) }
 
 // Ingest runs offline model construction over an atypical record set:
 // Algorithm 1 per day (events → micro-clusters into the forest) plus the
-// bottom-up severity index used for red zones. With Workers configured, the
+// bottom-up severity index used for red zones. With WithWorkers set, the
 // per-day work fans out across the pool; the resulting forest and index are
 // byte-identical to a serial ingest regardless of worker count or
 // GOMAXPROCS.
@@ -409,9 +395,9 @@ func (s *System) Ingest(rs *cps.RecordSet) {
 // IngestCtx is Ingest with cooperative cancellation. On cancellation no day
 // is partially ingested, but days already handed to the forest stay: callers
 // abandoning an ingest mid-way should rebuild from scratch. A record set
-// holding a severity that is not finite and positive, or one whose events
-// sum a feature entry to +Inf, is rejected whole with an error wrapping
-// ErrInvalidConfig before anything is ingested.
+// holding a sensor outside the deployment or a severity that is not finite
+// and positive, or one whose events sum a feature entry to +Inf, is rejected
+// whole with an error wrapping ErrInvalidConfig before anything is ingested.
 func (s *System) IngestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	ctx, sp := obs.Start(s.armSpans(ctx), "ingest")
 	err := s.ingestCtx(ctx, rs)
@@ -428,10 +414,8 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	fst, sev, workers := s.forest, s.sev, s.workers
 	s.mu.RUnlock()
 
-	for _, r := range rs.Records() {
-		if !r.Severity.Valid() {
-			return fmt.Errorf("%w: record %v: severity must be finite and positive", ErrInvalidConfig, r)
-		}
+	if err := s.checkRecords(rs); err != nil {
+		return err
 	}
 	byDay := rs.SplitByDay(s.spec)
 	days := make([]cluster.DayRecords, 0, len(byDay))
@@ -477,6 +461,23 @@ func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	}
 	s.obs.severityDone(t)
 	s.obs.ingested(int64(rs.Len()), int64(len(days)), int64(micros))
+	return nil
+}
+
+// checkRecords is the rule every record set entering the system meets, on
+// IngestCtx and RebuildSeverity alike: each record names a sensor of the
+// deployment and carries a finite, positive severity. A violation returns an
+// error wrapping ErrInvalidConfig.
+func (s *System) checkRecords(rs *RecordSet) error {
+	n := s.net.NumSensors()
+	for _, r := range rs.Records() {
+		if int(r.Sensor) >= n {
+			return fmt.Errorf("%w: record %v: sensor outside the %d-sensor deployment", ErrInvalidConfig, r, n)
+		}
+		if !r.Severity.Valid() {
+			return fmt.Errorf("%w: record %v: severity must be finite and positive", ErrInvalidConfig, r)
+		}
+	}
 	return nil
 }
 
@@ -538,4 +539,27 @@ func (s *System) Describe(c *cluster.Cluster) string {
 // Ranking renders clusters as a ranked table, most severe first.
 func (s *System) Ranking(clusters []*cluster.Cluster) string {
 	return report.Ranking(s.net, s.spec, clusters)
+}
+
+// RegionHeatmap renders the severity map of req's time period over the
+// region grid, marking the red zones a Guided run of req prunes to. req is
+// resolved and validated exactly as Run resolves it (ErrInvalidRequest); a
+// stale severity index is refused with ErrSeverityStale, as Guided runs are.
+func (s *System) RegionHeatmap(req QueryRequest) (string, error) {
+	if err := req.Validate(); err != nil {
+		return "", err
+	}
+	s.mu.RLock()
+	sev, stale := s.sev, s.sevStale
+	s.mu.RUnlock()
+	if stale {
+		return "", fmt.Errorf("atypical: region heatmap on stale severity index: %w", ErrSeverityStale)
+	}
+	q := s.buildQuery(req)
+	n := 0
+	for _, r := range q.Regions {
+		n += len(s.net.SensorsInRegion(r))
+	}
+	zones := sev.GuidedRedZones(q.Regions, q.Time, q.DeltaS, n)
+	return report.RegionHeatmap(s.net, sev, q.Time, zones), nil
 }

@@ -119,7 +119,7 @@ func TestQueryCacheEvictionThroughFacade(t *testing.T) {
 // The -race hammer: concurrent hits, misses, and a mid-flight ingest that
 // invalidates everything. Every answer must be complete and error-free.
 func TestQueryCacheConcurrentHammer(t *testing.T) {
-	sys := buildSystem(t, WithQueryCache(4), WithQueryWorkers(2))
+	sys := buildSystem(t, WithQueryCache(4))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -5,92 +5,86 @@
 // Usage:
 //
 //	atypforest -data data/ -out forest/ [-sensors 400] [-seed 42]
-//	           [-deltad 1.5] [-deltat 15m]
+//	           [-deltad 1.5] [-deltat 15m] [-deltasim 0.5]
 //
 // The deployment parameters must match the ones used by atypgen so sensor
-// ids resolve to the same topology.
+// ids resolve to the same topology; a record naming a sensor outside the
+// deployment fails the build.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"github.com/cpskit/atypical/internal/cluster"
-	"github.com/cpskit/atypical/internal/cps"
-	"github.com/cpskit/atypical/internal/forest"
-	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/index"
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/storage"
-	"github.com/cpskit/atypical/internal/traffic"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is the command body; the return value is the process exit code.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("atypforest", flag.ContinueOnError)
 	var (
-		data     = flag.String("data", "data", "directory of .rec files from atypgen")
-		out      = flag.String("out", "forest", "output directory for the forest")
-		sensors  = flag.Int("sensors", 400, "approximate deployment size (must match atypgen)")
-		seed     = flag.Int64("seed", 42, "deployment seed (must match atypgen)")
-		deltaD   = flag.Float64("deltad", 1.5, "distance threshold δd (miles)")
-		deltaT   = flag.Duration("deltat", 15*time.Minute, "time interval threshold δt")
-		deltaSim = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
+		data     = fs.String("data", "data", "directory of .rec files from atypgen")
+		dir      = fs.String("out", "forest", "output directory for the forest")
+		sensors  = fs.Int("sensors", 400, "approximate deployment size (must match atypgen)")
+		seed     = fs.Int64("seed", 42, "deployment seed (must match atypgen)")
+		deltaD   = fs.Float64("deltad", 1.5, "distance threshold δd (miles)")
+		deltaT   = fs.Duration("deltat", 15*time.Minute, "time interval threshold δt")
+		deltaSim = fs.Float64("deltasim", 0.5, "similarity threshold δsim")
 	)
-	flag.Parse()
-
-	netCfg := traffic.ScaledConfig(*sensors)
-	netCfg.Seed = *seed
-	net := traffic.GenerateNetwork(netCfg)
-	spec := cps.DefaultSpec()
-
-	locs := make([]geo.Point, net.NumSensors())
-	for i, s := range net.Sensors {
-		locs[i] = s.Loc
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	neighbors := index.NewNeighborIndex(locs, *deltaD).NeighborLists()
-	maxGap := cluster.MaxWindowGap(*deltaT, spec.Width)
 
+	cfg := atypical.DefaultConfig()
+	cfg.Sensors, cfg.Seed = *sensors, *seed
+	cfg.DeltaD, cfg.DeltaT, cfg.SimThreshold = *deltaD, *deltaT, *deltaSim
+	sys, err := atypical.NewSystem(cfg)
+	if err != nil {
+		return fail(err)
+	}
 	catalog, err := storage.OpenCatalog(*data)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	datasets := catalog.List()
 	if len(datasets) == 0 {
-		fatal(fmt.Errorf("no datasets in %s (run atypgen first)", *data))
+		return fail(fmt.Errorf("no datasets in %s (run atypgen first)", *data))
 	}
 
-	var idgen cluster.IDGen
-	opts := cluster.IntegrateOptions{
-		SimThreshold: *deltaSim,
-		Balance:      cluster.Arithmetic,
-		Period:       cps.Window(spec.PerDay()),
-	}
-	f := forest.New(spec, &idgen, opts, 28)
-	totalRecords, totalMicros := 0, 0
+	totalRecords := 0
 	start := time.Now()
 	for _, info := range datasets {
 		rs, err := catalog.Read(info.Name)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		// Days in ascending order: micro IDs are drawn in extraction order
-		// and saved, so two builds from one catalog write the same files.
-		cps.ForEachDay(rs.SplitByDay(spec), func(day int, dayRecs []cps.Record) {
-			micros := cluster.ExtractMicroClusters(&idgen, dayRecs, neighbors, maxGap)
-			f.AddDay(day, micros)
-			totalMicros += len(micros)
-		})
+		// Serial ingest draws micro IDs in day order, so two builds from
+		// one catalog write the same files.
+		if err := sys.IngestCtx(context.Background(), rs); err != nil {
+			return fail(fmt.Errorf("%s: %w", info.Name, err))
+		}
 		totalRecords += rs.Len()
-		fmt.Fprintf(os.Stdout, "%s: %d records\n", info.Name, rs.Len())
+		fmt.Fprintf(out, "%s: %d records\n", info.Name, rs.Len())
 	}
-	if err := f.Save(*out); err != nil {
-		fatal(err)
+	if err := sys.SaveForest(*dir); err != nil {
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stdout, "forest: %d days, %d micro-clusters from %d records in %s -> %s\n",
-		len(f.Days()), totalMicros, totalRecords, time.Since(start).Round(time.Millisecond), *out)
+	st := sys.Forest().Stats()
+	fmt.Fprintf(out, "forest: %d days, %d micro-clusters from %d records in %s -> %s\n",
+		st.Days, st.MicroTotal, totalRecords, time.Since(start).Round(time.Millisecond), *dir)
+	return 0
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "atypforest:", err)
-	os.Exit(1)
+	return 1
 }

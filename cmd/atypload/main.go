@@ -231,7 +231,9 @@ func runPhase(label string, run runner, sys *atypical.System, ingest *atypical.R
 						errs.Add(1)
 					}
 				} else {
-					sys.Ingest(ingest)
+					if err := sys.IngestCtx(context.Background(), ingest); err != nil {
+						errs.Add(1)
+					}
 					ingests.Add(1)
 				}
 			}
@@ -285,7 +287,9 @@ func buildSystem(sensors, days int, seed int64, opts ...atypical.Option) (*atypi
 	if err != nil {
 		return nil, err
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	if err := sys.IngestCtx(context.Background(), sys.GenerateMonth(0).Atypical); err != nil {
+		return nil, err
+	}
 	return sys, nil
 }
 

@@ -210,3 +210,18 @@ func TestIsReadMix(t *testing.T) {
 		}
 	}
 }
+
+// A rejected ingest in the mixed stream counts as a phase error instead of
+// passing silently.
+func TestRunPhaseCountsIngestErrors(t *testing.T) {
+	sys, err := buildSystem(40, 3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := atypical.SensorID(sys.Network().NumSensors())
+	bad := atypical.NewRecordSet([]atypical.Record{{Sensor: outside, Window: 0, Severity: 1}})
+	p := runPhase("mixed", localRunner{sys}, sys, bad, 20, 1, 0, 0, readStream(2, 3))
+	if p.Ingests != 20 || p.Errors != 20 {
+		t.Fatalf("ingests %d, errors %d; want every rejected ingest counted", p.Ingests, p.Errors)
+	}
+}

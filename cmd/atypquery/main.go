@@ -8,7 +8,9 @@
 //	atypquery -forest forest/ -data data/ -from 0 -days 7
 //	          [-strategy gui] [-deltas 0.02] [-sensors 400] [-seed 42]
 //	          [-minlat x -minlon x -maxlat x -maxlon x]
-//	          [-shards 0] [-shardpeers url,url] [-explain] [-explainjson]
+//	          [-shards 0] [-shardpeers url,url] [-map] [-explain] [-explainjson]
+//
+// -strategy takes all, pru (or pruned) and gui (or guided).
 //
 // -shards n answers the query scatter-gather across n in-process shards
 // (home-filtered views over the loaded forest, each keeping the micros whose
@@ -19,8 +21,9 @@
 // -shardserve processes over the same deployment configuration); the run
 // executes under a root span whose traceparent is injected on every shard
 // call, so the printed trace ID finds the scatter on the servers'
-// /debug/traces.
+// /debug/traces. A shard lost after retry prints a PARTIAL ANSWER line.
 //
+// -map prints the region severity map with the query's red zones.
 // -explain prints the run's EXPLAIN table after the report: strategy,
 // significance bound arithmetic, per-stage timings, pruning and red-zone
 // accounting, integration input and macro counts, and per-macro
@@ -32,134 +35,126 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"github.com/cpskit/atypical/internal/cluster"
-	"github.com/cpskit/atypical/internal/cps"
-	"github.com/cpskit/atypical/internal/cube"
-	"github.com/cpskit/atypical/internal/forest"
-	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/obs"
-	"github.com/cpskit/atypical/internal/query"
-	"github.com/cpskit/atypical/internal/report"
-	"github.com/cpskit/atypical/internal/shard"
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/storage"
-	"github.com/cpskit/atypical/internal/traffic"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is the command body; the return value is the process exit code.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("atypquery", flag.ContinueOnError)
 	var (
-		forestDir   = flag.String("forest", "forest", "directory of a saved forest")
-		data        = flag.String("data", "data", "directory of .rec files (for the red-zone severity index)")
-		from        = flag.Int("from", 0, "first day of the query range")
-		days        = flag.Int("days", 7, "number of days in the query range")
-		strat       = flag.String("strategy", "gui", "query strategy: all, pru or gui")
-		deltaS      = flag.Float64("deltas", 0.02, "severity threshold δs")
-		deltaSim    = flag.Float64("deltasim", 0.5, "similarity threshold δsim")
-		sensors     = flag.Int("sensors", 400, "approximate deployment size (must match atypgen)")
-		seed        = flag.Int64("seed", 42, "deployment seed (must match atypgen)")
-		minLat      = flag.Float64("minlat", 0, "spatial range: south edge (0 = whole city)")
-		minLon      = flag.Float64("minlon", 0, "spatial range: west edge")
-		maxLat      = flag.Float64("maxlat", 0, "spatial range: north edge")
-		maxLon      = flag.Float64("maxlon", 0, "spatial range: east edge")
-		shards      = flag.Int("shards", 0, "scatter-gather the query across n in-process shards (0 unsharded)")
-		shardPeers  = flag.String("shardpeers", "", "comma-separated shard server base URLs: scatter the candidates stage to remote atypserve -shardserve processes")
-		showMap     = flag.Bool("map", false, "print the region severity map with red zones")
-		explain     = flag.Bool("explain", false, "print the query EXPLAIN table after the report")
-		explainJSON = flag.Bool("explainjson", false, "print the query EXPLAIN record as JSON after the report")
+		forestDir   = fs.String("forest", "forest", "directory of a saved forest")
+		data        = fs.String("data", "data", "directory of .rec files (for the red-zone severity index)")
+		from        = fs.Int("from", 0, "first day of the query range")
+		days        = fs.Int("days", 7, "number of days in the query range")
+		strat       = fs.String("strategy", "gui", "query strategy: all, pru or gui")
+		deltaS      = fs.Float64("deltas", 0.02, "severity threshold δs")
+		deltaSim    = fs.Float64("deltasim", 0.5, "similarity threshold δsim")
+		sensors     = fs.Int("sensors", 400, "approximate deployment size (must match atypgen)")
+		seed        = fs.Int64("seed", 42, "deployment seed (must match atypgen)")
+		minLat      = fs.Float64("minlat", 0, "spatial range: south edge (0 = whole city)")
+		minLon      = fs.Float64("minlon", 0, "spatial range: west edge")
+		maxLat      = fs.Float64("maxlat", 0, "spatial range: north edge")
+		maxLon      = fs.Float64("maxlon", 0, "spatial range: east edge")
+		shards      = fs.Int("shards", 0, "scatter-gather the query across n in-process shards (0 unsharded)")
+		shardPeers  = fs.String("shardpeers", "", "comma-separated shard server base URLs: scatter the candidates stage to remote atypserve -shardserve processes")
+		showMap     = fs.Bool("map", false, "print the region severity map with red zones")
+		explain     = fs.Bool("explain", false, "print the query EXPLAIN table after the report")
+		explainJSON = fs.Bool("explainjson", false, "print the query EXPLAIN record as JSON after the report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	strategy, err := parseStrategy(*strat)
+	strategy, err := atypical.ParseStrategy(*strat)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	netCfg := traffic.ScaledConfig(*sensors)
-	netCfg.Seed = *seed
-	net := traffic.GenerateNetwork(netCfg)
-	spec := cps.DefaultSpec()
-
-	var idgen cluster.IDGen
-	opts := cluster.IntegrateOptions{
-		SimThreshold: *deltaSim,
-		Balance:      cluster.Arithmetic,
-		Period:       cps.Window(spec.PerDay()),
-	}
-	// The load advances idgen past every loaded cluster ID.
-	f, _, err := forest.Load(*forestDir, spec, &idgen, opts, 28, forest.LoadOptions{})
-	if err != nil {
-		fatal(err)
-	}
-
-	sev := cube.NewSeverityIndex(net, spec)
-	catalog, err := storage.OpenCatalog(*data)
-	if err != nil {
-		fatal(err)
-	}
-	for _, info := range catalog.List() {
-		rs, err := catalog.Read(info.Name)
-		if err != nil {
-			fatal(err)
-		}
-		sev.Add(rs.Records())
-	}
-
-	engine := &query.Engine{Net: net, Forest: f, Severity: sev, Gen: &idgen}
+	var opts []atypical.Option
 	switch {
 	case *shardPeers != "":
-		var backends []shard.Backend
+		var urls []string
 		for i, base := range strings.Split(*shardPeers, ",") {
 			base = strings.TrimSpace(base)
 			if base == "" {
-				fatal(fmt.Errorf("-shardpeers: empty URL at position %d", i))
+				return fail(fmt.Errorf("-shardpeers: empty URL at position %d", i))
 			}
-			backends = append(backends, shard.NewHTTP(fmt.Sprintf("shard%d", i), base, nil))
+			urls = append(urls, base)
 		}
-		engine.Scatterer = shard.NewCoordinator(backends, nil)
+		opts = append(opts, atypical.WithShardServers(urls...))
 	case *shards > 0:
-		views, err := shard.NewLocalViews(net, func() *forest.Forest { return f }, *shards)
-		if err != nil {
-			fatal(err)
-		}
-		engine.Scatterer = shard.NewCoordinator(views, nil)
+		opts = append(opts, atypical.WithShards(*shards))
 	}
-	var q query.Query
-	if *maxLat != 0 || *maxLon != 0 {
-		box := geo.BBox{Min: geo.Point{Lat: *minLat, Lon: *minLon}, Max: geo.Point{Lat: *maxLat, Lon: *maxLon}}
-		q = query.BoxQuery(net, spec, box, *from, *days, *deltaS)
-	} else {
-		q = query.CityQuery(net, spec, *from, *days, *deltaS)
+	cfg := atypical.DefaultConfig()
+	cfg.Sensors, cfg.Seed = *sensors, *seed
+	cfg.DeltaS, cfg.SimThreshold = *deltaS, *deltaSim
+	sys, err := atypical.NewSystem(cfg, opts...)
+	if err != nil {
+		return fail(err)
+	}
+	// The severity index is rebuilt from every dataset the forest was
+	// built over.
+	catalog, err := storage.OpenCatalog(*data)
+	if err != nil {
+		return fail(err)
+	}
+	var records []atypical.Record
+	for _, info := range catalog.List() {
+		rs, err := catalog.Read(info.Name)
+		if err != nil {
+			return fail(err)
+		}
+		records = append(records, rs.Records()...)
 	}
 	ctx := context.Background()
-	var rootSpan *obs.Span
+	if err := sys.LoadForestAndRebuild(ctx, *forestDir, atypical.NewRecordSet(records)); err != nil {
+		return fail(err)
+	}
+
+	req := atypical.QueryRequest{
+		FirstDay: *from, Days: *days, DeltaS: *deltaS, Strategy: strategy,
+		Explain: *explain || *explainJSON, AllowPartial: true,
+	}
+	grid := sys.Network().Grid
+	regions := grid.NumRegions()
+	if *maxLat != 0 || *maxLon != 0 {
+		req.Box = &atypical.BBox{
+			Min: atypical.Point{Lat: *minLat, Lon: *minLon},
+			Max: atypical.Point{Lat: *maxLat, Lon: *maxLon},
+		}
+		regions = len(grid.RegionsIntersecting(*req.Box))
+	}
+	var rootSpan *atypical.Span
 	if *shardPeers != "" {
 		// Remote scatter runs under a root span with a discard exporter: the
 		// span is not retained here, but the scatter's HTTP calls inject its
 		// traceparent, so the shard servers stitch this run into their own
 		// /debug/traces under the trace ID printed below.
-		ctx = obs.WithExporter(ctx, func(obs.Span) {})
-		ctx, rootSpan = obs.Start(ctx, "atypquery.query")
+		ctx = atypical.WithSpanContext(ctx, func(atypical.Span) {})
+		ctx, rootSpan = atypical.StartSpan(ctx, "atypquery.query")
 	}
-	var exp *query.Explain
-	if *explain || *explainJSON {
-		ctx, exp = query.WithExplain(ctx)
-	}
-	res, err := engine.RunCtx(ctx, q, strategy)
+	res, err := sys.Run(ctx, req)
 	rootSpan.End()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	out := os.Stdout
 	fmt.Fprintf(out, "query: days [%d, %d), %d regions, strategy %s, δs=%.3g (bound %.0f severity-min)\n",
-		*from, *from+*days, len(q.Regions), res.Strategy, *deltaS, float64(res.Bound))
+		*from, *from+*days, regions, res.Strategy, *deltaS, float64(res.Bound))
 	if rootSpan != nil {
 		fmt.Fprintf(out, "trace: %s (find the scatter on the shard servers' /debug/traces)\n", rootSpan.TraceHex())
 	}
 	fmt.Fprintf(out, "inputs: %d of %d micro-clusters", res.InputMicros, res.CandidateMicros)
-	if strategy == query.Gui {
+	if strategy == atypical.Guided {
 		fmt.Fprintf(out, " (%d red zones)", res.RedZones)
 	}
 	fmt.Fprintf(out, "; %d macro-clusters, %d significant; %s\n",
@@ -169,46 +164,33 @@ func main() {
 	}
 	fmt.Fprintln(out)
 
-	fmt.Fprint(out, report.Ranking(net, spec, res.Significant))
+	fmt.Fprint(out, sys.Ranking(res.Significant))
 	if len(res.Significant) == 0 {
 		fmt.Fprintln(out, "no significant clusters in range — lower δs or widen the range")
 	}
 	if *showMap {
-		n := 0
-		for _, r := range q.Regions {
-			n += len(net.SensorsInRegion(r))
+		heatmap, err := sys.RegionHeatmap(req)
+		if err != nil {
+			return fail(err)
 		}
-		zones := sev.GuidedRedZones(q.Regions, q.Time, q.DeltaS, n)
 		fmt.Fprintln(out)
-		fmt.Fprint(out, report.RegionHeatmap(net, sev, q.Time, zones))
+		fmt.Fprint(out, heatmap)
 	}
 	if *explainJSON {
-		data, err := exp.JSON()
+		data, err := res.Explain.JSON()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintln(out)
 		out.Write(data)
 	} else if *explain {
 		fmt.Fprintln(out)
-		fmt.Fprint(out, exp.Text())
+		fmt.Fprint(out, res.Explain.Text())
 	}
+	return 0
 }
 
-func parseStrategy(s string) (query.Strategy, error) {
-	switch s {
-	case "all":
-		return query.All, nil
-	case "pru":
-		return query.Pru, nil
-	case "gui":
-		return query.Gui, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want all, pru or gui)", s)
-	}
-}
-
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "atypquery:", err)
-	os.Exit(1)
+	return 1
 }

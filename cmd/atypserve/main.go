@@ -8,7 +8,7 @@
 //
 //	atypserve [-addr :8081] [-metrics :8080]
 //	          [-sensors 400] [-seed 42] [-months 1] [-days 30]
-//	          [-workers 0] [-queryworkers 0] [-deltas 0.02]
+//	          [-workers 0] [-deltas 0.02]
 //	          [-maxinflight 64] [-querytimeout 30s] [-drain 15s]
 //	          [-logjson] [-traces 256] [-slowquery -1]
 //	          [-querylog 256] [-querylogsample 1] [-querylogslow 1s]
@@ -116,7 +116,6 @@ func main() {
 		months       = flag.Int("months", 1, "months of synthetic data to ingest at startup")
 		days         = flag.Int("days", 30, "days per generated month")
 		workers      = flag.Int("workers", 0, "construction workers (0 serial, <0 one per CPU)")
-		queryWorkers = flag.Int("queryworkers", 0, "query engine workers (0 serial)")
 		deltaS       = flag.Float64("deltas", 0.02, "severity threshold δs")
 		maxInflight  = flag.Int("maxinflight", 64, "max concurrent queries before shedding 503s (<=0 unlimited)")
 		queryTimeout = flag.Duration("querytimeout", 30*time.Second, "per-query context deadline")
@@ -142,7 +141,7 @@ func main() {
 	os.Exit(run(serveConfig{
 		addr: *addr, metricsAddr: *metricsAddr,
 		sensors: *sensors, seed: *seed, months: *months, days: *days,
-		workers: *workers, queryWorkers: *queryWorkers, deltaS: *deltaS,
+		workers: *workers, deltaS: *deltaS,
 		maxInflight: *maxInflight, queryTimeout: *queryTimeout, drain: *drain,
 		logJSON: *logJSON, traces: *traces, slowQuery: *slowQuery,
 		queryLog: *queryLog, queryLogSample: *queryLogN, queryLogSlow: *queryLogSlow,
@@ -158,7 +157,7 @@ type serveConfig struct {
 	addr, metricsAddr     string
 	sensors, months, days int
 	seed                  int64
-	workers, queryWorkers int
+	workers               int
 	deltaS                float64
 	maxInflight           int
 	queryTimeout, drain   time.Duration
@@ -215,7 +214,7 @@ func parseSLO(spec string, objective float64) (map[atypical.Strategy]atypical.SL
 		if !ok {
 			return nil, fmt.Errorf("bad -slo entry %q (want strategy=duration)", part)
 		}
-		strat, err := parseStrategy(name)
+		strat, err := atypical.ParseStrategy(name)
 		if err != nil {
 			return nil, fmt.Errorf("bad -slo entry %q: %v", part, err)
 		}
@@ -245,7 +244,6 @@ func serveUntil(ctx context.Context, sc serveConfig) int {
 	}
 	opts := []atypical.Option{
 		atypical.WithWorkers(sc.workers),
-		atypical.WithQueryWorkers(sc.queryWorkers),
 		atypical.WithObserver(reg),
 	}
 	if sc.queryCache > 0 {
@@ -457,38 +455,30 @@ type apiConfig struct {
 // load-shed gate, and per-request deadlines.
 func newAPIHandler(ac apiConfig) http.Handler {
 	mux := http.NewServeMux()
-	query := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ac.ready != nil && !ac.ready.Load() {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "warming up: ingest in progress", http.StatusServiceUnavailable)
-			return
-		}
-		serveQuery(ac, w, r)
-	}))
-	mux.Handle("/query", shedGate(query, ac.maxInflight, ac.obs))
-	// Standing-query subscriptions are long-lived: admitting them through the
-	// shed gate would let one dashboard pin a query slot for hours, so
-	// /subscribe sits outside it — the registry's subscriber cap (-maxsubs)
-	// and per-subscriber buffers (-subbuffer) are its admission control.
-	polls := newSubStore()
-	mux.Handle("/subscribe", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ac.ready != nil && !ac.ready.Load() {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "warming up: ingest in progress", http.StatusServiceUnavailable)
-			return
-		}
-		serveSubscribe(ac, polls, w, r)
-	}))
-	if ac.shardHandler != nil {
-		sh := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// whenReady answers 503 with a Retry-After until ingest completes.
+	whenReady := func(h http.HandlerFunc) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if ac.ready != nil && !ac.ready.Load() {
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, "warming up: ingest in progress", http.StatusServiceUnavailable)
 				return
 			}
-			ac.shardHandler.ServeHTTP(w, r)
-		}))
-		mux.Handle(atypical.ShardQueryPath, shedGate(sh, ac.maxInflight, ac.obs))
+			h(w, r)
+		})
+	}
+	mux.Handle("/query", shedGate(whenReady(func(w http.ResponseWriter, r *http.Request) {
+		serveQuery(ac, w, r)
+	}), ac.maxInflight, ac.obs))
+	// Standing-query subscriptions are long-lived: admitting them through the
+	// shed gate would let one dashboard pin a query slot for hours, so
+	// /subscribe sits outside it — the registry's subscriber cap (-maxsubs)
+	// and per-subscriber buffers (-subbuffer) are its admission control.
+	polls := newSubStore()
+	mux.Handle("/subscribe", whenReady(func(w http.ResponseWriter, r *http.Request) {
+		serveSubscribe(ac, polls, w, r)
+	}))
+	if ac.shardHandler != nil {
+		mux.Handle(atypical.ShardQueryPath, shedGate(whenReady(ac.shardHandler.ServeHTTP), ac.maxInflight, ac.obs))
 	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -628,7 +618,7 @@ func parseQueryRequest(r *http.Request) (atypical.QueryRequest, error) {
 		if err := dec.Decode(&wq); err != nil {
 			return atypical.QueryRequest{}, fmt.Errorf("bad request body: %v", err)
 		}
-		strat, err := parseStrategy(wq.Strategy)
+		strat, err := parseQueryStrategy(wq.Strategy)
 		if err != nil {
 			return atypical.QueryRequest{}, err
 		}
@@ -655,15 +645,15 @@ func parseQueryRequest(r *http.Request) (atypical.QueryRequest, error) {
 		}
 		return req, nil
 	}
-	strat, err := parseStrategy(r.URL.Query().Get("strategy"))
+	strat, err := parseQueryStrategy(r.URL.Query().Get("strategy"))
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
-	from, err := intParam(r, "from", 0)
+	from, err := param(r, "from", 0, strconv.Atoi)
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
-	days, err := intParam(r, "days", 7)
+	days, err := param(r, "days", 7, strconv.Atoi)
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
@@ -791,29 +781,25 @@ func writeRequestError(w http.ResponseWriter, err error) {
 	_ = enc.Encode(requestErrorJSON{Error: "invalid_request", Detail: err.Error()})
 }
 
-// intParam parses an optional integer query parameter.
-func intParam(r *http.Request, name string, def int) (int, error) {
+// param parses the optional query parameter name with parse; an absent one
+// is def.
+func param[T any](r *http.Request, name string, def T, parse func(string) (T, error)) (T, error) {
 	s := r.URL.Query().Get(name)
 	if s == "" {
 		return def, nil
 	}
-	v, err := strconv.Atoi(s)
+	v, err := parse(s)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s: %v", name, err)
+		return def, fmt.Errorf("bad %s: %v", name, err)
 	}
 	return v, nil
 }
 
-// parseStrategy maps the query parameter to a Strategy; empty means guided.
-func parseStrategy(s string) (atypical.Strategy, error) {
-	switch s {
-	case "", "gui", "guided":
+// parseQueryStrategy maps /query's strategy to a Strategy; empty means
+// guided.
+func parseQueryStrategy(s string) (atypical.Strategy, error) {
+	if s == "" {
 		return atypical.Guided, nil
-	case "all":
-		return atypical.IntegrateAll, nil
-	case "pru", "pruned":
-		return atypical.Pruned, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want all, pru or gui)", s)
 	}
+	return atypical.ParseStrategy(s)
 }

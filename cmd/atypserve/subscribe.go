@@ -96,19 +96,19 @@ func parseSubscribeRequest(r *http.Request) (atypical.QueryRequest, error) {
 	if name == "" {
 		name = "all"
 	}
-	strat, err := parseStrategy(name)
+	strat, err := atypical.ParseStrategy(name)
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
-	from, err := intParam(r, "from", 0)
+	from, err := param(r, "from", 0, strconv.Atoi)
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
-	days, err := intParam(r, "days", 7)
+	days, err := param(r, "days", 7, strconv.Atoi)
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
-	deltaS, err := floatParam(r, "deltas", 0)
+	deltaS, err := param(r, "deltas", 0.0, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 	if err != nil {
 		return atypical.QueryRequest{}, err
 	}
@@ -472,19 +472,6 @@ func drainBuffered(sys *atypical.System, sub *atypical.Subscription, pushes []pu
 			return pushes
 		}
 	}
-}
-
-// floatParam parses an optional float query parameter.
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	s := r.URL.Query().Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s: %v", name, err)
-	}
-	return v, nil
 }
 
 // replayStream drives the -stream demo feed: after ingest it replays the

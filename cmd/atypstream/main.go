@@ -11,71 +11,66 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
-	"github.com/cpskit/atypical/internal/cluster"
-	"github.com/cpskit/atypical/internal/cps"
-	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/index"
-	"github.com/cpskit/atypical/internal/report"
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/storage"
-	"github.com/cpskit/atypical/internal/stream"
-	"github.com/cpskit/atypical/internal/traffic"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is the command body; the return value is the process exit code.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("atypstream", flag.ContinueOnError)
 	var (
-		data    = flag.String("data", "data", "dataset directory (catalog)")
-		name    = flag.String("name", "", "dataset name to replay (required)")
-		sensors = flag.Int("sensors", 400, "approximate deployment size (must match atypgen)")
-		seed    = flag.Int64("seed", 42, "deployment seed (must match atypgen)")
-		deltaD  = flag.Float64("deltad", 1.5, "distance threshold δd (miles)")
-		deltaT  = flag.Duration("deltat", 15*time.Minute, "time interval threshold δt")
-		alert   = flag.Float64("alert", 2500, "alert severity threshold (severity-min)")
-		top     = flag.Int("top", 10, "recap: top-k closed events")
+		data    = fs.String("data", "data", "dataset directory (catalog)")
+		name    = fs.String("name", "", "dataset name to replay (required)")
+		sensors = fs.Int("sensors", 400, "approximate deployment size (must match atypgen)")
+		seed    = fs.Int64("seed", 42, "deployment seed (must match atypgen)")
+		deltaD  = fs.Float64("deltad", 1.5, "distance threshold δd (miles)")
+		deltaT  = fs.Duration("deltat", 15*time.Minute, "time interval threshold δt")
+		alert   = fs.Float64("alert", 2500, "alert severity threshold (severity-min)")
+		top     = fs.Int("top", 10, "recap: top-k closed events")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *name == "" {
-		fatal(fmt.Errorf("-name is required"))
+		return fail(fmt.Errorf("-name is required"))
 	}
 
-	netCfg := traffic.ScaledConfig(*sensors)
-	netCfg.Seed = *seed
-	net := traffic.GenerateNetwork(netCfg)
-	spec := cps.DefaultSpec()
-	locs := make([]geo.Point, net.NumSensors())
-	for i, s := range net.Sensors {
-		locs[i] = s.Loc
+	cfg := atypical.DefaultConfig()
+	cfg.Sensors, cfg.Seed, cfg.DeltaD, cfg.DeltaT = *sensors, *seed, *deltaD, *deltaT
+	sys, err := atypical.NewSystem(cfg)
+	if err != nil {
+		return fail(err)
 	}
-
 	catalog, err := storage.OpenCatalog(*data)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rr, closer, err := catalog.Open(*name)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer closer()
 
-	var idgen cluster.IDGen
-	var closed []*cluster.Cluster
+	var closed []*atypical.Cluster
 	alerts := 0
-	proc, err := stream.New(stream.Config{
-		Neighbors: index.NewNeighborIndex(locs, *deltaD).NeighborLists(),
-		MaxGap:    cluster.MaxWindowGap(*deltaT, spec.Width),
-		Emit: func(c *cluster.Cluster) {
-			closed = append(closed, c)
-			if float64(c.Severity()) >= *alert {
-				alerts++
-				fmt.Fprintf(os.Stdout, "ALERT %s\n", report.Describe(net, spec, c))
-			}
-		},
-	}, &idgen)
+	proc, err := sys.NewStreamProcessor(func(c *atypical.Cluster) {
+		closed = append(closed, c)
+		if float64(c.Severity()) >= *alert {
+			alerts++
+			fmt.Fprintf(out, "ALERT %s\n", sys.Describe(c))
+		}
+	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	start := time.Now()
@@ -85,29 +80,28 @@ func main() {
 			break
 		}
 		if err := proc.Observe(r); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if err := rr.Err(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := proc.Flush(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(os.Stdout, "\nreplayed %d records in %s (%.0f records/s): %d events closed, %d alerts\n",
+	fmt.Fprintf(out, "\nreplayed %d records in %s (%.0f records/s): %d events closed, %d alerts\n",
 		proc.Observed(), elapsed.Round(time.Millisecond),
 		float64(proc.Observed())/elapsed.Seconds(), proc.Emitted(), alerts)
 
 	sort.Slice(closed, func(i, j int) bool { return closed[i].Severity() > closed[j].Severity() })
-	if *top > len(closed) {
-		*top = len(closed)
-	}
-	fmt.Fprintf(os.Stdout, "\ntop %d events of the replay:\n%s", *top, report.Ranking(net, spec, closed[:*top]))
+	k := min(max(*top, 0), len(closed))
+	fmt.Fprintf(out, "\ntop %d events of the replay:\n%s", k, sys.Ranking(closed[:k]))
+	return 0
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "atypstream:", err)
-	os.Exit(1)
+	return 1
 }

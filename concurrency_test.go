@@ -71,26 +71,10 @@ func TestParallelIngestByteIdenticalToSerial(t *testing.T) {
 		t.Fatal("serial system rendered nothing; byte-identity check is vacuous")
 	}
 	for _, workers := range []int{1, 2, 4, -1} {
-		// WithWorkers alone must suffice: queries stay on the serial path
-		// unless WithQueryWorkers opts in, so only ingestion parallelism
-		// varies here.
 		sys := buildSystem(t, WithWorkers(workers))
 		got := renderRuns(t, sys, nil) + renderLevels(sys)
 		if got != want {
 			t.Fatalf("workers=%d ingest diverged from serial:\n%s", workers, diffAt(got, want))
-		}
-	}
-}
-
-// Query workers only fan out candidate filtering; integration is the serial
-// kernel, so every worker count (including the GOMAXPROCS-derived one)
-// renders the serial engine's bytes.
-func TestParallelQueryWorkerCountIndependent(t *testing.T) {
-	want := renderRuns(t, buildSystem(t, WithWorkers(4), WithQueryWorkers(0)), nil)
-	for _, qw := range []int{1, 2, 8, -1} {
-		got := renderRuns(t, buildSystem(t, WithWorkers(4), WithQueryWorkers(qw)), nil)
-		if got != want {
-			t.Fatalf("query workers=%d diverged from serial:\n%s", qw, diffAt(got, want))
 		}
 	}
 }
@@ -101,7 +85,7 @@ func TestPipelineByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	render := func(procs int) string {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		return renderRuns(t, buildSystem(t, WithWorkers(4), WithQueryWorkers(4)), nil)
+		return renderRuns(t, buildSystem(t, WithWorkers(4)), nil)
 	}
 	at1, at8 := render(1), render(8)
 	if at1 != at8 {
@@ -175,7 +159,7 @@ func TestIngestCtxCancellation(t *testing.T) {
 }
 
 func TestQueryCtxCancellation(t *testing.T) {
-	sys := buildSystem(t, WithWorkers(2), WithQueryWorkers(2))
+	sys := buildSystem(t, WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := sys.Run(ctx, QueryRequest{Days: 7}); !errors.Is(err, context.Canceled) {

@@ -12,8 +12,8 @@ import (
 	"sort"
 
 	atypical "github.com/cpskit/atypical"
-	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/forest"
+	"github.com/cpskit/atypical/internal/report"
 )
 
 func main() {
@@ -77,32 +77,6 @@ func main() {
 	if len(rep.Significant) > 0 {
 		worst := rep.Significant[0]
 		fmt.Println("\n=== Hourly profile of the worst cluster ===")
-		printHourProfile(sys, worst)
-	}
-}
-
-// printHourProfile renders the cluster's severity by hour of day as a text
-// histogram — the "when and how do they start" answer at a glance.
-func printHourProfile(sys *atypical.System, c *cluster.Cluster) {
-	perHour := sys.Spec().PerDay() / 24
-	var byHour [24]float64
-	for _, e := range c.TF {
-		hour := int(e.Key) / perHour % 24
-		byHour[hour] += float64(e.Sev)
-	}
-	max := 0.0
-	for _, v := range byHour {
-		if v > max {
-			max = v
-		}
-	}
-	for h, v := range byHour {
-		bar := ""
-		if max > 0 {
-			for i := 0; i < int(v/max*40); i++ {
-				bar += "#"
-			}
-		}
-		fmt.Printf("%02d:00 %8.0f %s\n", h, v, bar)
+		fmt.Print(report.HourHistogram(sys.Spec(), worst, 40))
 	}
 }

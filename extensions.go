@@ -9,7 +9,6 @@ import (
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/forest"
 	"github.com/cpskit/atypical/internal/predict"
-	"github.com/cpskit/atypical/internal/query"
 	"github.com/cpskit/atypical/internal/stream"
 	"github.com/cpskit/atypical/internal/trust"
 )
@@ -27,7 +26,8 @@ type StreamProcessor = stream.Processor
 // forest with IngestClusters or consume them directly. Every emitted cluster
 // is also offered to the system's standing-query subscriptions (Subscribe)
 // before the caller's emit hook runs — delivery is non-blocking, so slow
-// subscribers never stall the stream.
+// subscribers never stall the stream. Observe rejects a record naming a
+// sensor outside the deployment.
 func (s *System) NewStreamProcessor(emit func(*Cluster)) (*StreamProcessor, error) {
 	if emit == nil {
 		// Validate before wrapping: the subscription fan-out closure below
@@ -53,12 +53,13 @@ func (s *System) NewStreamProcessor(emit func(*Cluster)) (*StreamProcessor, erro
 // StreamProcessor) to the forest under their first record's day; in-process
 // shards are views over that forest and see them with the same append. A
 // WithShardServers coordinator only advances its forest version, as the
-// append would. If any cluster is nil or fails Cluster.Valid it returns an
-// error wrapping ErrInvalidConfig and ingests nothing.
+// append would. If any cluster is nil, fails Cluster.Valid or names a
+// sensor outside the deployment, it returns an error wrapping
+// ErrInvalidConfig and ingests nothing.
 func (s *System) IngestClusters(micros []*Cluster) error {
 	for i, c := range micros {
-		if c == nil || !c.Valid() {
-			return fmt.Errorf("%w: cluster %d of %d: want a micro count >= 1 and features with ascending keys and finite, positive severities", ErrInvalidConfig, i, len(micros))
+		if c == nil || !c.Valid() || !c.WithinSensors(s.net.NumSensors()) {
+			return fmt.Errorf("%w: cluster %d of %d: want a micro count >= 1, sensors of the deployment, and features with ascending keys and finite, positive severities", ErrInvalidConfig, i, len(micros))
 		}
 	}
 	perDay := Window(s.spec.PerDay())
@@ -164,7 +165,7 @@ func (s *System) LoadForest(dir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, _, err := forest.Load(dir, s.spec, &s.idgen, s.forest.Options(), s.cfg.DaysPerMonth,
-		forest.LoadOptions{Registry: s.registry})
+		forest.LoadOptions{Registry: s.registry, Sensors: s.net.NumSensors()})
 	if err != nil {
 		return err
 	}
@@ -190,7 +191,7 @@ func (s *System) LoadForestRecover(dir string) (ForestRecovery, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f, report, err := forest.Load(dir, s.spec, &s.idgen, s.forest.Options(), s.cfg.DaysPerMonth,
-		forest.LoadOptions{Recover: true, Registry: s.registry})
+		forest.LoadOptions{Recover: true, Registry: s.registry, Sensors: s.net.NumSensors()})
 	if err != nil {
 		return report, err
 	}
@@ -219,17 +220,18 @@ func (s *System) installForestLocked(f *forest.Forest) {
 	// (a freshly loaded forest restarts its version counter), so it is
 	// cleared outright and carried into the new engine.
 	s.cache.Clear()
-	s.engine = &query.Engine{
-		Net: s.net, Forest: f, Severity: s.sev, Gen: &s.idgen,
-		Workers: s.queryWorkers, Obs: s.engine.Obs, Scatterer: s.engine.Scatterer,
-		Cache: s.cache,
-	}
+	s.engine = s.newEngine(f, s.engine.Obs)
 }
 
 // RebuildSeverity reconstructs the bottom-up severity index from the record
 // set the current forest was built over, clearing the staleness mark set by
-// LoadForest. The rebuild day-shards across the configured workers.
+// LoadForest. The rebuild day-shards across the configured workers. A record
+// set IngestCtx would reject is rejected here too, before the index is
+// touched.
 func (s *System) RebuildSeverity(ctx context.Context, rs *RecordSet) error {
+	if err := s.checkRecords(rs); err != nil {
+		return err
+	}
 	s.mu.RLock()
 	sev, workers := s.sev, s.workers
 	s.mu.RUnlock()

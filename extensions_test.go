@@ -3,27 +3,41 @@ package atypical
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cluster"
+	"github.com/cpskit/atypical/internal/storage"
 )
 
 // Ingest is where records and clusters enter the system, so it holds them to
-// cluster.Feature.Valid's rule, which integration relies on without checking:
-// a record set or cluster batch holding a severity that is not finite and
-// positive, or an event whose records sum one feature entry to +Inf, is
-// rejected whole and stores nothing.
+// cluster.Feature.Valid's rule, which integration relies on without checking,
+// and to the deployment, whose Network.Sensor lookups would otherwise index
+// past the end: a record set or cluster batch holding a sensor outside the
+// deployment or a severity that is not finite and positive, or an event
+// whose records sum one feature entry to +Inf, is rejected whole and stores
+// nothing. RebuildSeverity shares IngestCtx's record check; the stream
+// processor and LoadForest refuse the outside sensor too.
 func TestIngestRejectsInvalidSeverities(t *testing.T) {
 	sys, err := NewSystem(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	outside := SensorID(sys.Network().NumSensors() + 5)
+	badSets := map[string]*RecordSet{
+		"sensor outside the deployment": NewRecordSet([]Record{{Sensor: 1, Window: 3, Severity: 1}, {Sensor: outside, Window: 3, Severity: 1}}),
+	}
 	for _, sev := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		rs := NewRecordSet([]Record{{Sensor: 1, Window: 3, Severity: 1}, {Sensor: 2, Window: 40, Severity: Severity(sev)}})
+		badSets[fmt.Sprintf("record severity %v", sev)] = NewRecordSet([]Record{{Sensor: 1, Window: 3, Severity: 1}, {Sensor: 2, Window: 40, Severity: Severity(sev)}})
+	}
+	for name, rs := range badSets {
 		if err := sys.IngestCtx(ctx, rs); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("record severity %v: IngestCtx = %v, want ErrInvalidConfig", sev, err)
+			t.Errorf("%s: IngestCtx = %v, want ErrInvalidConfig", name, err)
+		}
+		if err := sys.RebuildSeverity(ctx, rs); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: RebuildSeverity = %v, want ErrInvalidConfig", name, err)
 		}
 	}
 	huge := Severity(math.MaxFloat64)
@@ -34,6 +48,7 @@ func TestIngestRejectsInvalidSeverities(t *testing.T) {
 
 	var g cluster.IDGen
 	good := cluster.FromRecords(g.Next(), []Record{{Sensor: 1, Window: 3, Severity: 1}})
+	far := cluster.FromRecords(g.Next(), []Record{{Sensor: outside, Window: 3, Severity: 1}})
 	for name, bad := range map[string]*Cluster{
 		"nil":            nil,
 		"nan":            {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 1, Sev: Severity(math.NaN())}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
@@ -41,6 +56,7 @@ func TestIngestRejectsInvalidSeverities(t *testing.T) {
 		"unsorted":       {ID: g.Next(), Micros: 1, SF: cluster.SpatialFeature{{Key: 2, Sev: 1}, {Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 2}}},
 		"no micros":      {ID: g.Next(), SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
 		"max int micros": {ID: g.Next(), Micros: math.MaxInt, SF: cluster.SpatialFeature{{Key: 1, Sev: 1}}, TF: cluster.TemporalFeature{{Key: 3, Sev: 1}}},
+		"outside sensor": far,
 	} {
 		if err := sys.IngestClusters([]*Cluster{good, bad}); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("%s cluster: IngestClusters = %v, want ErrInvalidConfig", name, err)
@@ -49,6 +65,50 @@ func TestIngestRejectsInvalidSeverities(t *testing.T) {
 	if days := sys.Forest().Days(); len(days) != 0 {
 		t.Fatalf("rejected ingests stored days %v", days)
 	}
+
+	// With a subscription active, the system's stream processor refuses the
+	// outside sensor before the evaluator looks it up.
+	sub, err := sys.Subscribe(QueryRequest{Days: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.NewStreamProcessor(func(*Cluster) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range badSets["sensor outside the deployment"].Records() {
+		err = p.Observe(r)
+	}
+	if err == nil || p.Observed() != 1 {
+		t.Errorf("stream processor: Observe = %v after %d records; want the outside sensor refused", err, p.Observed())
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Unsubscribe(sub.ID())
+
+	// A larger deployment saves a cluster this one cannot place: the load
+	// fails like a corrupt file, and a recovering load quarantines it.
+	bigCfg := testConfig()
+	bigCfg.Sensors *= 2
+	big, err := NewSystem(bigCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := big.IngestClusters([]*Cluster{far}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := big.SaveForest(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadForest(dir); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("LoadForest = %v, want storage.ErrCorrupt", err)
+	}
+	if rep, err := sys.LoadForestRecover(dir); !errors.Is(err, ErrSeverityStale) || len(rep.Quarantined) != 1 {
+		t.Errorf("LoadForestRecover = %+v, %v; want one quarantined file", rep, err)
+	}
+
 	if err := sys.IngestClusters([]*Cluster{good}); err != nil {
 		t.Fatalf("valid cluster rejected: %v", err)
 	}

@@ -122,6 +122,13 @@ func (c *Cluster) Valid() bool {
 	return c.Micros >= 1 && c.Micros <= MaxMicros && c.SF.Valid() && c.TF.Valid()
 }
 
+// WithinSensors reports whether every sensor of c lies below n, i.e. inside
+// a deployment of n sensors. It reads only the last spatial key, so c must
+// already pass Valid (keys ascending).
+func (c *Cluster) WithinSensors(n int) bool {
+	return len(c.SF) == 0 || int(c.SF[len(c.SF)-1].Key) < n
+}
+
 // Severity returns the cluster's total severity Σμ = Σν (Definition 5).
 // Every constructor in this package precomputes the cache; clusters built
 // field-by-field elsewhere (storage decoding) should call Hydrate once. The

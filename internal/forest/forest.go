@@ -374,6 +374,9 @@ type LoadOptions struct {
 	// Registry, when non-nil, observes the load (bytes read, corrupt
 	// files) and stays attached to the forest.
 	Registry *obs.Registry
+	// Sensors, when positive, is the deployment size: a file holding a
+	// cluster that names a sensor at or past it fails like a corrupt one.
+	Sensors int
 }
 
 // LoadReport describes what a load had to do.
@@ -424,6 +427,11 @@ func Load(dir string, spec cps.WindowSpec, gen *cluster.IDGen, opts cluster.Inte
 		}
 		if err != nil {
 			return nil, fmt.Errorf("forest: reading %s: %w", name, err)
+		}
+		for _, c := range cs {
+			if lo.Sensors > 0 && !c.WithinSensors(lo.Sensors) {
+				return nil, fmt.Errorf("forest: reading %s: cluster %d names a sensor outside the %d-sensor deployment: %w", name, c.ID, lo.Sensors, storage.ErrCorrupt)
+			}
 		}
 		return cs, nil
 	}

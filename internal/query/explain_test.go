@@ -12,15 +12,13 @@ import (
 
 // TestExplainDeterminism is the golden check of the EXPLAIN contract: two
 // identical queries over the same forest state produce byte-identical
-// canonical Explain JSON, for every strategy, and every worker count gives
-// the serial run's bytes.
+// canonical Explain JSON, for every strategy.
 func TestExplainDeterminism(t *testing.T) {
 	e, spec := pipeline(t, 200, 14)
 	q := CityQuery(e.Net, spec, 0, 14, 0.05)
 	for _, s := range []Strategy{All, Pru, Gui} {
-		var serial []byte
-		for _, workers := range []int{0, 0, 4} {
-			e.Workers = workers
+		var first []byte
+		for run := 0; run < 3; run++ {
 			ctx, exp := WithExplain(context.Background())
 			if _, err := e.RunCtx(ctx, q, s); err != nil {
 				t.Fatal(err)
@@ -29,11 +27,11 @@ func TestExplainDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if serial == nil {
-				serial = data
-			} else if !bytes.Equal(data, serial) {
-				t.Errorf("workers=%d %v: canonical Explain JSON differs from the first serial run:\n--- serial ---\n%s\n--- this run ---\n%s",
-					workers, s, serial, data)
+			if first == nil {
+				first = data
+			} else if !bytes.Equal(data, first) {
+				t.Errorf("run %d %v: canonical Explain JSON differs from the first run:\n--- first ---\n%s\n--- this run ---\n%s",
+					run, s, first, data)
 			}
 		}
 	}
@@ -44,7 +42,6 @@ func TestExplainDeterminism(t *testing.T) {
 // tree shape, and significance verdicts all agree with the Result.
 func TestExplainContents(t *testing.T) {
 	e, spec := pipeline(t, 200, 14)
-	e.Workers = 4
 	q := CityQuery(e.Net, spec, 0, 14, 0.05)
 
 	ctx, exp := WithExplain(context.Background())

@@ -41,7 +41,7 @@ func goldenConfig() atypical.Config {
 // goldenSystem builds the recorder-armed serving configuration atypserve
 // runs by default — span ring, metrics, query log sampling every event —
 // plus a 1 h SLO per strategy so the verdict is fixed, and the answer cache.
-func goldenSystem(t *testing.T, workers, shards int) *atypical.System {
+func goldenSystem(t *testing.T, shards int) *atypical.System {
 	t.Helper()
 	ring := atypical.NewTraceRing(16)
 	opts := []atypical.Option{
@@ -49,7 +49,6 @@ func goldenSystem(t *testing.T, workers, shards int) *atypical.System {
 		atypical.WithSpanExporter(ring.Export),
 		atypical.WithQueryLog(atypical.QueryLogConfig{Entries: 8}),
 		atypical.WithQueryCache(16),
-		atypical.WithQueryWorkers(workers),
 	}
 	for _, s := range []atypical.Strategy{atypical.IntegrateAll, atypical.Pruned, atypical.Guided} {
 		opts = append(opts, atypical.WithQuerySLO(s, atypical.SLOTarget{Latency: time.Hour, Objective: 0.99}))
@@ -103,8 +102,8 @@ func runSignals(t *testing.T, sys *atypical.System, req atypical.QueryRequest) g
 }
 
 // checkGolden compares got's indented JSON with testdata/golden/name, or
-// rewrites the file under -update when write is set.
-func checkGolden(t *testing.T, name string, got any, write bool) {
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got any) {
 	t.Helper()
 	data, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -112,7 +111,7 @@ func checkGolden(t *testing.T, name string, got any, write bool) {
 	}
 	data = append(data, '\n')
 	path := filepath.Join("testdata", "golden", name)
-	if *update && write {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -149,42 +148,39 @@ func firstDiff(got, want string) string {
 }
 
 // TestQuerySignalGoldens pins EXPLAIN and the wide event for All/Pru/Gui ×
-// workers {0, 4} × {unsharded, 2 local shards} × {cache miss, cache hit}.
-// The EXPLAIN comes from a system asked for it; the event comes from a twin
-// system that was not, which is how a recorder-armed server runs every
-// query — and the twin's events must equal the explained system's. Query
-// workers never change the signals, so the workers=4 runs compare against
-// the serial (w0) goldens, and only the serial runs rewrite them.
+// {unsharded, 2 local shards} × {cache miss, cache hit}. The EXPLAIN comes
+// from a system asked for it; the event comes from a twin system that was
+// not, which is how a recorder-armed server runs every query — and the
+// twin's events must equal the explained system's. The "w0" in the golden
+// names is the serial query path, the only one there is.
 func TestQuerySignalGoldens(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		for _, shards := range []int{0, 2} {
-			explained := goldenSystem(t, workers, shards)
-			plain := goldenSystem(t, workers, shards)
-			for _, s := range []atypical.Strategy{atypical.IntegrateAll, atypical.Pruned, atypical.Guided} {
-				req := atypical.QueryRequest{Days: 14, Strategy: s}
-				runs := map[string]goldenRun{}
-				for _, verdict := range []string{"miss", "hit"} {
-					exReq := req
-					exReq.Explain = true
-					ex := runSignals(t, explained, exReq)
-					pl := runSignals(t, plain, req)
-					if pl.Explain != nil {
-						t.Fatal("EXPLAIN returned without being requested")
-					}
-					if pl.Event.Cache != verdict {
-						t.Fatalf("cache verdict = %q, want %q", pl.Event.Cache, verdict)
-					}
-					a, _ := json.Marshal(ex.Event)
-					b, _ := json.Marshal(pl.Event)
-					if !bytes.Equal(a, b) {
-						t.Errorf("workers=%d shards=%d %v %s: arming EXPLAIN changed the wide event:\n%s\nvs\n%s",
-							workers, shards, s, verdict, a, b)
-					}
-					runs[verdict] = goldenRun{Explain: ex.Explain, Event: pl.Event}
+	for _, shards := range []int{0, 2} {
+		explained := goldenSystem(t, shards)
+		plain := goldenSystem(t, shards)
+		for _, s := range []atypical.Strategy{atypical.IntegrateAll, atypical.Pruned, atypical.Guided} {
+			req := atypical.QueryRequest{Days: 14, Strategy: s}
+			runs := map[string]goldenRun{}
+			for _, verdict := range []string{"miss", "hit"} {
+				exReq := req
+				exReq.Explain = true
+				ex := runSignals(t, explained, exReq)
+				pl := runSignals(t, plain, req)
+				if pl.Explain != nil {
+					t.Fatal("EXPLAIN returned without being requested")
 				}
-				name := fmt.Sprintf("run_%s_w0_s%d.json", strings.ToLower(s.String()), shards)
-				checkGolden(t, name, runs, workers == 0)
+				if pl.Event.Cache != verdict {
+					t.Fatalf("cache verdict = %q, want %q", pl.Event.Cache, verdict)
+				}
+				a, _ := json.Marshal(ex.Event)
+				b, _ := json.Marshal(pl.Event)
+				if !bytes.Equal(a, b) {
+					t.Errorf("shards=%d %v %s: arming EXPLAIN changed the wide event:\n%s\nvs\n%s",
+						shards, s, verdict, a, b)
+				}
+				runs[verdict] = goldenRun{Explain: ex.Explain, Event: pl.Event}
 			}
+			name := fmt.Sprintf("run_%s_w0_s%d.json", strings.ToLower(s.String()), shards)
+			checkGolden(t, name, runs)
 		}
 	}
 }

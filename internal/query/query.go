@@ -17,7 +17,6 @@ import (
 	"github.com/cpskit/atypical/internal/cube"
 	"github.com/cpskit/atypical/internal/forest"
 	"github.com/cpskit/atypical/internal/geo"
-	"github.com/cpskit/atypical/internal/par"
 	"github.com/cpskit/atypical/internal/traffic"
 )
 
@@ -127,11 +126,6 @@ type Engine struct {
 	Severity *cube.SeverityIndex
 	// Gen supplies IDs for online merges.
 	Gen *cluster.IDGen
-	// Workers fans the region touch tests of candidate filtering out over
-	// that many goroutines (< 0 means one per CPU, 0 filters serially).
-	// Integration is always the serial cluster.Integrate, so the answer
-	// does not depend on Workers.
-	Workers int
 	// Obs carries the engine's pre-resolved metric handles (NewMetrics).
 	// nil — the default — disables instrumentation at the cost of one nil
 	// check per run.
@@ -155,8 +149,7 @@ type Engine struct {
 }
 
 // RunCtx executes q under the given strategy with cooperative cancellation:
-// the context is honored between pipeline stages and inside the parallel
-// filter and integration loops. Every run — success or error — is recorded
+// the context is honored between pipeline stages. Every run — success or error — is recorded
 // on Obs when configured, wrapped in a "query.run" span when ctx carries a
 // span exporter, and reported into the Explain and flight event ctx carries
 // (recorder.go).
@@ -289,31 +282,14 @@ func (e *Engine) integrateSignificant(ctx context.Context, rec *recorder, res *R
 }
 
 // filterTouching keeps the clusters touching the region set, preserving
-// input order. With Workers set, the touch tests fan out positionally so the
-// output is identical to the serial filter.
+// input order.
 func (e *Engine) filterTouching(ctx context.Context, cs []*cluster.Cluster, regions map[geo.RegionID]bool) ([]*cluster.Cluster, error) {
-	if e.Workers == 0 || len(cs) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var out []*cluster.Cluster
-		for _, c := range cs {
-			if Touches(e.Net, c, regions) {
-				out = append(out, c)
-			}
-		}
-		return out, nil
-	}
-	keep := make([]bool, len(cs))
-	if err := par.Do(ctx, len(cs), e.Workers, func(i int) error {
-		keep[i] = Touches(e.Net, cs[i], regions)
-		return nil
-	}); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	var out []*cluster.Cluster
-	for i, c := range cs {
-		if keep[i] {
+	for _, c := range cs {
+		if Touches(e.Net, c, regions) {
 			out = append(out, c)
 		}
 	}

@@ -53,7 +53,8 @@ func (e *event) find() *event {
 // Config parameterizes the processor.
 type Config struct {
 	// Neighbors lists, per sensor, the sensors strictly within δd (from
-	// index.NewNeighborIndex(...).NeighborLists()).
+	// index.NewNeighborIndex(...).NeighborLists()). It also fixes the
+	// deployment: Observe rejects a sensor without a list.
 	Neighbors [][]cps.SensorID
 	// MaxGap is the largest window gap that still links two records
 	// (cluster.MaxWindowGap(δt, width)).
@@ -80,7 +81,7 @@ type Processor struct {
 
 	// recent holds, per sensor, the event and window of its latest record;
 	// a zero ref (nil event) means none within MaxGap windows. Indexed by
-	// SensorID: sized to the neighbor lists, grown for sensors past them.
+	// SensorID and sized to the neighbor lists.
 	recent []sensorRef
 	// expiry is a ring of MaxGap+1 buckets, bucket w mod (MaxGap+1) listing
 	// the sensors that reported in window w, so advance clears stale refs in
@@ -174,17 +175,20 @@ func (p *Processor) OpenEvents() int {
 }
 
 // Observe consumes one record. Records must arrive in canonical (window,
-// sensor) order with a finite, positive severity; other records are
-// rejected and leave the processor unchanged. An event the record's window
-// closes whose micro-cluster fails cluster.Cluster.Valid (its records sum a
-// feature entry to +Inf) is dropped and reported as the error; the record
-// itself is still consumed.
+// sensor) order with a finite, positive severity and a sensor that has a
+// neighbor list; other records are rejected and leave the processor
+// unchanged. An event the record's window closes whose micro-cluster fails
+// cluster.Cluster.Valid (its records sum a feature entry to +Inf) is dropped
+// and reported as the error; the record itself is still consumed.
 func (p *Processor) Observe(r cps.Record) error {
 	if p.started && r.Window < p.window {
 		return fmt.Errorf("stream: record window %d before current window %d", r.Window, p.window)
 	}
 	if !r.Severity.Valid() {
 		return fmt.Errorf("stream: record %v: severity must be finite and positive", r)
+	}
+	if int(r.Sensor) >= len(p.recent) {
+		return fmt.Errorf("stream: record %v: sensor outside the %d-sensor deployment", r, len(p.recent))
 	}
 	var err error
 	if !p.started || r.Window > p.window {
@@ -199,9 +203,6 @@ func (p *Processor) Observe(r cps.Record) error {
 	// same sensor, or a δd-neighbor, with a record within MaxGap windows.
 	var home *event
 	join := func(s cps.SensorID) {
-		if int(s) >= len(p.recent) {
-			return
-		}
 		ref := p.recent[s]
 		if ref.ev == nil || r.Window-ref.window > cps.Window(p.cfg.MaxGap) {
 			return
@@ -225,10 +226,8 @@ func (p *Processor) Observe(r cps.Record) error {
 		}
 	}
 	join(r.Sensor)
-	if int(r.Sensor) < len(p.cfg.Neighbors) {
-		for _, nb := range p.cfg.Neighbors[r.Sensor] {
-			join(nb)
-		}
+	for _, nb := range p.cfg.Neighbors[r.Sensor] {
+		join(nb)
 	}
 	if home == nil {
 		home = &event{}
@@ -237,9 +236,6 @@ func (p *Processor) Observe(r cps.Record) error {
 	home.records = append(home.records, r)
 	if r.Window > home.last {
 		home.last = r.Window
-	}
-	if n := int(r.Sensor) + 1; n > len(p.recent) {
-		p.recent = append(p.recent, make([]sensorRef, n-len(p.recent))...)
 	}
 	prev := p.recent[r.Sensor]
 	p.recent[r.Sensor] = sensorRef{ev: home, window: r.Window}

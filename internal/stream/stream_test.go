@@ -523,10 +523,18 @@ func TestObserveAllCancelled(t *testing.T) {
 	}
 }
 
-// A sensor past the neighbor lists still chains its own records, across a
-// negative window and a ring wrap, and Flush clears its ref with the rest.
+// A sensor past the neighbor lists lies outside the deployment: Observe
+// rejects it and leaves the processor unchanged. A sensor with no neighbors
+// inside it still chains its own records, across a negative window and a
+// ring wrap, and Flush clears its ref with the rest.
 func TestSensorPastNeighborLists(t *testing.T) {
-	p, out := newProc(t, lineLocs(2, 10), 1.5, 2)
+	p, out := newProc(t, lineLocs(10, 10), 1.5, 2)
+	if err := p.Observe(cps.Record{Sensor: 10, Window: -1, Severity: 1}); err == nil {
+		t.Fatal("Observe accepted a sensor past the neighbor lists")
+	}
+	if p.Observed() != 0 || liveRefs(p) != 0 || p.started {
+		t.Fatalf("rejected record changed the processor: observed %d, %d refs", p.Observed(), liveRefs(p))
+	}
 	for _, r := range []cps.Record{
 		{Sensor: 0, Window: -1, Severity: 1},
 		{Sensor: 9, Window: -1, Severity: 1},

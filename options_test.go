@@ -1,19 +1,16 @@
 package atypical
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cluster"
 )
 
 func TestNewSystemOptions(t *testing.T) {
-	mk := func(mutate func(*Config), options ...Option) *System {
+	mk := func(options ...Option) *System {
 		t.Helper()
-		cfg := testConfig()
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		sys, err := NewSystem(cfg, options...)
+		sys, err := NewSystem(testConfig(), options...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,36 +19,21 @@ func TestNewSystemOptions(t *testing.T) {
 
 	// The balance function defaults to arithmetic; the typed option
 	// selects another.
-	if sys := mk(nil); sys.balance != cluster.Arithmetic {
+	if sys := mk(); sys.balance != cluster.Arithmetic {
 		t.Errorf("default balance = %v, want arithmetic", sys.balance)
 	}
-	sys := mk(nil, WithBalance(BalanceMax))
+	sys := mk(WithBalance(BalanceMax))
 	if sys.balance != cluster.Max {
 		t.Errorf("WithBalance gave %v, want max", sys.balance)
 	}
 
-	// Worker plumbing: Config.Workers and WithWorkers drive construction
-	// only; query filtering stays serial unless WithQueryWorkers opts in.
-	if sys := mk(nil); sys.workers != 0 || sys.queryWorkers != 0 {
-		t.Errorf("default workers = %d/%d, want 0/0 (serial)", sys.workers, sys.queryWorkers)
+	// WithWorkers is the one worker knob: construction only, serial by
+	// default. WithQueryWorkers is a deprecated no-op.
+	if sys := mk(); sys.workers != 0 {
+		t.Errorf("default workers = %d, want 0 (serial)", sys.workers)
 	}
-	if sys := mk(func(c *Config) { c.Workers = 3 }); sys.workers != 3 || sys.queryWorkers != 0 {
-		t.Errorf("Config.Workers=3 gave %d/%d, want 3/0", sys.workers, sys.queryWorkers)
-	}
-	if sys := mk(func(c *Config) { c.Workers = 3 }, WithWorkers(5)); sys.workers != 5 || sys.queryWorkers != 0 {
-		t.Errorf("WithWorkers(5) gave %d/%d, want 5/0", sys.workers, sys.queryWorkers)
-	}
-	sys = mk(nil, WithWorkers(5), WithQueryWorkers(2))
-	if sys.workers != 5 || sys.queryWorkers != 2 {
-		t.Errorf("WithWorkers(5)+WithQueryWorkers(2) gave %d/%d", sys.workers, sys.queryWorkers)
-	}
-	if sys.engine.Workers != 2 {
-		t.Errorf("engine workers = %d, want 2", sys.engine.Workers)
-	}
-	// WithQueryWorkers(0) keeps query filtering serial while ingestion fans
-	// out.
-	if sys := mk(nil, WithWorkers(5), WithQueryWorkers(0)); sys.engine.Workers != 0 {
-		t.Errorf("WithQueryWorkers(0) gave engine workers %d", sys.engine.Workers)
+	if sys := mk(WithWorkers(5), WithQueryWorkers(2)); sys.workers != 5 {
+		t.Errorf("WithWorkers(5)+WithQueryWorkers(2) gave %d workers, want 5", sys.workers)
 	}
 }
 
@@ -65,5 +47,22 @@ func TestParseBalanceFacade(t *testing.T) {
 	}
 	if _, err := ParseBalance("nonsense"); err == nil {
 		t.Error("bogus balance name accepted")
+	}
+}
+
+// ParseStrategy accepts each strategy's short and long name, and nothing
+// else: callers with a default substitute it before parsing.
+func TestParseStrategy(t *testing.T) {
+	for name, want := range map[string]Strategy{
+		"all": IntegrateAll, "pru": Pruned, "pruned": Pruned, "gui": Guided, "guided": Guided,
+	} {
+		if got, err := ParseStrategy(name); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "Gui", "integrate"} {
+		if _, err := ParseStrategy(name); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("ParseStrategy(%q) error = %v, want ErrInvalidRequest", name, err)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (r QueryRequest) Validate() error {
 // point funnels through: it validates the request (ErrInvalidRequest),
 // snapshots the current engine under the system lock (so a concurrent
 // LoadForest cannot tear the query), refuses Guided runs while the severity
-// index is stale (ErrSeverityStale), honors ctx inside the parallel engine,
+// index is stale (ErrSeverityStale), honors ctx between the engine's stages,
 // and — on a sharded system — refuses partial answers unless
 // req.AllowPartial is set.
 func (s *System) Run(ctx context.Context, req QueryRequest) (*RunResult, error) {

@@ -63,7 +63,7 @@ func WithShardClient(c *http.Client) Option {
 }
 
 // wireShards applies the shard options during NewSystem: builds the local
-// views or HTTP backends, the coordinator, and hooks it into the engine.
+// views or HTTP backends and the coordinator the engine scatters through.
 func (s *System) wireShards(o *systemOptions) error {
 	if o.shards == 0 && len(o.shardURLs) == 0 {
 		return nil
@@ -87,13 +87,35 @@ func (s *System) wireShards(o *systemOptions) error {
 		backends = views
 	} else {
 		for i, u := range o.shardURLs {
-			backends = append(backends, shard.NewHTTP(fmt.Sprintf("shard%d", i), u, o.shardClient))
+			h := shard.NewHTTP(fmt.Sprintf("shard%d", i), u, o.shardClient)
+			backends = append(backends, checkedShard{Backend: h, sensors: s.net.NumSensors()})
 		}
 		s.remote = true
 	}
 	s.coord = shard.NewCoordinator(backends, o.registry)
-	s.engine.Scatterer = s.coord
 	return nil
+}
+
+// checkedShard holds a remote shard's answer to the deployment: a cluster
+// naming a sensor outside it means the shard runs another Config, so the
+// call fails and the coordinator counts a failed shard instead of indexing
+// past Network.Sensors.
+type checkedShard struct {
+	shard.Backend
+	sensors int
+}
+
+func (b checkedShard) Candidates(ctx context.Context, tr TimeRange, regions []RegionID) ([]*Cluster, error) {
+	cs, err := b.Backend.Candidates(ctx, tr, regions)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cs {
+		if !c.WithinSensors(b.sensors) {
+			return nil, fmt.Errorf("%w: shard %s: cluster %d names a sensor outside the %d-sensor deployment", ErrInvalidConfig, b.Name(), c.ID, b.sensors)
+		}
+	}
+	return cs, nil
 }
 
 // ShardStatus is one shard's readiness report, as surfaced by ShardsReady

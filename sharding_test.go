@@ -179,42 +179,49 @@ func TestShardedPartialFailure(t *testing.T) {
 }
 
 // A shard answering with a CRC-valid frame whose cluster breaks
-// cluster.Feature.Valid (NaN, negative, repeated key, +Inf) is a failed
-// shard, like a dead one: the answer is partial, or ErrPartialResult
-// without AllowPartial, and never carries a NaN severity.
+// cluster.Feature.Valid (NaN, negative, repeated key, +Inf) or names a
+// sensor outside the deployment is a failed shard, like a dead one: the
+// answer is partial, or ErrPartialResult without AllowPartial, and never
+// carries a NaN severity.
 func TestShardedInvalidFrame(t *testing.T) {
-	var frame bytes.Buffer
-	bad := &cluster.Cluster{ID: 1, Micros: 1,
-		SF: cluster.SpatialFeature{{Key: 5, Sev: Severity(math.NaN())}, {Key: 2, Sev: -1}, {Key: 2, Sev: 3}},
-		TF: cluster.TemporalFeature{{Key: 7, Sev: Severity(math.Inf(1))}},
-	}
-	if _, err := storage.WriteClustersExact(&frame, []*cluster.Cluster{bad}); err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc(ShardQueryPath, func(w http.ResponseWriter, _ *http.Request) { w.Write(frame.Bytes()) })
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	sys := buildSystem(t, WithShardServers(shardServers(t, buildSystem(t), 2)[0], srv.URL))
-
-	rep := mustRun(t, sys, QueryRequest{Days: 7, AllowPartial: true})
-	if !rep.Partial || len(rep.FailedShards) != 1 || rep.FailedShards[0] != "shard1" {
-		t.Fatalf("Partial = %v, FailedShards = %v; want the invalid shard failed", rep.Partial, rep.FailedShards)
-	}
-	for _, c := range rep.Macros {
-		if sev := c.Severity(); !sev.Valid() {
-			t.Fatalf("answer holds severity %v", sev)
+	data := buildSystem(t)
+	outside := cps.SensorID(data.Network().NumSensors() + 5)
+	for name, bad := range map[string]*cluster.Cluster{
+		"invalid features": {ID: 1, Micros: 1,
+			SF: cluster.SpatialFeature{{Key: 5, Sev: Severity(math.NaN())}, {Key: 2, Sev: -1}, {Key: 2, Sev: 3}},
+			TF: cluster.TemporalFeature{{Key: 7, Sev: Severity(math.Inf(1))}},
+		},
+		"sensor outside the deployment": cluster.FromRecords(1, []Record{{Sensor: outside, Window: 7, Severity: 1}}),
+	} {
+		var frame bytes.Buffer
+		if _, err := storage.WriteClustersExact(&frame, []*cluster.Cluster{bad}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := sys.Run(context.Background(), QueryRequest{Days: 7}); !errors.Is(err, ErrPartialResult) {
-		t.Fatalf("Run without AllowPartial = %v, want ErrPartialResult", err)
+		mux := http.NewServeMux()
+		mux.HandleFunc(ShardQueryPath, func(w http.ResponseWriter, _ *http.Request) { w.Write(frame.Bytes()) })
+		srv := httptest.NewServer(mux)
+		defer srv.Close()
+		sys := buildSystem(t, WithShardServers(shardServers(t, data, 2)[0], srv.URL))
+
+		rep := mustRun(t, sys, QueryRequest{Days: 7, AllowPartial: true})
+		if !rep.Partial || len(rep.FailedShards) != 1 || rep.FailedShards[0] != "shard1" {
+			t.Fatalf("%s: Partial = %v, FailedShards = %v; want the invalid shard failed", name, rep.Partial, rep.FailedShards)
+		}
+		for _, c := range rep.Macros {
+			if sev := c.Severity(); !sev.Valid() {
+				t.Fatalf("%s: answer holds severity %v", name, sev)
+			}
+		}
+		if _, err := sys.Run(context.Background(), QueryRequest{Days: 7}); !errors.Is(err, ErrPartialResult) {
+			t.Fatalf("%s: Run without AllowPartial = %v, want ErrPartialResult", name, err)
+		}
 	}
 }
 
 // Scatter-gather under the race detector: concurrent sharded queries across
 // strategies while the shard views serve them.
 func TestShardedQueryRaceHammer(t *testing.T) {
-	sys := buildSystem(t, WithShards(4), WithQueryWorkers(2))
+	sys := buildSystem(t, WithShards(4))
 	want := mustRun(t, sys, QueryRequest{Days: 7, AllowPartial: true}).CandidateMicros
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -1,6 +1,8 @@
 package atypical
 
 import (
+	"fmt"
+
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/gen"
@@ -96,3 +98,21 @@ const (
 // "geometric", "arithmetic", "max") to its constant — the bridge from
 // command-line flags and config files to the typed WithBalance option.
 func ParseBalance(s string) (Balance, error) { return cluster.ParseBalance(s) }
+
+// ParseStrategy maps a strategy's name ("all", "pru" or "pruned", "gui" or
+// "guided") to its constant — the bridge from command-line flags and query
+// parameters to QueryRequest.Strategy. Any other name, the empty one
+// included, returns an error wrapping ErrInvalidRequest; callers with a
+// default substitute it before parsing.
+func ParseStrategy(s string) (Strategy, error) {
+	switch s {
+	case "all":
+		return IntegrateAll, nil
+	case "pru", "pruned":
+		return Pruned, nil
+	case "gui", "guided":
+		return Guided, nil
+	default:
+		return 0, fmt.Errorf("%w: unknown strategy %q (want all, pru or gui)", ErrInvalidRequest, s)
+	}
+}
