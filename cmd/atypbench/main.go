@@ -4,14 +4,16 @@
 //
 // Usage:
 //
-//	atypbench [-exp fig17] [-csv] [-sensors 400] [-months 12] [-querymonths 3]
+//	atypbench [-exp id] [-csv] [-sensors 400] [-months 12] [-querymonths 3]
 //	          [-days 28] [-seed 42] [-deltas 0.02] [-deltad 1.5] [-deltat 15m]
 //	          [-deltasim 0.5] [-balance avg]
 //	          [-parjson BENCH_parallel.json] [-workers 0] [-maxregress 0.25]
 //	          [-benchshards 2]
 //
-// Without -exp, all experiments run in presentation order. Fig. 15 also
-// emits Fig. 16 (they share a sweep).
+// -exp picks one experiment id of experiments.Order (atypbench -h lists
+// them): the paper's figures, par-construct, the abl-* ablations and the
+// ext-* extensions. Without -exp, all experiments run in that order.
+// Fig. 15 also emits Fig. 16 (they share a sweep).
 //
 // In -parjson mode the measurement runs in three child processes, one after
 // another. In each, the serial and the parallel construction run seven
@@ -51,16 +53,17 @@ import (
 	"os"
 	"os/exec"
 	"slices"
+	"strings"
 	"time"
 
-	"github.com/cpskit/atypical/internal/cluster"
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/experiments"
 	"github.com/cpskit/atypical/internal/faultfs"
 )
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "experiment id (fig14, fig15, fig17, fig18, fig19, fig20, fig21); empty = all")
+		exp         = flag.String("exp", "", "experiment id ("+strings.Join(experiments.Order, ", ")+"); empty = all")
 		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		sensors     = flag.Int("sensors", 400, "approximate deployment size")
 		months      = flag.Int("months", 12, "datasets for the construction sweep (figs 15-16)")
@@ -79,21 +82,23 @@ func main() {
 	)
 	flag.Parse()
 
-	bal, err := cluster.ParseBalance(*balance)
+	bal, err := atypical.ParseBalance(*balance)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := experiments.Config{
-		Sensors:      *sensors,
-		Months:       *months,
-		QueryMonths:  *qmonths,
-		DaysPerMonth: *days,
-		Seed:         *seed,
-		DeltaS:       *deltaS,
-		DeltaD:       *deltaD,
-		DeltaT:       *deltaT,
-		DeltaSim:     *deltaSim,
-		Balance:      bal,
+		Config: atypical.Config{
+			Sensors:      *sensors,
+			Seed:         *seed,
+			DaysPerMonth: *days,
+			DeltaD:       *deltaD,
+			DeltaT:       *deltaT,
+			DeltaS:       *deltaS,
+			SimThreshold: *deltaSim,
+		},
+		Months:      *months,
+		QueryMonths: *qmonths,
+		Balance:     bal,
 	}
 	env, err := experiments.NewEnv(cfg)
 	if err != nil {
@@ -175,11 +180,9 @@ func main() {
 
 	ids := experiments.Order
 	if *exp != "" {
-		fn, ok := experiments.Registry[*exp]
-		if !ok {
+		if _, ok := experiments.Registry[*exp]; !ok {
 			fatal(fmt.Errorf("unknown experiment %q", *exp))
 		}
-		_ = fn
 		ids = []string{*exp}
 	}
 	for _, id := range ids {

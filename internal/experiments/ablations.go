@@ -67,8 +67,8 @@ func AblIntegrate(e *Env) []*Table {
 		Title:  "Cluster integration: posting-list candidates vs literal Algorithm 3 (ms)",
 		Header: []string{"micros", "indexed(ms)", "naive(ms)", "macros"},
 	}
-	micros := flattenDays(e.MonthMicros(0))
-	opts := e.IntegrateOptions()
+	micros := e.micros(e.Cfg.DaysPerMonth)
+	opts := e.Sys.Forest().Options()
 	for _, n := range []int{100, 200, 400, 800} {
 		if n > len(micros) {
 			n = len(micros)

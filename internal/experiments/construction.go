@@ -31,7 +31,7 @@ func Fig14(e *Env) []*Table {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("thresholds: δs=%.3g δd=%.1fmi δt=%s δsim=%.2g g=%s",
-			e.Cfg.DeltaS, e.Cfg.DeltaD, e.Cfg.DeltaT, e.Cfg.DeltaSim, e.Cfg.Balance))
+			e.Cfg.DeltaS, e.Cfg.DeltaD, e.Cfg.DeltaT, e.Cfg.SimThreshold, e.Cfg.Balance))
 	return []*Table{t}
 }
 

@@ -220,14 +220,29 @@ func sscan(s string, v *float64) (int, error) {
 
 func TestAblationsRun(t *testing.T) {
 	e := testEnv(t)
-	for _, id := range []string{"abl-extract", "abl-integrate", "abl-agg"} {
+	tables := map[string]*Table{}
+	for _, id := range []string{"abl-extract", "abl-integrate", "abl-agg", "par-construct", "ext-stream", "ext-predict", "ext-trust"} {
 		tabs := Registry[id](e)
 		if len(tabs) != 1 {
 			t.Fatalf("%s tables = %d", id, len(tabs))
 		}
 		if len(tabs[0].Rows) == 0 {
-			t.Errorf("%s produced no rows", id)
+			t.Errorf("%s produced no rows (notes %q)", id, tabs[0].Notes)
 		}
+		tables[id] = tabs[0]
+	}
+	// ext-stream rows: batch, then stream; column 2 is the total severity,
+	// which the stream must reproduce exactly.
+	if rows := tables["ext-stream"].Rows; len(rows) != 2 || rows[0][2] != rows[1][2] {
+		t.Errorf("ext-stream batch and stream severities differ: %v", rows)
+	}
+	// ext-trust rows: healthy, then the injected faulty sensors; column 2 is
+	// the mean trust.
+	if rows := tables["ext-trust"].Rows; len(rows) != 2 || parseF(t, rows[0][2]) <= parseF(t, rows[1][2]) {
+		t.Errorf("ext-trust healthy mean trust not above the faulty mean: %v", rows)
+	}
+	if sq := MeasureShardedQuery(e, 2); !sq.Identical {
+		t.Errorf("sharded query over 2 shards diverged from the unsharded answer: %+v", sq)
 	}
 }
 

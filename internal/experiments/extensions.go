@@ -8,8 +8,6 @@ import (
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/predict"
-	"github.com/cpskit/atypical/internal/stream"
-	"github.com/cpskit/atypical/internal/trust"
 )
 
 // ExtStream measures the online event processor against batch extraction:
@@ -41,14 +39,10 @@ func ExtStream(e *Env) []*Table {
 	// Stream: records arrive in window order; events close online.
 	var streamCount int
 	var streamSev cps.Severity
-	proc, err := stream.New(stream.Config{
-		Neighbors: e.neighbors,
-		MaxGap:    e.maxGap,
-		Emit: func(c *cluster.Cluster) {
-			streamCount++
-			streamSev += c.Severity()
-		},
-	}, &idgen)
+	proc, err := e.Sys.NewStreamProcessor(func(c *cluster.Cluster) {
+		streamCount++
+		streamSev += c.Severity()
+	})
 	if err != nil {
 		t.Notes = append(t.Notes, "stream init failed: "+err.Error())
 		return []*Table{t}
@@ -84,15 +78,8 @@ func ExtPredict(e *Env) []*Table {
 		trainDays = 1
 	}
 	byDay := e.Dataset(0).Atypical.SplitByDay(e.Spec)
-	monthMicros := e.MonthMicros(0)
-	var trainMicros []*cluster.Cluster
-	cps.ForEachDay(monthMicros, func(day int, micros []*cluster.Cluster) {
-		if day < trainDays {
-			trainMicros = append(trainMicros, micros...)
-		}
-	})
 	var idgen cluster.IDGen
-	macros := cluster.Integrate(&idgen, trainMicros, e.IntegrateOptions())
+	macros := cluster.Integrate(&idgen, e.micros(trainDays), e.Sys.Forest().Options())
 	model, err := predict.Train(macros, predict.Config{
 		TrainingDays:  trainDays,
 		Period:        e.Spec.PerDay(),
@@ -142,12 +129,11 @@ func ExtTrust(e *Env) []*Table {
 			})
 		}
 	}
-	a, err := trust.New(trust.Config{Neighbors: e.neighbors, MaxGap: e.maxGap})
+	scores, err := e.Sys.TrustScores(cps.NewRecordSet(noisy))
 	if err != nil {
 		t.Notes = append(t.Notes, "analyzer failed: "+err.Error())
 		return []*Table{t}
 	}
-	scores := a.Scores(cps.NewRecordSet(noisy).Records())
 
 	var stats [2]struct {
 		n               int

@@ -8,11 +8,10 @@ import (
 	"slices"
 	"time"
 
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/cube"
-	"github.com/cpskit/atypical/internal/obs"
-	"github.com/cpskit/atypical/internal/query"
 )
 
 // ParStage holds one construction run's per-stage wall-clock seconds: the
@@ -62,8 +61,8 @@ type ParResult struct {
 	// which drifts between processes on a shared VM; zero in artifacts
 	// from before the field existed.
 	Calib float64 `json:"calib_s,omitempty"`
-	// Metrics is a flattened obs snapshot from an instrumented query pass
-	// over the constructed stack (one All/Pru/Gui week each) — the
+	// Metrics is a flattened obs snapshot of the environment's System after
+	// its ingest and one All/Pru/Gui week query each — the
 	// bench-quick artifact doubling as an observability smoke test. JSON
 	// marshals maps in sorted key order, so the artifact is deterministic
 	// modulo timing-valued series.
@@ -74,18 +73,13 @@ type ParResult struct {
 	ShardQuery *ShardQueryBench `json:"shard_query,omitempty"`
 }
 
-// queryMetrics runs one week-long query per strategy against an instrumented
-// engine and returns the flattened metrics snapshot.
+// queryMetrics runs one week-long query per strategy on Sys and returns the
+// flattened snapshot of its observer, which also holds NewEnv's ingest.
 func (e *Env) queryMetrics() map[string]float64 {
-	reg := obs.NewRegistry()
-	engine := e.QueryStack()
-	engine.Forest.SetObserver(reg)
-	engine.Obs = query.NewMetrics(reg)
-	q := query.CityQuery(e.Net, e.Spec, 0, min(7, e.Cfg.QueryMonths*e.Cfg.DaysPerMonth), e.Cfg.DeltaS)
-	for s := query.All; s <= query.Gui; s++ {
-		mustRun(engine, q, s)
+	for _, s := range strategies {
+		e.run(atypical.QueryRequest{Days: min(7, e.Cfg.QueryMonths*e.Cfg.DaysPerMonth), Strategy: s})
 	}
-	return reg.Snapshot().Flatten()
+	return e.Sys.Metrics().Flatten()
 }
 
 // parStage runs one full offline construction of month 0. workers == 0 takes
@@ -124,7 +118,7 @@ func (e *Env) parStage(workers int) ParStage {
 		micros = append(micros, cs...)
 	}
 	start = time.Now()
-	cluster.Integrate(&idgen, micros, e.IntegrateOptions())
+	cluster.Integrate(&idgen, micros, e.Sys.Forest().Options())
 	s.Integrate = time.Since(start).Seconds()
 
 	sev := cube.NewSeverityIndex(e.Net, e.Spec)

@@ -3,18 +3,17 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/cpskit/atypical"
 	"github.com/cpskit/atypical/internal/eval"
-	"github.com/cpskit/atypical/internal/query"
 )
 
 // strategies in the order the paper's legends use.
-var strategies = []query.Strategy{query.All, query.Pru, query.Gui}
+var strategies = []atypical.Strategy{atypical.IntegrateAll, atypical.Pruned, atypical.Guided}
 
 // Fig17 reproduces query efficiency vs query range: (a) wall-clock time and
 // (b) the number of input micro-clusters (the I/O measure), for the three
 // strategies over a whole-city query.
 func Fig17(e *Env) []*Table {
-	engine := e.QueryStack()
 	a := &Table{
 		ID:     "fig17a",
 		Title:  "Query time vs range (seconds; paper: Gui ≈ 15-20% of All, close to Pru)",
@@ -29,8 +28,7 @@ func Fig17(e *Env) []*Table {
 		times := make([]float64, len(strategies))
 		inputs := make([]int, len(strategies))
 		for i, s := range strategies {
-			q := query.CityQuery(e.Net, e.Spec, 0, days, e.Cfg.DeltaS)
-			res := mustRun(engine, q, s)
+			res := e.run(atypical.QueryRequest{Days: days, Strategy: s})
 			times[i] = res.Elapsed.Seconds()
 			inputs[i] = res.InputMicros
 		}
@@ -43,7 +41,6 @@ func Fig17(e *Env) []*Table {
 // Fig18 reproduces precision and recall of significant clusters vs query
 // range. Ground truth is the significant set of All (Section V-B protocol).
 func Fig18(e *Env) []*Table {
-	engine := e.QueryStack()
 	a := &Table{
 		ID:     "fig18a",
 		Title:  "Precision vs range (paper: Pru highest, precision drops with range)",
@@ -55,8 +52,7 @@ func Fig18(e *Env) []*Table {
 		Header: []string{"days", "All", "Pru", "Gui"},
 	}
 	for _, days := range e.QueryRanges() {
-		q := query.CityQuery(e.Net, e.Spec, 0, days, e.Cfg.DeltaS)
-		pr := scoreStrategies(e, engine, q)
+		pr := scoreStrategies(e, atypical.QueryRequest{Days: days})
 		a.AddRow(days, pr[0].Precision, pr[1].Precision, pr[2].Precision)
 		b.AddRow(days, pr[0].Recall, pr[1].Recall, pr[2].Recall)
 	}
@@ -69,7 +65,6 @@ func Fig18(e *Env) []*Table {
 // EXPERIMENTS.md): the paper's 2-20% on 4,076 sensors corresponds to
 // 0.5-5% here.
 func Fig19(e *Env) []*Table {
-	engine := e.QueryStack()
 	a := &Table{
 		ID:     "fig19a",
 		Title:  "Precision vs δs, 14-day query (paper: precision drops as δs grows)",
@@ -85,8 +80,7 @@ func Fig19(e *Env) []*Table {
 		days = max
 	}
 	for _, ds := range []float64{0.005, 0.01, 0.015, 0.02, 0.03, 0.05} {
-		q := query.CityQuery(e.Net, e.Spec, 0, days, ds)
-		pr := scoreStrategies(e, engine, q)
+		pr := scoreStrategies(e, atypical.QueryRequest{Days: days, DeltaS: ds})
 		label := fmt.Sprintf("%.1f%%", ds*100)
 		a.AddRow(label, pr[0].Precision, pr[1].Precision, pr[2].Precision)
 		b.AddRow(label, pr[0].Recall, pr[1].Recall, pr[2].Recall)
@@ -94,12 +88,13 @@ func Fig19(e *Env) []*Table {
 	return []*Table{a, b}
 }
 
-// scoreStrategies runs all three strategies on q and scores them against
-// All's significant set.
-func scoreStrategies(e *Env, engine *query.Engine, q query.Query) []eval.PR {
-	results := make([]*query.Result, len(strategies))
+// scoreStrategies runs req under all three strategies and scores them
+// against All's significant set.
+func scoreStrategies(e *Env, req atypical.QueryRequest) []eval.PR {
+	results := make([]*atypical.RunResult, len(strategies))
 	for i, s := range strategies {
-		results[i] = mustRun(engine, q, s)
+		req.Strategy = s
+		results[i] = e.run(req)
 	}
 	truth := results[0].Significant // All prunes nothing: its significant set is ground truth
 	out := make([]eval.PR, len(strategies))

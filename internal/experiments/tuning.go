@@ -7,7 +7,6 @@ import (
 	"github.com/cpskit/atypical/internal/cluster"
 	"github.com/cpskit/atypical/internal/cps"
 	"github.com/cpskit/atypical/internal/forest"
-	"github.com/cpskit/atypical/internal/index"
 )
 
 // Fig20 reproduces the cluster-count parameter study: the number of
@@ -44,36 +43,19 @@ type countRow struct {
 	sigMonth    int
 }
 
-// clusterCounts extracts month 0 under (δd, δt) and counts clusters at each
-// level of the forest.
+// clusterCounts builds a System under (δd, δt), ingests month 0 into it,
+// and counts clusters at each level of its forest.
 func (e *Env) clusterCounts(deltaD float64, deltaT time.Duration) countRow {
-	ds := e.Dataset(0)
-	neighbors := e.neighbors
-	//atyplint:ignore floatcmp comparing a configured parameter against its default, both assigned never computed
-	if deltaD != e.Cfg.DeltaD {
-		neighbors = index.NewNeighborIndex(e.Locs(), deltaD).NeighborLists()
-	}
-	maxGap := cluster.MaxWindowGap(deltaT, e.Spec.Width)
-
-	var idgen cluster.IDGen
-	f := forest.New(e.Spec, &idgen, e.IntegrateOptions(), e.Cfg.DaysPerMonth)
-	totalMicros := 0
-	days := 0
-	cps.ForEachDay(ds.Atypical.SplitByDay(e.Spec), func(day int, recs []cps.Record) {
-		micros := cluster.ExtractMicroClusters(&idgen, recs, neighbors, maxGap)
-		f.AddDay(day, micros)
-		totalMicros += len(micros)
-		days++
-	})
+	cfg := e.Cfg.Config
+	cfg.DeltaD, cfg.DeltaT = deltaD, deltaT
+	f := e.system(cfg, 1).Forest()
+	st := f.Stats()
 
 	n := e.Net.NumSensors()
 	weekBound := cluster.SignificanceBound(e.Cfg.DeltaS, 7*e.Spec.PerDay(), n)
 	monthBound := cluster.SignificanceBound(e.Cfg.DeltaS, e.Cfg.DaysPerMonth*e.Spec.PerDay(), n)
 
-	weeks := e.Cfg.DaysPerMonth / forest.DaysPerWeek
-	if weeks == 0 {
-		weeks = 1
-	}
+	weeks := max(e.Cfg.DaysPerMonth/forest.DaysPerWeek, 1)
 	var macroWeek, sigWeek int
 	for w := 0; w < weeks; w++ {
 		cs := f.Week(w)
@@ -92,7 +74,7 @@ func (e *Env) clusterCounts(deltaD float64, deltaT time.Duration) countRow {
 		}
 	}
 	return countRow{
-		microPerDay: float64(totalMicros) / float64(maxIntE(days, 1)),
+		microPerDay: float64(st.MicroTotal) / float64(max(st.Days, 1)),
 		macroWeek:   float64(macroWeek) / float64(weeks),
 		macroMonth:  len(month),
 		sigWeek:     float64(sigWeek) / float64(weeks),
@@ -108,8 +90,8 @@ func Fig21(e *Env) []*Table {
 		Title:  "Avg severity of significant clusters vs δsim (paper: max integrates most, min least; severity falls with δsim)",
 		Header: []string{"δsim", "min", "har", "geo", "avg", "max"},
 	}
-	// Extract once at default thresholds; reuse across (g, δsim).
-	leaves := flattenDays(e.MonthMicros(0))
+	// Month 0 at the default thresholds, reused across (g, δsim).
+	leaves := e.micros(e.Cfg.DaysPerMonth)
 	n := e.Net.NumSensors()
 	bound := cluster.SignificanceBound(e.Cfg.DeltaS, e.Cfg.DaysPerMonth*e.Spec.PerDay(), n)
 
@@ -117,11 +99,8 @@ func Fig21(e *Env) []*Table {
 		row := []any{fmt.Sprintf("%.1f", dsim)}
 		for _, g := range cluster.Balances {
 			var idgen cluster.IDGen
-			opts := cluster.IntegrateOptions{
-				SimThreshold: dsim,
-				Balance:      g,
-				Period:       cps.Window(e.Spec.PerDay()),
-			}
+			opts := e.Sys.Forest().Options()
+			opts.SimThreshold, opts.Balance = dsim, g
 			macros := cluster.Integrate(&idgen, leaves, opts)
 			var sum cps.Severity
 			count := 0
@@ -141,13 +120,6 @@ func Fig21(e *Env) []*Table {
 	}
 	t.Notes = append(t.Notes, "severity unit: aggregated atypical minutes per significant monthly cluster")
 	return []*Table{t}
-}
-
-func maxIntE(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Registry maps experiment ids to their functions. Fig. 15 and 16 share a
