@@ -22,7 +22,7 @@
 //	sys, err := atypical.NewSystem(atypical.DefaultConfig())
 //	if err != nil { ... }
 //	ds := sys.GenerateMonth(0)           // or ingest your own records
-//	sys.Ingest(ds.Atypical)
+//	if err := sys.IngestCtx(ctx, ds.Atypical); err != nil { ... }
 //	res, err := sys.Run(ctx, atypical.QueryRequest{
 //		Days:     7,                     // Q(whole city, days [0, 7))
 //		Strategy: atypical.Guided,
@@ -379,25 +379,19 @@ func (s *System) QueryCacheStats() (hits, misses, evictions uint64) {
 // stand-in for the paper's monthly PeMS datasets.
 func (s *System) GenerateMonth(m int) *gen.Dataset { return s.gen.Month(m) }
 
-// Ingest runs offline model construction over an atypical record set:
+// IngestCtx runs offline model construction over an atypical record set:
 // Algorithm 1 per day (events → micro-clusters into the forest) plus the
 // bottom-up severity index used for red zones. With WithWorkers set, the
 // per-day work fans out across the pool; the resulting forest and index are
 // byte-identical to a serial ingest regardless of worker count or
 // GOMAXPROCS.
-func (s *System) Ingest(rs *cps.RecordSet) {
-	// A background context cannot cancel, so the only error is a rejected
-	// record set (see IngestCtx), which ingests nothing and is recorded in
-	// the API error metrics; callers that must know use IngestCtx.
-	_ = s.IngestCtx(context.Background(), rs)
-}
-
-// IngestCtx is Ingest with cooperative cancellation. On cancellation no day
-// is partially ingested, but days already handed to the forest stay: callers
-// abandoning an ingest mid-way should rebuild from scratch. A record set
-// holding a sensor outside the deployment or a severity that is not finite
-// and positive, or one whose events sum a feature entry to +Inf, is rejected
-// whole with an error wrapping ErrInvalidConfig before anything is ingested.
+//
+// A record set holding a sensor outside the deployment or a severity that
+// is not finite and positive, or one whose events sum a feature entry to
+// +Inf, is rejected whole with an error wrapping ErrInvalidConfig before
+// anything is ingested. The context cancels cooperatively: no day is
+// partially ingested, but days already handed to the forest stay, so
+// callers abandoning an ingest mid-way should rebuild from scratch.
 func (s *System) IngestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	ctx, sp := obs.Start(s.armSpans(ctx), "ingest")
 	err := s.ingestCtx(ctx, rs)
@@ -408,7 +402,7 @@ func (s *System) IngestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	return err
 }
 
-// ingestCtx is the shared ingest body behind Ingest/IngestCtx.
+// ingestCtx is IngestCtx's body, run under its span.
 func (s *System) ingestCtx(ctx context.Context, rs *cps.RecordSet) error {
 	s.mu.RLock()
 	fst, sev, workers := s.forest, s.sev, s.workers
@@ -492,17 +486,10 @@ func (s *System) storeDay(fst *forest.Forest) func(day int, micros []*cluster.Cl
 	return fst.AppendDay
 }
 
-// IngestMonths generates and ingests months [0, n), returning the generated
-// datasets (with ground truth) for inspection. It is the legacy wrapper over
-// IngestMonthsCtx; a background context cannot cancel, so the slice always
-// covers all n months.
-func (s *System) IngestMonths(n int) []*gen.Dataset {
-	out, _ := s.IngestMonthsCtx(context.Background(), n)
-	return out
-}
-
-// IngestMonthsCtx is IngestMonths with cooperative cancellation, returning
-// the datasets ingested before the context fired.
+// IngestMonthsCtx generates and ingests months [0, n) through IngestCtx,
+// returning the generated datasets (with ground truth) for inspection. On a
+// rejected month or a cancelled context it returns the datasets ingested
+// before it, with the error.
 func (s *System) IngestMonthsCtx(ctx context.Context, n int) ([]*gen.Dataset, error) {
 	out := make([]*gen.Dataset, 0, n)
 	for m := 0; m < n; m++ {

@@ -1,6 +1,7 @@
 package atypical
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,6 +11,26 @@ func testConfig() Config {
 	cfg.Sensors = 250
 	cfg.DaysPerMonth = 7
 	return cfg
+}
+
+// mustIngest ingests rs through IngestCtx, failing the test if the record
+// set is rejected.
+func mustIngest(t testing.TB, sys *System, rs *RecordSet) {
+	t.Helper()
+	if err := sys.IngestCtx(context.Background(), rs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustIngestMonths generates and ingests months [0, n) through
+// IngestMonthsCtx, failing the test if a month is rejected.
+func mustIngestMonths(t testing.TB, sys *System, n int) []*Dataset {
+	t.Helper()
+	out, err := sys.IngestMonthsCtx(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestNewSystemValidation(t *testing.T) {
@@ -41,7 +62,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if sys.Network().NumSensors() == 0 {
 		t.Fatal("no sensors")
 	}
-	datasets := sys.IngestMonths(1)
+	datasets := mustIngestMonths(t, sys, 1)
 	if len(datasets) != 1 || datasets[0].Atypical.Len() == 0 {
 		t.Fatal("no workload generated")
 	}
@@ -79,7 +100,7 @@ func TestDescribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	mustIngestMonths(t, sys, 1)
 	res := mustRun(t, sys, QueryRequest{Days: 7})
 	if len(res.Macros) == 0 {
 		t.Fatal("no clusters to describe")
@@ -101,7 +122,7 @@ func TestQueryBoxNarrowsScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	mustIngestMonths(t, sys, 1)
 	city := mustRun(t, sys, QueryRequest{Days: 7})
 	half := sys.Network().Grid.Box
 	half.Max.Lat = (half.Min.Lat + half.Max.Lat) / 2
@@ -118,9 +139,9 @@ func TestIngestIsIncremental(t *testing.T) {
 	}
 	ds := sys.GenerateMonth(0)
 	// Ingest the same records twice: days gain clusters, nothing is lost.
-	sys.Ingest(ds.Atypical)
+	mustIngest(t, sys, ds.Atypical)
 	first := sys.Forest().Stats().MicroTotal
-	sys.Ingest(ds.Atypical)
+	mustIngest(t, sys, ds.Atypical)
 	second := sys.Forest().Stats().MicroTotal
 	if second != 2*first {
 		t.Errorf("double ingest micros = %d, want %d", second, 2*first)
@@ -142,7 +163,7 @@ func TestRankingAndExplicitScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	mustIngestMonths(t, sys, 1)
 	res := mustRun(t, sys, QueryRequest{Days: 7})
 	if len(res.Significant) == 0 {
 		t.Skip("no significant clusters on this seed")

@@ -341,7 +341,9 @@ func benchIntegrateLong(b *testing.B, days int) {
 		if err != nil {
 			panic(err)
 		}
-		sys.IngestMonths(3)
+		if _, err := sys.IngestMonthsCtx(context.Background(), 3); err != nil {
+			panic(err)
+		}
 		longSys = sys
 	})
 	micros := longSys.Forest().MicrosInRange(cps.DayRange(longSys.Spec(), 0, days))

@@ -88,7 +88,7 @@ func TestQueryCacheInvalidatedByIngest(t *testing.T) {
 	if rep := mustRun(t, sys, req); rep.CandidateMicros != before.CandidateMicros {
 		t.Fatal("hit changed the answer")
 	}
-	sys.Ingest(sys.GenerateMonth(1).Atypical)
+	mustIngest(t, sys, sys.GenerateMonth(1).Atypical)
 	after := mustRun(t, sys, req)
 	hits, misses, evictions := sys.QueryCacheStats()
 	if hits != 1 || misses != 2 || evictions != 1 {
@@ -143,7 +143,9 @@ func TestQueryCacheConcurrentHammer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sys.Ingest(sys.GenerateMonth(1).Atypical)
+		if err := sys.IngestCtx(context.Background(), sys.GenerateMonth(1).Atypical); err != nil {
+			t.Error(err)
+		}
 	}()
 	wg.Wait()
 }

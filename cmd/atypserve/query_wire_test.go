@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -21,7 +22,9 @@ func serveSystem(t *testing.T, options ...atypical.Option) (*atypical.System, ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	if err := sys.IngestCtx(context.Background(), sys.GenerateMonth(0).Atypical); err != nil {
+		t.Fatal(err)
+	}
 	var ready atomic.Bool
 	ready.Store(true)
 	var logs lockedBuffer
@@ -169,7 +172,9 @@ func TestQueryPartialSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data.Ingest(data.GenerateMonth(0).Atypical)
+	if err := data.IngestCtx(context.Background(), data.GenerateMonth(0).Atypical); err != nil {
+		t.Fatal(err)
+	}
 	sh, err := data.ShardHandler(0, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func buildSystem(t *testing.T, options ...Option) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	mustIngest(t, sys, sys.GenerateMonth(0).Atypical)
 	return sys
 }
 
@@ -105,7 +105,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		sys.GenerateMonth(1).Atypical,
 		sys.GenerateMonth(2).Atypical,
 	}
-	sys.Ingest(months[0])
+	mustIngest(t, sys, months[0])
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -39,7 +39,7 @@ var ErrInvalidConfig = errors.New("atypical: invalid configuration")
 // matches the forest: the forest was loaded from disk but the index — which
 // is not persisted — was not rebuilt. Guided queries would silently return
 // nothing against an empty index, so they are refused until RebuildSeverity
-// (or a full re-Ingest after LoadForestAndRebuild) runs. All- and
+// (or a full re-ingest after LoadForestAndRebuild) runs. All- and
 // Pruned-strategy queries never consult the index and keep working.
 var ErrSeverityStale = errors.New("atypical: severity index is stale; call RebuildSeverity")
 

@@ -26,7 +26,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	if _, err := sys.IngestMonthsCtx(context.Background(), 1); err != nil {
+		log.Fatal(err)
+	}
 	spec := sys.Spec()
 
 	// Synthesize the context dimensions: rain on ~30% of days, ten

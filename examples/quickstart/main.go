@@ -28,7 +28,9 @@ func main() {
 	ds := sys.GenerateMonth(0)
 	fmt.Printf("week of data: %d atypical records (%.1f%% of readings)\n",
 		ds.Atypical.Len(), ds.AtypicalPct())
-	sys.Ingest(ds.Atypical)
+	if err := sys.IngestCtx(context.Background(), ds.Atypical); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("forest: %d micro-clusters across %d days\n\n",
 		sys.Forest().Stats().MicroTotal, sys.Forest().Stats().Days)
 

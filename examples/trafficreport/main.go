@@ -26,7 +26,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	if _, err := sys.IngestMonthsCtx(context.Background(), 1); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("=== Monthly congestion report ===")
 	res, err := sys.Run(context.Background(), atypical.QueryRequest{Days: 28, Strategy: atypical.Guided})

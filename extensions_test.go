@@ -155,7 +155,7 @@ func TestStreamProcessorThroughFacade(t *testing.T) {
 		}
 	}
 	sys2, _ := NewSystem(testConfig())
-	sys2.Ingest(sys2.GenerateMonth(0).Atypical)
+	mustIngest(t, sys2, sys2.GenerateMonth(0).Atypical)
 	var batchSev Severity
 	for _, day := range sys2.Forest().Days() {
 		for _, c := range sys2.Forest().Day(day) {
@@ -177,7 +177,7 @@ func TestTrainPredictorThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	mustIngestMonths(t, sys, 1)
 
 	m, err := sys.TrainPredictor(0, 10, 0.2)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestForestPersistenceThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := sys.GenerateMonth(0)
-	sys.Ingest(ds.Atypical)
+	mustIngest(t, sys, ds.Atypical)
 	want := sys.Forest().Stats()
 	dir := t.TempDir()
 	if err := sys.SaveForest(dir); err != nil {
@@ -294,7 +294,7 @@ func TestLoadForestAnswerIDsUnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.IngestMonths(1)
+	mustIngestMonths(t, sys, 1)
 	dir := t.TempDir()
 	if err := sys.SaveForest(dir); err != nil {
 		t.Fatal(err)

@@ -121,7 +121,7 @@ func checkIntegrationGolden(t *testing.T, lines []string) {
 func TestIntegrationGolden(t *testing.T) {
 	lines := integrationGoldenLines(t, func(t *testing.T, seed int64) *System {
 		sys := newGoldenSystem(t, seed)
-		sys.IngestMonths(goldenMonths)
+		mustIngestMonths(t, sys, goldenMonths)
 		return sys
 	})
 	if *updateIntegrationGolden {
@@ -145,7 +145,7 @@ func TestReloadReproducesIntegrationGolden(t *testing.T) {
 	lines := integrationGoldenLines(t, func(t *testing.T, seed int64) *System {
 		saved := newGoldenSystem(t, seed)
 		var recs []Record
-		for _, ds := range saved.IngestMonths(goldenMonths) {
+		for _, ds := range mustIngestMonths(t, saved, goldenMonths) {
 			recs = append(recs, ds.Atypical.Records()...)
 		}
 		dir := t.TempDir()

@@ -60,7 +60,9 @@ func goldenSystem(t *testing.T, shards int) *atypical.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	if err := sys.IngestCtx(context.Background(), sys.GenerateMonth(0).Atypical); err != nil {
+		t.Fatal(err)
+	}
 	return sys
 }
 

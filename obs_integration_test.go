@@ -102,7 +102,7 @@ func TestSharedRegistryConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	mustIngest(t, sys, sys.GenerateMonth(0).Atypical)
 
 	srv := httptest.NewServer(NewDebugMux(reg))
 	defer srv.Close()
@@ -117,7 +117,10 @@ func TestSharedRegistryConcurrentUse(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		other.Ingest(other.GenerateMonth(1).Atypical)
+		if err := other.IngestCtx(context.Background(), other.GenerateMonth(1).Atypical); err != nil {
+			t.Error(err)
+			return
+		}
 		if _, err := other.Run(context.Background(), QueryRequest{Days: 7, Strategy: Pruned}); err != nil {
 			t.Error(err)
 		}
@@ -193,7 +196,7 @@ func TestSpanExporterReceivesPipelineSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	mustIngest(t, sys, sys.GenerateMonth(0).Atypical)
 	if _, err := sys.Run(context.Background(), QueryRequest{Days: 7, Strategy: Guided}); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func TestContextExporterOverridesSystemExporter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	mustIngest(t, sys, sys.GenerateMonth(0).Atypical)
 	before := sysSpans
 	ctx := WithSpanContext(context.Background(), func(Span) {
 		mu.Lock()

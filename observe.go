@@ -58,7 +58,7 @@ func WithObserver(r *Observer) Option {
 	return func(o *systemOptions) { o.registry = r }
 }
 
-// WithSpanExporter attaches a span exporter: every Ingest/Query entry point
+// WithSpanExporter attaches a span exporter: every IngestCtx/Run entry point
 // runs under a root span with stage child spans ("ingest.extract",
 // "query.integrate", ...). Ctx variants inherit any exporter already armed
 // on the caller's context in preference to this one.
@@ -210,7 +210,7 @@ func newSystemObs(r *obs.Registry) *systemObs {
 	}
 	return &systemObs{
 		ingestRecords: r.Counter("atyp_ingest_records_total",
-			"atypical records consumed by Ingest"),
+			"atypical records consumed by IngestCtx"),
 		ingestDays: r.Counter("atyp_ingest_days_total",
 			"days of data handed to the forest"),
 		ingestMicros: r.Counter("atyp_ingest_micros_total",

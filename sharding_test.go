@@ -505,7 +505,7 @@ func fuzzSystem(t testing.TB, options ...Option) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Ingest(sys.GenerateMonth(0).Atypical)
+	mustIngest(t, sys, sys.GenerateMonth(0).Atypical)
 	return sys
 }
 
