@@ -304,6 +304,11 @@ func GenerateNetwork(cfg Config) *Network {
 	return net
 }
 
+// clampOpen clamps v into [lo, hi), the extent of a box on one axis.
+func clampOpen(v, lo, hi float64) float64 {
+	return min(max(v, lo), math.Nextafter(hi, lo))
+}
+
 // placeSensors walks the highway polyline placing a sensor every
 // spacingMiles, appending to net.Sensors and hw.Sensors.
 func placeSensors(net *Network, hw *Highway, spacingMiles float64) {
@@ -317,9 +322,13 @@ func placeSensors(net *Network, hw *Highway, spacingMiles float64) {
 		pos := spacingMiles - carry
 		for pos <= segLen {
 			t := pos / segLen
+			// The corridor wobble can carry a path past the deployment box;
+			// clamping moves only those sensors, onto the box, so every
+			// sensor lies in a region of the grid.
+			box := net.Grid.Box
 			loc := geo.Point{
-				Lat: a.Lat + (b.Lat-a.Lat)*t,
-				Lon: a.Lon + (b.Lon-a.Lon)*t,
+				Lat: clampOpen(a.Lat+(b.Lat-a.Lat)*t, box.Min.Lat, box.Max.Lat),
+				Lon: clampOpen(a.Lon+(b.Lon-a.Lon)*t, box.Min.Lon, box.Max.Lon),
 			}
 			id := cps.SensorID(len(net.Sensors))
 			net.Sensors = append(net.Sensors, Sensor{
