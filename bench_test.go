@@ -317,9 +317,9 @@ func BenchmarkFig21IntegrateAvg(b *testing.B) { benchIntegrateBalance(b, cluster
 func BenchmarkFig21IntegrateMax(b *testing.B) { benchIntegrateBalance(b, cluster.Max) }
 func BenchmarkFig21IntegrateGeo(b *testing.B) { benchIntegrateBalance(b, cluster.Geometric) }
 
-// Harmonic integrates without integrateCore's rejection memory (its balance
-// is not shown monotone in floating point), so this row prices the kernel
-// with that skip off.
+// Under Harmonic integrateCore's frontier walk restarts after every merge
+// (its balance is not shown monotone in floating point), so this row prices
+// the kernel with the rejection skip off.
 func BenchmarkFig21IntegrateHar(b *testing.B) { benchIntegrateBalance(b, cluster.Harmonic) }
 
 // --- Integration over long windows ---
@@ -329,11 +329,9 @@ var (
 	longSys  *atypical.System
 )
 
-// benchIntegrateLong integrates the city-wide candidate set of the first
-// days of three generated months of the default deployment (seed 1) — the
-// inputs an All query over that range integrates. Windows spanning months
-// grow the longest merge chains: one group holds most of the candidates.
-func benchIntegrateLong(b *testing.B, days int) {
+// longSystem ingests three generated months of the default deployment
+// (seed 1), once per process.
+func longSystem() *atypical.System {
 	longOnce.Do(func() {
 		cfg := atypical.DefaultConfig()
 		cfg.Seed = 1
@@ -346,8 +344,17 @@ func benchIntegrateLong(b *testing.B, days int) {
 		}
 		longSys = sys
 	})
-	micros := longSys.Forest().MicrosInRange(cps.DayRange(longSys.Spec(), 0, days))
-	opts := longSys.Forest().Options()
+	return longSys
+}
+
+// benchIntegrateLong integrates the city-wide candidate set of the first
+// days of longSystem — the inputs an All query over that range integrates.
+// Windows spanning months grow the longest merge chains: one group holds
+// most of the candidates.
+func benchIntegrateLong(b *testing.B, days int) {
+	sys := longSystem()
+	micros := sys.Forest().MicrosInRange(cps.DayRange(sys.Spec(), 0, days))
+	opts := sys.Forest().Options()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -359,6 +366,51 @@ func benchIntegrateLong(b *testing.B, days int) {
 
 func BenchmarkIntegrateAll28Days(b *testing.B) { benchIntegrateLong(b, 28) }
 func BenchmarkIntegrateAll84Days(b *testing.B) { benchIntegrateLong(b, 84) }
+
+// BenchmarkIntegrateSmall integrates 2 and 8 micro-clusters of a 7-day city
+// window, the call the standing-query evaluator makes on most arrivals: the
+// first ones holding the window's busiest sensor, so they merge. At spread
+// 64 every sensor ID is multiplied by 64, a deployment with the same
+// clusters and a 64 times wider sensor-ID span; B/op and allocs/op must not
+// grow with it.
+func BenchmarkIntegrateSmall(b *testing.B) {
+	sys := longSystem()
+	window := sys.Forest().MicrosInRange(cps.DayRange(sys.Spec(), 0, 7))
+	holders := map[cps.SensorID][]*cluster.Cluster{}
+	busiest := window[0].SF[0].Key
+	for _, c := range window {
+		for _, e := range c.SF {
+			holders[e.Key] = append(holders[e.Key], c)
+			if len(holders[e.Key]) > len(holders[busiest]) {
+				busiest = e.Key
+			}
+		}
+	}
+	group := holders[busiest]
+	opts := sys.Forest().Options()
+	for _, size := range []int{2, 8} {
+		for _, spread := range []cps.SensorID{1, 64} {
+			micros := make([]*cluster.Cluster, size)
+			for i, c := range group[:size] {
+				sf := make(cluster.SpatialFeature, len(c.SF))
+				for j, e := range c.SF {
+					sf[j] = cluster.Entry[cps.SensorID]{Key: e.Key * spread, Sev: e.Sev}
+				}
+				micros[i] = &cluster.Cluster{ID: c.ID, SF: sf, TF: c.TF, Micros: c.Micros}
+				micros[i].Hydrate()
+			}
+			b.Run(fmt.Sprintf("micros=%d/spread=%d", size, spread), func(b *testing.B) {
+				b.ReportAllocs()
+				var out []*cluster.Cluster
+				for i := 0; i < b.N; i++ {
+					var idgen cluster.IDGen
+					out = cluster.Integrate(&idgen, micros, opts)
+				}
+				b.ReportMetric(float64(len(out)), "outputs")
+			})
+		}
+	}
+}
 
 // --- Ablations (DESIGN.md §5) ---
 

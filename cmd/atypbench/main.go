@@ -139,8 +139,8 @@ func main() {
 		fmt.Fprintf(out, "# parallel construction: %d workers, %.2fx speedup (serial %.3fs, parallel %.3fs; fastest of %d processes) -> %s\n",
 			res.Workers, res.Speedup, res.Serial.Total, res.Parallel.Total, len(runs), *parJSON)
 		if sq := res.ShardQuery; sq != nil {
-			fmt.Fprintf(out, "# sharded query: %d shards, unsharded %.3fs vs sharded %.3fs, answers identical\n",
-				sq.Shards, sq.UnshardedS, sq.ShardedS)
+			fmt.Fprintf(out, "# sharded query: %d shards, unsharded %.3f ms vs sharded %.3f ms, answers identical\n",
+				sq.Shards, 1e3*sq.UnshardedS, 1e3*sq.ShardedS)
 		}
 		if prev != nil {
 			prevPath := prevPath(*parJSON)

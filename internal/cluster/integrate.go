@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"github.com/cpskit/atypical/internal/cps"
 )
@@ -41,21 +42,31 @@ func (o IntegrateOptions) similarity(a, b *Cluster) float64 {
 //
 //atyplint:deterministic
 func Integrate(gen *IDGen, micros []*Cluster, opts IntegrateOptions) []*Cluster {
-	return integrateCore(micros, opts, gen)
+	out, _ := integrateCore(micros, opts, gen)
+	return out
+}
+
+// integrateWork counts one integrateCore call's work: merges made,
+// candidates met (taken up by the walk for a decision) and similarity
+// evaluations. A met candidate settled without a score would be a re-proof
+// of an earlier rejection; the frontier walk makes none, so met equals sims.
+type integrateWork struct {
+	merges, met, sims int
 }
 
 // integrateCore is Integrate's kernel. Every merge draws the next ID from
 // gen, intermediate merges of a chain included, so the IDs of the clusters
 // it returns match a run that built every intermediate cluster.
-func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Cluster {
+func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) ([]*Cluster, integrateWork) {
 	if opts.SimThreshold <= 0 {
 		panic("cluster: IntegrateOptions.SimThreshold must be positive")
 	}
+	var work integrateWork
 	n := len(micros)
 	if n <= 1 {
 		out := make([]*Cluster, n)
 		copy(out, micros)
-		return out
+		return out, work
 	}
 
 	// active holds the inputs, then each chain's merged cluster; alive marks
@@ -69,11 +80,11 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 	folded := func(c *Cluster) TemporalFeature { return c.summaryAt(opts.Period).tf }
 
 	// Both skips below are exact only when every input passes
-	// Cluster.Valid and, for the rejection memory, when the balance is
-	// monotone in floating point (Harmonic is not known to be). The kernel
-	// does not check Valid: each path that brings a cluster into the
-	// system does, once per cluster, and every input comes from one of them
-	// (DESIGN.md §5):
+	// Cluster.Valid and, for the frontier, when the balance is monotone in
+	// floating point (Harmonic is not known to be). The kernel does not
+	// check Valid: each path that brings a cluster into the system does,
+	// once per cluster, and every input comes from one of them (DESIGN.md
+	// §5):
 	//
 	//   - System.IngestCtx: records must be finite and positive, and each
 	//     extracted micro must pass Valid (records may sum to +Inf);
@@ -87,7 +98,7 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 	//     severities positive; their sums may overflow to +Inf, which the
 	//     skips' argument allows.
 	sensorsOnly := opts.SimThreshold >= 0.5
-	remember := opts.Balance != Harmonic
+	restart := opts.Balance == Harmonic
 
 	// Posting lists: key -> positions of clusters featuring the key, in
 	// ascending position order. A merged cluster's keys are a union of its
@@ -104,68 +115,87 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 	// when it ends (chainAcc has the exactness argument). Most pops never
 	// merge, so acc is allocated at the call's first merge.
 	//
-	// Examining the chain walks its posting lists — sensor lists, then
-	// window lists, each key ascending and each list in ascending position
-	// order — and evaluates every live position the first time the walk
-	// meets it (stamp[p] == epoch marks it met). The first candidate above
-	// δsim merges and the walk restarts on the grown chain, so a
-	// snowballing chain stops paying for the lists past its match. Each
-	// list read drops dead positions; a list cut short by a merge keeps the
-	// rest of them for a later walk. The chain's intermediate clusters
-	// never get a position: they were dead entries the moment the next
-	// merge made them, so the live order of every list is unchanged.
+	// The chain merges, each time, the first candidate above δsim in walk
+	// order: its sensor lists, then window lists, each key ascending and
+	// each list in ascending position order, meeting every live position at
+	// the first list that holds it. A candidate's rank is where the walk
+	// meets it: (phase, its smallest chain key, position). The chain's
+	// intermediate clusters never get a position: they were dead entries
+	// the moment the next merge made them, so the live order of every list
+	// is unchanged. Each list read drops dead positions.
 	//
-	// Two kinds of candidate are known not to merge and are stamped without
-	// being evaluated (DESIGN.md §5 has the argument):
+	// Two kinds of candidate are known not to merge and are never scored
+	// (DESIGN.md §5 has the argument):
 	//
 	//   - at δsim ≥ 0.5, any candidate that shares no sensor: its spatial
 	//     term is g(0,0) = 0, so it scores at most 0.5. The walk reads the
-	//     sensor lists only, which meet every candidate that can merge in
-	//     the order the full walk meets it, and no window lists are built;
-	//   - a candidate rejected earlier in the same chain when none of the
-	//     clusters the chain absorbed since shares a sensor or folded window
-	//     with it: its common entries keep their bits while the chain's
-	//     totals only grow, so its similarity cannot have risen.
-	stamp := make([]uint32, n, cap(active))
-	var epoch uint32
-	// rejected[p] records the chain that last rejected position p and the
-	// merge count (seq) at the time. touched[p] is the last merge that
-	// absorbed a cluster sharing a sensor with p: each merge stamps the live
-	// positions in the absorbed cluster's sensor lists. Folded windows are
-	// stamped per key in acc and looked up from the candidate's side: a
-	// time-of-day bucket is shared by far more clusters than a sensor, so
-	// stamping its list would cost more than the lookup.
-	var rejected []rejection
-	var touched []uint32
-	if remember {
-		rejected = make([]rejection, n, cap(active))
-		touched = make([]uint32, n, cap(active))
-	}
+	//     sensor lists only, and no window lists are built;
+	//   - a candidate the chain rejected, until the chain absorbs a cluster
+	//     sharing a sensor or folded window with it (it turns dirty): its
+	//     common entries keep their bits while the chain's totals only grow,
+	//     so its similarity cannot have risen.
+	//
+	// So the chain keeps a frontier, the rank at which its walk last
+	// merged: every live candidate ranked below it is met. After a merge
+	// only dirty candidates and unmet ones can pass, and the first of them
+	// in rank order is the one a walk restarted from the first list would
+	// merge. Ranks only fall as the chain gains keys, and a candidate whose
+	// rank falls holds a key of the absorbed cluster new to the chain, so it
+	// is dirty or, unmet, found on that key's list. The dirty candidates
+	// ranked below the frontier are scored in rank order; when none passes,
+	// the walk resumes at the frontier. Under Harmonic every met candidate
+	// counts as dirty after a merge: the walk restarts from the first list.
+	ws := walkPool.Get().(*walkState)
+	ws.prepare(n, cap(active))
+	stamp := ws.stamp // stamp[p] == epoch: p is met
+	epoch, chain := ws.epoch, ws.chain
 	var (
 		acc    *chainAcc
-		chain  uint32
-		seq    uint32
-		merged bool // the current chain has merged, so it lives in acc
+		merged bool   // the current chain has merged, so it lives in acc
+		front  uint64 // the walk's frontier rank; 0 is before every rank
 	)
-	// stillRejected reports whether p's last rejection in this chain still
-	// holds: no cluster absorbed since shares a key with it. When it does,
-	// the rejection is renewed as of now, so later checks start from here.
-	// A rejection in this chain being met again means the chain has merged
-	// since, so acc exists.
-	stillRejected := func(p int32) bool {
-		r := &rejected[p]
-		if r.chain != chain || touched[p] > r.seq || acc.bucketTouchedSince(active[p], r.seq) {
-			return false
+	// The dirty set holds the dirty candidates ranked below the frontier and
+	// the unmet ones a new key ranks below it, as a min-heap of ranks.
+	// rank[p].at is the rank of a met or queued candidate p, kept exact as
+	// the chain gains keys: a rank falls only through a key new to the
+	// chain, and each merge offers the candidates on the absorbed cluster
+	// x's keys that key's rank. A heap entry superseded by a lower rank of
+	// its candidate is stale. Dirty candidates are pushed by watchers: a
+	// candidate the chain rejects registers once in the lists of its sensor
+	// and folded-bucket slots, and absorbing x hands over the watchers of
+	// x's keys. An unmet candidate can only rank below the frontier through
+	// one of x's new keys, so only those keys' posting lists are read. First
+	// rejections wait in pending until the chain's next merge, so pops that
+	// never merge register nothing.
+	var (
+		rank    = ws.rank
+		dirty   = ws.dirty[:0]
+		pending = ws.pending[:0]
+		watch   = &ws.watch
+		nsens   = bySensor.n // watch numbers bucket slot b as nsens+b
+	)
+	// score evaluates candidate p against the chain c.
+	score := func(c *Cluster, p int32) bool {
+		work.sims++
+		var sim float64
+		if merged {
+			sim = acc.similarity(active[p], opts.Balance)
+		} else {
+			sim = opts.similarity(c, active[p])
 		}
-		r.seq = seq
-		return true
+		return sim > opts.SimThreshold
 	}
-	// match walks one posting list for the chain c, returning the first
-	// candidate above δsim or -1.
-	match := func(c *Cluster, list *[]int32) int32 {
+	// scan walks one posting list of the chain c from the first position
+	// after `after`, returning the first unmet candidate above δsim or -1.
+	scan := func(c *Cluster, phase uint64, slot, after int32, list *[]int32) int32 {
 		l := *list
-		w := 0
-		for r, p := range l {
+		i := 0
+		if after >= 0 {
+			i, _ = slices.BinarySearch(l, after+1)
+		}
+		w := i
+		for r := i; r < len(l); r++ {
+			p := l[r]
 			if !alive[p] {
 				continue
 			}
@@ -175,25 +205,160 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 				continue
 			}
 			stamp[p] = epoch
-			if remember && stillRejected(p) {
-				continue
-			}
-			var sim float64
-			if merged {
-				sim = acc.similarity(active[p], opts.Balance)
-			} else {
-				sim = opts.similarity(c, active[p])
-			}
-			if sim > opts.SimThreshold {
+			work.met++
+			at := walkRank(phase, slot, p)
+			if score(c, p) {
 				*list = l[:w+copy(l[w:], l[r+1:])]
+				front = at
 				return p
 			}
-			if remember {
-				rejected[p] = rejection{chain: chain, seq: seq}
+			if !restart {
+				rank[p].at = at
+				pending = append(pending, p)
 			}
 		}
 		*list = l[:w]
 		return -1
+	}
+	// walk resumes the chain c's walk at the frontier. Before its first
+	// merge the chain is c and the walk starts from the first list.
+	walk := func(c *Cluster) int32 {
+		if !merged {
+			for _, e := range c.SF {
+				s := int32(bySensor.index(e.Key))
+				if p := scan(c, 0, s, -1, &bySensor.lists[s]); p >= 0 {
+					return p
+				}
+			}
+			if !sensorsOnly {
+				for _, e := range folded(c) {
+					b := int32(byWindow.index(e.Key))
+					if p := scan(c, 1, b, -1, &byWindow.lists[b]); p >= 0 {
+						return p
+					}
+				}
+			}
+			return -1
+		}
+		phase, slot, after := unrank(front)
+		if phase == 0 {
+			for _, s := range acc.sensorKeys[firstAtLeast(acc.sensorKeys, slot):] {
+				if p := scan(c, 0, s, after, &bySensor.lists[s]); p >= 0 {
+					return p
+				}
+				after = -1
+			}
+			if sensorsOnly {
+				return -1
+			}
+			slot = 0
+		}
+		for _, b := range acc.bucketKeys[firstAtLeast(acc.bucketKeys, slot):] {
+			if p := scan(c, 1, b, after, &byWindow.lists[b]); p >= 0 {
+				return p
+			}
+			after = -1
+		}
+		return -1
+	}
+	// offer tells live candidate p that it ranks at r or below. A met or
+	// queued candidate is queued at its lowered rank; an unmet one only
+	// when r is below the frontier.
+	offer := func(p int32, r uint64) {
+		if stamp[p] == epoch || rank[p].queued {
+			if r >= rank[p].at {
+				if rank[p].queued {
+					return
+				}
+				r = rank[p].at
+			}
+		} else if r >= front {
+			return
+		}
+		rank[p].at, rank[p].queued = r, true
+		dirty = pushRank(dirty, r)
+	}
+	// takeDirty scores the queued candidates in rank order, returning the
+	// first above δsim (the rest stay queued) or -1 with the heap empty. A
+	// queued candidate is live: only a taken or walked one merges, and the
+	// walk runs on an empty heap.
+	takeDirty := func() int32 {
+		for len(dirty) > 0 {
+			var r uint64
+			r, dirty = popRank(dirty)
+			p := rankPos(r)
+			if !rank[p].queued || rank[p].at != r {
+				continue
+			}
+			work.met++
+			rank[p].queued = false
+			first := stamp[p] != epoch
+			stamp[p] = epoch
+			if score(nil, p) {
+				return p
+			}
+			if first {
+				pending = append(pending, p)
+			}
+		}
+		return -1
+	}
+	// offerList offers every live candidate on one posting list its rank
+	// there, dropping dead positions.
+	offerList := func(phase uint64, slot int32, list *[]int32) {
+		live := (*list)[:0]
+		for _, p := range *list {
+			if alive[p] {
+				live = append(live, p)
+				offer(p, walkRank(phase, slot, p))
+			}
+		}
+		*list = live
+	}
+	// dirtied offers what absorbing x made dirty or ranked lower: the
+	// watchers of x's keys, and the unmet candidates on x's new keys that
+	// can rank below the frontier.
+	dirtied := func(x *Cluster) {
+		for _, p := range pending {
+			if alive[p] {
+				for _, e := range active[p].SF {
+					watch.add(chain, bySensor.index(e.Key), p)
+				}
+				for _, e := range folded(active[p]) {
+					watch.add(chain, nsens+acc.buckets.index(e.Key), p)
+				}
+			}
+		}
+		pending = pending[:0]
+		for _, e := range x.SF {
+			s := bySensor.index(e.Key)
+			for i := watch.first(chain, s); i >= 0; i = watch.ents[i].next {
+				if p := watch.ents[i].pos; alive[p] {
+					offer(p, walkRank(0, int32(s), p))
+				}
+			}
+		}
+		for _, e := range folded(x) {
+			b := acc.buckets.index(e.Key)
+			for i := watch.first(chain, nsens+b); i >= 0; i = watch.ents[i].next {
+				if p := watch.ents[i].pos; alive[p] {
+					offer(p, walkRank(1, int32(b), p))
+				}
+			}
+		}
+		phase, slot, _ := unrank(front)
+		for _, s := range acc.freshSensors {
+			if phase == 1 || s < slot {
+				offerList(0, s, &bySensor.lists[s])
+			}
+		}
+		if phase == 1 {
+			for _, b := range acc.freshBuckets {
+				if b < slot {
+					offerList(1, b, &byWindow.lists[b])
+				}
+			}
+		}
 	}
 
 	// Every input is popped once, in position order. A merged cluster can
@@ -205,57 +370,42 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 		}
 		c := active[pos]
 		chain++
+		epoch++
+		stamp[pos] = epoch
 		merged = false
+		front = 0
+		pending = pending[:0]
 		var id ID
 		for {
-			epoch++
-			stamp[pos] = epoch
 			cand := int32(-1)
-			if merged {
-				for _, s := range acc.sensorKeys {
-					if cand = match(c, &bySensor.lists[s]); cand >= 0 {
-						break
-					}
-				}
-				if cand < 0 && !sensorsOnly {
-					for _, b := range acc.bucketKeys {
-						if cand = match(c, &byWindow.lists[b]); cand >= 0 {
-							break
-						}
-					}
-				}
-			} else {
-				for _, e := range c.SF {
-					if cand = match(c, &bySensor.lists[bySensor.index(e.Key)]); cand >= 0 {
-						break
-					}
-				}
-				if cand < 0 && !sensorsOnly {
-					for _, e := range folded(c) {
-						if cand = match(c, &byWindow.lists[byWindow.index(e.Key)]); cand >= 0 {
-							break
-						}
-					}
-				}
+			if len(dirty) > 0 {
+				cand = takeDirty()
+			}
+			if cand < 0 {
+				cand = walk(c)
 			}
 			if cand < 0 {
 				break
 			}
 			id = gen.Next()
-			seq++
+			work.merges++
 			if !merged {
 				if acc == nil {
 					acc = newChainAcc(micros, opts.Period, &bySensor.keySlots, byWindow)
+					watch.size(nsens + acc.buckets.n)
 				}
-				acc.load(c, chain, seq)
+				acc.load(c, chain)
 				alive[pos] = false
 				merged = true
 			}
 			alive[cand] = false
 			x := active[cand]
-			acc.absorb(x, seq)
-			if remember {
-				bySensor.stamp(x.SF, alive, touched, seq)
+			acc.absorb(x)
+			if restart {
+				epoch++
+				front = 0
+			} else {
+				dirtied(x)
 			}
 		}
 		if !merged {
@@ -266,15 +416,16 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 		active = append(active, m)
 		alive = append(alive, true)
 		stamp = append(stamp, 0)
-		if remember {
-			rejected = append(rejected, rejection{})
-			touched = append(touched, 0)
-		}
+		rank = append(rank, queueRank{})
 		bySensor.add(m.SF, newPos)
 		if byWindow != nil {
 			byWindow.add(folded(m), newPos)
 		}
 	}
+
+	ws.stamp, ws.rank, ws.dirty, ws.pending = stamp, rank, dirty, pending
+	ws.epoch, ws.chain = epoch, chain
+	walkPool.Put(ws)
 
 	var out []*Cluster
 	for i, ok := range alive {
@@ -282,13 +433,156 @@ func integrateCore(micros []*Cluster, opts IntegrateOptions, gen *IDGen) []*Clus
 			out = append(out, active[i])
 		}
 	}
-	return out
+	return out, work
 }
 
-// rejection is integrateCore's memory of one candidate's last rejection.
-type rejection struct {
-	chain uint32 // the chain that rejected it; 0 means none
-	seq   uint32 // merges made before the rejection, over the whole call
+// walkState is integrateCore's per-position walk state and the buffers of
+// its dirty set, reused across calls through walkPool. Stamps, chain
+// numbers and watch-list tags keep counting up from call to call, so a
+// call finds every stale value below its own and clears nothing; every
+// queued flag is false again when a chain ends.
+type walkState struct {
+	stamp   []uint32
+	rank    []queueRank
+	dirty   []uint64
+	pending []int32
+	watch   watchers
+	epoch   uint32 // the last stamp handed out
+	chain   uint32 // the last chain number handed out
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walkState) }}
+
+// prepare sizes the per-position state for n inputs, with room for
+// capacity positions.
+func (ws *walkState) prepare(n, capacity int) {
+	// A call hands out at most 2n stamps (one per pop, and under Harmonic
+	// one per merge) and n chain numbers; start over before they could wrap.
+	if uint64(ws.epoch)+2*uint64(n)+1 > math.MaxUint32 || uint64(ws.chain)+uint64(n)+1 > math.MaxUint32 {
+		clear(ws.stamp[:cap(ws.stamp)])
+		clear(ws.watch.heads)
+		ws.epoch, ws.chain, ws.watch.chain = 0, 0, 0
+	}
+	if cap(ws.stamp) < n || cap(ws.rank) < n {
+		ws.stamp = make([]uint32, n, capacity)
+		ws.rank = make([]queueRank, n, capacity)
+		return
+	}
+	ws.stamp, ws.rank = ws.stamp[:n], ws.rank[:n]
+}
+
+// queueRank is the walk rank of a met or queued candidate and whether it
+// is queued in the dirty set.
+type queueRank struct {
+	at     uint64
+	queued bool
+}
+
+// walkRank packs the place where a chain's walk meets the candidate at
+// position pos: phase 0 for the sensor lists, 1 for the window lists, then
+// the key slot, then the position. Rank 0 is before every candidate.
+func walkRank(phase uint64, slot, pos int32) uint64 {
+	return phase<<63 | uint64(slot)<<32 | uint64(pos+1)
+}
+
+// unrank splits a rank into its phase, slot and position (-1 for rank 0).
+func unrank(r uint64) (phase uint64, slot, pos int32) {
+	return r >> 63, int32(r >> 32 & math.MaxInt32), rankPos(r)
+}
+
+// rankPos is the position of rank r.
+func rankPos(r uint64) int32 { return int32(uint32(r)) - 1 }
+
+// pushRank adds r to the min-heap h.
+func pushRank(h []uint64, r uint64) []uint64 {
+	h = append(h, r)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up] <= h[i] {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	return h
+}
+
+// popRank removes the least rank from the non-empty min-heap h.
+func popRank(h []uint64) (uint64, []uint64) {
+	r := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return r, h
+}
+
+// firstAtLeast returns the index of the first slot in the ascending keys
+// that is at least slot.
+func firstAtLeast(keys []int32, slot int32) int {
+	i, _ := slices.BinarySearch(keys, slot)
+	return i
+}
+
+// watchers holds, per key slot, the positions of the candidates a chain
+// rejected that hold the key, as linked lists in one array. A slot's list
+// belongs to the chain its head carries; entries belong to the chain in
+// chain.
+type watchers struct {
+	heads []watchHead
+	ents  []watchEntry
+	chain uint32
+}
+
+type watchHead struct {
+	first int32
+	chain uint32
+}
+
+type watchEntry struct {
+	pos, next int32
+}
+
+// size makes room for slots lists.
+func (w *watchers) size(slots int) {
+	if len(w.heads) < slots {
+		w.heads = make([]watchHead, slots)
+	}
+}
+
+// add registers the candidate at pos in slot's list for chain.
+func (w *watchers) add(chain uint32, slot int, pos int32) {
+	if w.chain != chain {
+		w.chain, w.ents = chain, w.ents[:0]
+	}
+	h := &w.heads[slot]
+	if h.chain != chain {
+		h.chain, h.first = chain, -1
+	}
+	w.ents = append(w.ents, watchEntry{pos: pos, next: h.first})
+	h.first = int32(len(w.ents) - 1)
+}
+
+// first returns the first entry of slot's list for chain, -1 if none; the
+// list continues at ents[i].next.
+func (w *watchers) first(chain uint32, slot int) int32 {
+	if h := w.heads[slot]; h.chain == chain {
+		return h.first
+	}
+	return -1
 }
 
 // chainAcc holds one merge chain as per-key sums, so a merge adds the
@@ -308,11 +602,8 @@ type rejection struct {
 //     candidate's features, the order overlapFractions visits them in, with
 //     the chain's sum as the first operand's.
 //
-// For the rejection memory it also stamps each folded bucket with the last
-// merge that absorbed a cluster holding it, and keeps the bucket range of
-// each cluster the chain absorbed. Slots belong to the chain whose number
-// they carry, so nothing is cleared between chains. It is reused by every
-// chain of one integrateCore call.
+// Slots belong to the chain whose number they carry, so nothing is cleared
+// between chains. It is reused by every chain of one integrateCore call.
 type chainAcc struct {
 	period  cps.Window // max(opts.Period, 0)
 	sensors *keySlots[cps.SensorID]
@@ -327,12 +618,9 @@ type chainAcc struct {
 	wins []windowSum
 	// sensorKeys and bucketKeys are the chain's slots, ascending.
 	sensorKeys, bucketKeys []int32
-	fresh                  []int32      // scratch: slots new to the chain
-	keys                   []cps.Window // scratch: the chain's windows, sorted
-	// spans[i] bounds the folded windows of the cluster merge first+i
-	// absorbed, lo then hi.
-	spans [][2]cps.Window
-	first uint32
+	// freshSensors and freshBuckets are the slots the last absorb added.
+	freshSensors, freshBuckets []int32
+	keys                       []cps.Window // scratch: the chain's windows, sorted
 
 	chain            uint32
 	micros           int
@@ -346,12 +634,10 @@ type keySum struct {
 	chain uint32 // the chain holding the key; sev is stale for any other
 }
 
-// bucketSum is keySum for a folded bucket, with the last merge that
-// absorbed a cluster holding the bucket and the chain's windows in it
+// bucketSum is keySum for a folded bucket, with the chain's windows in it
 // (indexes into chainAcc.wins; period > 0 only).
 type bucketSum struct {
 	keySum
-	seq        uint32
 	head, tail int32
 }
 
@@ -381,10 +667,9 @@ func newChainAcc(micros []*Cluster, period cps.Window, sensors *keySlots[cps.Sen
 }
 
 // load starts chain number chain from the popped cluster c, before its
-// first merge, merge number first.
-func (a *chainAcc) load(c *Cluster, chain, first uint32) {
-	a.chain, a.first = chain, first
-	a.spans = a.spans[:0]
+// first merge.
+func (a *chainAcc) load(c *Cluster, chain uint32) {
+	a.chain = chain
 	a.micros, a.sev = c.Micros, c.Severity()
 	sc := c.summaryAt(a.period)
 	a.sfTotal, a.tfTotal = sc.sfTotal, sc.tfTotal
@@ -419,17 +704,11 @@ func (a *chainAcc) load(c *Cluster, chain, first uint32) {
 	}
 }
 
-// absorb merges x into the chain as merge number seq.
-func (a *chainAcc) absorb(x *Cluster, seq uint32) {
+// absorb merges x into the chain.
+func (a *chainAcc) absorb(x *Cluster) {
 	a.micros += x.Micros
 	a.sev += x.Severity()
-	xf := x.summaryAt(a.period).tf
-	span := [2]cps.Window{math.MaxInt64, math.MinInt64} // empty
-	if len(xf) > 0 {
-		span = [2]cps.Window{xf[0].Key, xf[len(xf)-1].Key}
-	}
-	a.spans = append(a.spans, span)
-	fresh := a.fresh[:0]
+	fresh := a.freshSensors[:0]
 	for _, e := range x.SF {
 		s := a.sensors.index(e.Key)
 		k := &a.sens[s]
@@ -441,8 +720,9 @@ func (a *chainAcc) absorb(x *Cluster, seq uint32) {
 		}
 	}
 	a.sensorKeys = insertSorted(a.sensorKeys, fresh)
+	a.freshSensors = fresh
 
-	fresh = fresh[:0]
+	fresh = a.freshBuckets[:0]
 	if a.period > 0 {
 		offs := offsets{period: a.period}
 		for _, e := range x.TF {
@@ -457,10 +737,9 @@ func (a *chainAcc) absorb(x *Cluster, seq uint32) {
 		}
 		slices.Sort(fresh)
 		// x's folded keys are exactly the buckets it touched.
-		for _, e := range xf {
+		for _, e := range x.summaryAt(a.period).tf {
 			b := &a.bucks[a.buckets.index(e.Key)]
 			b.sev = a.bucketTotal(b)
-			b.seq = seq
 		}
 	} else {
 		for _, e := range x.TF {
@@ -472,11 +751,10 @@ func (a *chainAcc) absorb(x *Cluster, seq uint32) {
 				b.sev, b.chain = e.Sev, a.chain
 				fresh = append(fresh, int32(i))
 			}
-			b.seq = seq
 		}
 	}
 	a.bucketKeys = insertSorted(a.bucketKeys, fresh)
-	a.fresh = fresh
+	a.freshBuckets = fresh
 
 	a.sfTotal = 0
 	for _, s := range a.sensorKeys {
@@ -553,36 +831,6 @@ func (a *chainAcc) similarity(x *Cluster, g Balance) float64 {
 	return (g.Apply(s1, s2) + g.Apply(t1, t2)) / 2
 }
 
-// bucketTouchedSince reports whether a merge after number since, one of
-// this chain's, absorbed a cluster sharing a folded window with x. Only x's
-// folded windows inside the window ranges of those merges' clusters are
-// looked up: usually one micro-cluster's few neighbouring buckets, so a
-// large x costs a binary search.
-func (a *chainAcc) bucketTouchedSince(x *Cluster, since uint32) bool {
-	lo, hi := cps.Window(math.MaxInt64), cps.Window(math.MinInt64)
-	for _, s := range a.spans[since+1-a.first:] {
-		lo, hi = min(lo, s[0]), max(hi, s[1])
-	}
-	xf := x.summaryAt(a.period).tf
-	i, j := 0, len(xf)
-	for i < j {
-		if m := int(uint(i+j) >> 1); xf[m].Key < lo {
-			i = m + 1
-		} else {
-			j = m
-		}
-	}
-	for _, e := range xf[i:] {
-		if e.Key > hi {
-			break
-		}
-		if a.bucks[a.buckets.index(e.Key)].seq > since {
-			return true
-		}
-	}
-	return false
-}
-
 // cluster materializes the chain under id, with its similarity summary
 // already cached. It consumes the bucket lists, so the chain ends here.
 func (a *chainAcc) cluster(id ID) *Cluster {
@@ -639,15 +887,14 @@ func insertSorted(list, fresh []int32) []int32 {
 }
 
 // keySlots numbers feature keys densely: by offset from the smallest key,
-// or, when the keys spread far wider than there are entries (sparse or
-// hostile IDs from storage or the shard wire), by rank among the distinct
-// keys, so memory stays proportional to the input. Either way slot order is
-// key order.
+// or, when the keys spread wider than a few slots per entry (small calls on
+// a large deployment, or sparse or hostile IDs from storage or the shard
+// wire), by rank among the distinct keys, so memory stays proportional to
+// the input. Either way slot order is key order.
 type keySlots[K Key] struct {
 	lo   K
-	n    int         // slot count
-	rank map[K]int32 // nil when keys index by offset
-	keys []K         // the ranked keys, ascending
+	n    int // slot count
+	keys []K // the distinct keys, ascending, when keys index by rank
 }
 
 // newKeySlots numbers the keys of feature(c) over cs and also returns how
@@ -664,23 +911,18 @@ func newKeySlots[K Key](cs []*Cluster, feature func(*Cluster) Feature[K]) (s key
 		}
 	}
 	// The unsigned difference is exact for every key pair of either type.
-	if span := uint64(hi) - uint64(s.lo); span < uint64(4*total+1024) {
+	if span := uint64(hi) - uint64(s.lo); span < uint64(4*total+64) {
 		s.n = int(span) + 1
 		return s, total
 	}
-	s.rank = make(map[K]int32)
+	s.keys = make([]K, 0, total)
 	for _, c := range cs {
 		for _, e := range feature(c) {
-			if _, ok := s.rank[e.Key]; !ok {
-				s.rank[e.Key] = 0
-				s.keys = append(s.keys, e.Key)
-			}
+			s.keys = append(s.keys, e.Key)
 		}
 	}
 	slices.Sort(s.keys)
-	for i, k := range s.keys {
-		s.rank[k] = int32(i)
-	}
+	s.keys = slices.Compact(s.keys)
 	s.n = len(s.keys)
 	return s, total
 }
@@ -688,15 +930,23 @@ func newKeySlots[K Key](cs []*Cluster, feature func(*Cluster) Feature[K]) (s key
 // index returns the slot of key, which must be a key of the inputs the
 // slots were built from.
 func (s *keySlots[K]) index(key K) int {
-	if s.rank != nil {
-		return int(s.rank[key])
+	if s.keys != nil {
+		return s.rankOf(key)
 	}
 	return int(key - s.lo)
 }
 
+// rankOf is index by rank, kept out of line so that index inlines.
+//
+//go:noinline
+func (s *keySlots[K]) rankOf(key K) int {
+	i, _ := slices.BinarySearch(s.keys, key)
+	return i
+}
+
 // key returns the key numbered i.
 func (s *keySlots[K]) key(i int) K {
-	if s.rank != nil {
+	if s.keys != nil {
 		return s.keys[i]
 	}
 	return s.lo + K(i)
@@ -737,22 +987,6 @@ func newPostings[K Key](cs []*Cluster, feature func(*Cluster) Feature[K]) *posti
 		p.add(feature(c), pos)
 	}
 	return p
-}
-
-// stamp sets touched[q] = seq for every live position q posted under a key
-// of f, dropping the dead positions from the lists it reads.
-func (p *postings[K]) stamp(f Feature[K], alive []bool, touched []uint32, seq uint32) {
-	for _, e := range f {
-		i := p.index(e.Key)
-		live := p.lists[i][:0]
-		for _, q := range p.lists[i] {
-			if alive[q] {
-				touched[q] = seq
-				live = append(live, q)
-			}
-		}
-		p.lists[i] = live
-	}
 }
 
 func (p *postings[K]) add(f Feature[K], pos int) {

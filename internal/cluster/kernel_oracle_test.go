@@ -12,6 +12,7 @@ package cluster
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/cpskit/atypical/internal/cps"
@@ -286,8 +287,8 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 	// At δsim 0.4, micros sharing a window and no sensor score 0.5 and
 	// merge, met only in the window lists.
 	f.Add([]byte{4, 1, 1, 9, 4, 2, 1, 9}, uint8(3), uint8(0), uint8(12), uint8(3))
-	// Found by fuzzing a copy whose rejection memory ignored shared
-	// sensors: the chain re-meets a rejected candidate after absorbing a
+	// Found by fuzzing a copy whose rejections ignored shared sensors: a
+	// rejected candidate must be scored again after the chain absorbs a
 	// cluster that shares a sensor with it (δsim 0.3, Geometric).
 	f.Add([]byte("00000200\x000000100"), uint8(1), uint8(5), uint8(99), uint8(77))
 	// Long chains (mode 5) at δsim 0.5 and 0.4 at a day's period, the second
@@ -296,6 +297,20 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 	f.Add(longChainSeed(), uint8(5), uint8(0), uint8(5), uint8(3))
 	f.Add(longChainSeed(), uint8(5), uint8(0), uint8(13), uint8(1))
 	f.Add(longChainSeed(), uint8(5), uint8(1), uint8(12), uint8(3))
+	// TestFrontierRankOrder's micros in mode 3 (c, b, a, x): the chain gains
+	// sensor 1, which sorts before its frontier on sensor 5, and a, rejected
+	// on sensor 5's list, ranks first on sensor 1's and merges before b.
+	f.Add(frontierRankSeed(), uint8(3), uint8(0), uint8(4), uint8(3))
+	f.Add(frontierRankSeed(), uint8(3), uint8(0), uint8(5), uint8(3))
+	// A candidate rejected before the chain's first merge turns dirty only
+	// through a folded bucket, eight merges later, and then merges.
+	f.Add(lateBucketDirtySeed(), uint8(3), uint8(0), uint8(5), uint8(3))
+	// A long Harmonic chain at δsim 0.5: its walk restarts after every merge.
+	f.Add(longChainSeed(), uint8(5), uint8(0), uint8(5), uint8(1))
+	// Found by fuzzing a copy that read no new key's posting list: a
+	// candidate the walk never met ranks below the frontier through a key
+	// the chain has just gained (δsim 0.3, a day's period).
+	f.Add([]byte("01000X0000010001"), uint8(5), uint8(12), uint8(3), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, mode, size, periodSel, balSel uint8) {
 		if len(data) > 4096 {
 			return
@@ -314,7 +329,7 @@ func FuzzIntegrateKernelEquivalence(f *testing.F) {
 		gb.next.Store(g.next.Load())
 		// Every merge draws the next ID from its side's generator, so equal
 		// IDs on the survivors pin the merge order as well as the result.
-		got := integrateCore(cloneMicros(micros), opts, &ga)
+		got, _ := integrateCore(cloneMicros(micros), opts, &ga)
 		want := integrateGatherAll(cloneMicros(micros), opts, &gb)
 		if !clustersBitEq(got, want) {
 			t.Fatalf("Integrate %v\noracle    %v", got, want)
@@ -338,6 +353,34 @@ func longChainSeed() []byte {
 		data = append(data, 4, uint8(i%4)|uint8(i%6)<<2, day, uint8(i%8)|uint8(i*5%9)<<3)
 	}
 	return data
+}
+
+// frontierRankSeed is mode-3 input for TestFrontierRankOrder's micros:
+// c (sensor 5), b (5 and 7), a (1, 5 and 6) and x (1 and 5), in that order.
+func frontierRankSeed() []byte {
+	return []byte{
+		4, 5, 0, 20, // c
+		1, 5, 2, 24, 4, 7, 4, 28, // b
+		1, 1, 2, 0, 1, 5, 3, 28, 4, 6, 3, 16, // a
+		1, 1, 0, 4, 4, 5, 2, 24, // x
+	}
+}
+
+// lateBucketDirtySeed is mode-3 input for a chain c (sensors 0 and 1,
+// window 0) that rejects z (sensor 0, window 149) and then absorbs eight
+// micros on sensor 1 and window 0, which share nothing with z, and a ninth
+// that adds window 149. That makes z dirty through its bucket alone, and z
+// now scores just above 0.5. Between the chain and z sits a pair on sensor
+// 7 that merges at its own turn, so a chain ending without z would take a
+// different ID from the chain with it.
+func lateBucketDirtySeed() []byte {
+	data := []byte{1, 0, 0, 0, 4, 1, 0, 4} // c
+	for range 8 {
+		data = append(data, 4, 1, 0, 8)
+	}
+	data = append(data, 1, 1, 0, 8, 4, 1, 5, 1) // the ninth
+	data = append(data, 4, 7, 3, 0, 4, 7, 3, 0) // the pair
+	return append(data, 4, 0, 5, 1)             // z
 }
 
 // summaryFresh reports whether s has the bits of the summary summaryAt
@@ -393,7 +436,7 @@ func TestRejectionMemoryWindowOnlyDirty(t *testing.T) {
 		var ga, gb IDGen
 		ga.next.Store(g.next.Load())
 		gb.next.Store(g.next.Load())
-		got := integrateCore(cloneMicros(micros), opts, &ga)
+		got, _ := integrateCore(cloneMicros(micros), opts, &ga)
 		want := integrateGatherAll(cloneMicros(micros), opts, &gb)
 		if !clustersBitEq(got, want) {
 			t.Fatalf("period %d: Integrate %v\noracle    %v", period, got, want)
@@ -403,6 +446,121 @@ func TestRejectionMemoryWindowOnlyDirty(t *testing.T) {
 		if !slices.ContainsFunc(got, func(m *Cluster) bool { return m.ID == chainID && m.Micros == 3 }) {
 			t.Fatalf("period %d: got %v, want c+y+x under ID %d", period, got, chainID)
 		}
+	}
+}
+
+// The frontier walk scores the candidates a merge made dirty in the order
+// a walk restarted from the chain's first list would: by their smallest
+// chain sensor key, then position. c (sensor 5) rejects b and a on sensor
+// 5's list and merges x, which brings sensor 1, a key before the frontier.
+// Against c+x both b and a pass, and whichever merges first keeps the other
+// out. a holds sensor 1, so the restart walk meets it first, although b
+// sits earlier on sensor 5's list: the chain is c+x+a and b stays alone.
+func TestFrontierRankOrder(t *testing.T) {
+	for _, period := range []cps.Window{0, 288} {
+		var g IDGen
+		micros := fuzzKernelMicros(frontierRankSeed(), 3, 0, &g)
+		if len(micros) != 4 {
+			t.Fatalf("fixture decodes to %d micros, want 4", len(micros))
+		}
+		b, a := micros[1], micros[2]
+		opts := IntegrateOptions{SimThreshold: 0.5, Balance: Arithmetic, Period: period}
+		var ga, gb IDGen
+		ga.next.Store(g.next.Load())
+		gb.next.Store(g.next.Load())
+		got, _ := integrateCore(cloneMicros(micros), opts, &ga)
+		want := integrateGatherAll(cloneMicros(micros), opts, &gb)
+		if !clustersBitEq(got, want) {
+			t.Fatalf("period %d: Integrate %v\noracle    %v", period, got, want)
+		}
+		chainID := ID(g.next.Load() + 2)
+		if !slices.ContainsFunc(got, func(m *Cluster) bool {
+			return m.ID == chainID && m.Micros == 3 && slices.Equal(m.SF.Keys(), []cps.SensorID{1, 5, 6})
+		}) || !slices.ContainsFunc(got, func(m *Cluster) bool { return m.ID == b.ID }) {
+			t.Fatalf("period %d: got %v, want c+x+a (%v) under ID %d and b (%v) alone", period, got, a, chainID, b)
+		}
+	}
+}
+
+// Calls running at once each take their own walk state from the pool and
+// leave it reusable: every call, on every goroutine and repeated, gives the
+// oracle's answer.
+func TestIntegrateConcurrentCalls(t *testing.T) {
+	type job struct {
+		micros []*Cluster
+		opts   IntegrateOptions
+		want   []*Cluster
+		next   uint64
+	}
+	var jobs []job
+	for i, in := range []struct {
+		data              []byte
+		mode, size, bal   uint8
+		threshold, period int
+	}{
+		{longChainSeed(), 5, 0, 3, 1, 288},
+		{longChainSeed(), 5, 1, 3, 3, 0},
+		{longChainSeed(), 5, 0, 1, 1, 288},
+		{frontierRankSeed(), 3, 0, 3, 1, 0},
+		{lateBucketDirtySeed(), 3, 0, 3, 1, 288},
+	} {
+		var g IDGen
+		micros := fuzzKernelMicros(in.data, in.mode, in.size, &g)
+		opts := IntegrateOptions{
+			SimThreshold: []float64{0.3, 0.5, 0.7, 0.4}[in.threshold],
+			Balance:      Balances[in.bal],
+			Period:       cps.Window(in.period),
+		}
+		gen := IDGen{}
+		gen.next.Store(g.next.Load())
+		want := integrateGatherAll(cloneMicros(micros), opts, &gen)
+		if len(want) == len(micros) {
+			t.Fatalf("job %d merges nothing", i)
+		}
+		jobs = append(jobs, job{micros, opts, want, g.next.Load()})
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 20 {
+				j := jobs[(w+r)%len(jobs)]
+				var g IDGen
+				g.next.Store(j.next)
+				if got, _ := integrateCore(cloneMicros(j.micros), j.opts, &g); !clustersBitEq(got, j.want) {
+					t.Errorf("worker %d round %d: Integrate %v\noracle    %v", w, r, got, j.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A walk state whose stamps or chain numbers could wrap in the next call
+// starts over: counters at zero and every stamp and watch-list tag cleared,
+// so no stale value can equal one the call hands out.
+func TestWalkStatePrepareStartsOver(t *testing.T) {
+	ws := &walkState{
+		stamp: []uint32{7, math.MaxUint32 - 1, 3},
+		rank:  make([]queueRank, 3),
+		watch: watchers{heads: []watchHead{{first: 2, chain: 9}}, chain: 9},
+		epoch: math.MaxUint32 - 4,
+		chain: 9,
+	}
+	ws.prepare(2, 3)
+	if ws.epoch != 0 || ws.chain != 0 || ws.watch.chain != 0 {
+		t.Fatalf("counters %d, %d, %d; want 0", ws.epoch, ws.chain, ws.watch.chain)
+	}
+	if !slices.Equal(ws.stamp[:cap(ws.stamp)], []uint32{0, 0, 0}) || ws.watch.heads[0] != (watchHead{}) || len(ws.stamp) != 2 {
+		t.Fatalf("stamps %v, heads %v after the reset", ws.stamp[:cap(ws.stamp)], ws.watch.heads)
+	}
+	// Far from a wrap the counters keep counting and nothing is cleared.
+	ws.epoch, ws.chain, ws.stamp[0] = 100, 50, 99
+	ws.prepare(3, 4)
+	if ws.epoch != 100 || ws.chain != 50 || ws.stamp[0] != 99 || len(ws.stamp) != 3 {
+		t.Fatalf("epoch %d, chain %d, stamps %v; want 100, 50 and stamp 99 kept", ws.epoch, ws.chain, ws.stamp)
 	}
 }
 
